@@ -10,7 +10,6 @@ import argparse
 import json
 import os
 import sys
-import tempfile
 
 import numpy as np
 
@@ -18,7 +17,7 @@ from . import dataset as ds
 from . import embed as emb
 from . import synth
 from .features import feature_header, handcrafted_features
-from .model import (CharmConfig, CheckpointError, MlpConfig, load_checkpoint,
+from .model import (MODELS, CharmConfig, CheckpointError, MlpConfig, load_checkpoint,
                     save_checkpoint)
 from .traineval import (TrainConfig, TrainedModel, TrainingError, evaluate,
                         format_report, report_key_values, train)
@@ -141,17 +140,20 @@ def read_manifest(data_dir):
         raise ds.DataError(f"cannot read manifest: {e}") from e
     except json.JSONDecodeError as e:
         raise ds.DataError(f"{path}: invalid JSON: {e}") from e
+    required = ("schema", "files", "classes", "q")
+    if not isinstance(manifest, dict) or not all(k in manifest for k in required):
+        raise ds.DataError(f"{path}: manifest must be a JSON object with keys "
+                           f"{', '.join(required)}")
     return manifest
 
 
-def manifest_schema(manifest, user_id="") -> ds.SchemaConfig:
+def manifest_schema(manifest) -> ds.SchemaConfig:
     s = manifest["schema"]
     return ds.SchemaConfig(
         delimiter=s["delimiter"],
         channel_columns=tuple(s["channel_columns"]),
         high_label_column=s["high_label_column"],
         low_label_columns=dict(s.get("low_label_columns") or {}) or None,
-        user_id=user_id,
         null_label_token=s.get("null_label_token", "null"),
     )
 
@@ -162,9 +164,9 @@ def load_data_dir(data_dir):
     manifest = read_manifest(data_dir)
     labels = ds.ActivityLabelSet(tuple(manifest["classes"]))
     rate = manifest.get("sample_rate_hz", 30.0)
+    schema = manifest_schema(manifest)
     segments = []
     for entry in manifest["files"]:
-        schema = manifest_schema(manifest, user_id=entry["user"])
         path = os.path.join(data_dir, entry["file"])
         loaded = ds.load_stream(path, schema, sample_rate_hz=rate)
         segs, _ = ds.segment_by_high_label(
@@ -182,19 +184,6 @@ def fixed_length_dataset(segments, n_target, stride):
     for seg in segments:
         out.extend(ds.make_fixed_length_samples(seg, n_target, stride))
     return out
-
-
-def _atomic_write_text(path, text):
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".out-")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
 
 
 # ---------------------------------------------------------------------------
@@ -222,13 +211,10 @@ def cmd_train(args):
     segments, labels, manifest = load_data_dir(args.data)
     q = manifest["q"]
     m = len(labels)
-    if args.model == "charm":
-        mcfg = build_charm_config(cfg, q=q, m=m)
-        n_target = mcfg.n_target
-    else:
-        n_charm = build_charm_config(cfg, q=q, m=m)
-        mcfg = build_mlp_config(cfg, n_target=n_charm.n_target, q=q, m=m)
-        n_target = mcfg.n_target
+    mcfg = build_charm_config(cfg, q=q, m=m)
+    if args.model == "mlp":
+        mcfg = build_mlp_config(cfg, n_target=mcfg.n_target, q=q, m=m)
+    n_target = mcfg.n_target
     samples = fixed_length_dataset(segments, n_target, _stride_for(cfg, n_target))
     train_set, val_set = ds.loso_split(samples, args.held_out_user)
     if not train_set:
@@ -237,7 +223,7 @@ def cmd_train(args):
                              val_segments=val_set)
     save_checkpoint(trained.model, trained.stats, args.out)
     hist_path = args.history or args.out + ".history.json"
-    _atomic_write_text(hist_path, json.dumps(
+    ds.atomic_write(hist_path, json.dumps(
         {"train_loss": history.train_loss, "val_macro_f1": history.val_macro_f1},
         indent=2) + "\n")
     if not args.quiet:
@@ -266,7 +252,7 @@ def cmd_evaluate(args):
     if not args.quiet:
         print(text)
     if args.out:
-        _atomic_write_text(args.out, report_key_values(report, labels.classes))
+        ds.atomic_write(args.out, report_key_values(report, labels.classes))
     return 0
 
 
@@ -310,6 +296,9 @@ def cmd_embed(args):
     if args.grouping:
         groups = _read_grouping(args.grouping)
         labels = [groups.get(lab, lab) for lab in labels]
+    if len(set(labels)) < 2:
+        raise ds.DataError("embedding analysis needs at least 2 distinct labels, "
+                           f"got {sorted(set(labels))}")
     feats = model.embed_windows(allw)
     pca = emb.pca_fit(feats, 2)
     coords = emb.pca_transform(pca, feats)
@@ -334,7 +323,7 @@ def cmd_features(args):
         feats = handcrafted_features(seg.data)
         lines.append(",".join([seg.source, labels.classes[seg.high_label]]
                               + [repr(float(v)) for v in feats]))
-    _atomic_write_text(args.out, "\n".join(lines) + "\n")
+    ds.atomic_write(args.out, "\n".join(lines) + "\n")
     if not args.quiet:
         print(f"wrote {len(segments)} feature rows ({5 * q} columns) to {args.out}")
     return 0
@@ -364,7 +353,7 @@ def build_parser():
     common(p)
     p.add_argument("--data", required=True, help="dataset directory")
     p.add_argument("--held-out-user", required=True, help="validation user id")
-    p.add_argument("--model", choices=("charm", "mlp"), default="charm")
+    p.add_argument("--model", choices=tuple(MODELS), default="charm")
     p.add_argument("--out", required=True, help="checkpoint path")
     p.add_argument("--history", default=None,
                    help="training history path (default: <out>.history.json)")

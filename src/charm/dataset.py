@@ -3,7 +3,9 @@ exclusion rules, fixed-length sampling, and leave-one-subject-out splits."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import os
+import tempfile
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,7 +37,6 @@ class SensorStream:
 
     samples: np.ndarray
     sample_rate_hz: float = 30.0
-    channel_names: tuple = ()
 
     def __post_init__(self):
         arr = np.asarray(self.samples, dtype=float)
@@ -43,8 +44,6 @@ class SensorStream:
             raise ValueError(f"expected non-empty [n, q] samples, got {arr.shape}")
         if self.sample_rate_hz <= 0:
             raise ValueError("sample_rate_hz must be positive")
-        if self.channel_names and len(self.channel_names) != arr.shape[1]:
-            raise ValueError("channel_names length != channel count")
         object.__setattr__(self, "samples", arr)
 
     @property
@@ -112,7 +111,6 @@ class SchemaConfig:
     channel_columns: tuple
     high_label_column: int
     low_label_columns: dict | None = None  # track name -> column index
-    user_id: str = ""
     null_label_token: str = "null"
 
     def __post_init__(self):
@@ -141,6 +139,23 @@ class LoadedFile:
     high_labels: list
     low_labels: dict  # track name -> list of str
     dropped_rows: int = 0
+
+
+def atomic_write(path, data):
+    """Write bytes or str (as UTF-8) to path through a temporary file in the
+    same directory, so the path holds the old content or the new, never a
+    partial write. The file gets the mode open() would give it."""
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), prefix=".tmp-")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data.encode("utf-8") if isinstance(data, str) else data)
+        umask = os.umask(0)  # mkstemp made the file 0600; read the umask to undo that
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 _MISSING = ("", "nan", "NaN", "NAN")
@@ -238,8 +253,7 @@ def segment_by_high_label(stream: SensorStream, high_labels, labels: ActivityLab
         name = high_labels[start]
         if name != null_token and name in labels:
             sub = SensorStream(stream.samples[start:i],
-                               sample_rate_hz=stream.sample_rate_hz,
-                               channel_names=stream.channel_names)
+                               sample_rate_hz=stream.sample_rate_hz)
             tracks = None
             if low_labels:
                 tracks = {k: list(v[start:i]) for k, v in low_labels.items()}
@@ -250,12 +264,6 @@ def segment_by_high_label(stream: SensorStream, high_labels, labels: ActivityLab
             discarded += 1
         start = i
     return segments, discarded
-
-
-def reject_multilabel(window_high_labels, null_token: str) -> bool:
-    """True (keep) when at most one distinct non-null high label occurs."""
-    distinct = {lab for lab in window_high_labels if lab != null_token}
-    return len(distinct) <= 1
 
 
 def make_fixed_length_samples(segment: LabeledSegment, n_target: int, stride: int):
@@ -279,8 +287,7 @@ def make_fixed_length_samples(segment: LabeledSegment, n_target: int, stride: in
         if segment.low_label_tracks is not None:
             tracks = {k: [v[0]] * pad + list(v)
                       for k, v in segment.low_label_tracks.items()}
-        stream = SensorStream(data, sample_rate_hz=segment.stream.sample_rate_hz,
-                              channel_names=segment.stream.channel_names)
+        stream = SensorStream(data, sample_rate_hz=segment.stream.sample_rate_hz)
         out.append(LabeledSegment(stream, segment.high_label, segment.user_id,
                                   low_label_tracks=tracks, padded=True,
                                   source=f"{segment.source}|pad"))
@@ -289,8 +296,7 @@ def make_fixed_length_samples(segment: LabeledSegment, n_target: int, stride: in
     offset = 0
     while offset + n_target <= n:
         data = segment.data[offset:offset + n_target]
-        stream = SensorStream(data, sample_rate_hz=segment.stream.sample_rate_hz,
-                              channel_names=segment.stream.channel_names)
+        stream = SensorStream(data, sample_rate_hz=segment.stream.sample_rate_hz)
         out.append(LabeledSegment(stream, segment.high_label, segment.user_id,
                                   low_label_tracks=slice_tracks(offset, offset + n_target),
                                   source=f"{segment.source}|@{offset}"))

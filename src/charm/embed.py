@@ -4,9 +4,12 @@ scoring, label-pure window extraction, and CSV export for plotting."""
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass
 
 import numpy as np
+
+from .dataset import atomic_write
 
 PURITY_THRESHOLD = 0.9  # fraction of samples that must share the window label
 
@@ -60,10 +63,6 @@ def pca_transform(model: PcaModel, X) -> np.ndarray:
     return out[0] if squeeze else out
 
 
-def pca_inverse_transform(model: PcaModel, coords) -> np.ndarray:
-    return np.asarray(coords, dtype=float) @ model.components + model.mean
-
-
 def silhouette_score(points, labels) -> float:
     """Mean silhouette with Euclidean distance. Singleton-cluster points and
     zero-spread points contribute 0."""
@@ -114,15 +113,16 @@ def label_pure_windows(data, track, r: int, null_token: str = "null",
     return np.empty((0, r, data.shape[1])), labels
 
 
-def export_embedding(points, path, delimiter: str = ","):
+def export_embedding(points, path):
     """CSV rows pc1, pc2, low_label, source with a header; full float
-    precision; labels containing the delimiter are quoted."""
+    precision; labels containing a comma are quoted."""
     points = list(points)
     if not points:
         raise ValueError("nothing to export")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, delimiter=delimiter, quoting=csv.QUOTE_MINIMAL)
-        writer.writerow(["pc1", "pc2", "low_label", "source"])
-        for p in points:
-            writer.writerow([repr(float(p.coords[0])), repr(float(p.coords[1])),
-                             p.low_label, p.source])
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(["pc1", "pc2", "low_label", "source"])
+    for p in points:
+        writer.writerow([repr(float(p.coords[0])), repr(float(p.coords[1])),
+                         p.low_label, p.source])
+    atomic_write(path, buf.getvalue())

@@ -4,12 +4,11 @@ low-level embedding extraction, and checkpoint persistence."""
 from __future__ import annotations
 
 import json
-import os
-import tempfile
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from .dataset import atomic_write
 from .neurocore import Stack, make_rng, softmax, softmax_ce_grad, weighted_cross_entropy
 from .preprocess import ChannelStats, window
 
@@ -66,7 +65,30 @@ class MlpConfig:
         return self.n_target * self.q
 
 
-class CharmModel:
+class _Model:
+    """The training rule both models share: softmax and weighted
+    cross-entropy on the logits of the subclass's `_logits` hook, which
+    returns (logits [1, m], backward(d_logits) -> grads, features or None)
+    and checks the input shape."""
+
+    def forward(self, sample, training: bool = False, rng=None):
+        """Returns (class probabilities [m], features or None)."""
+        logits, _, features = self._logits(sample, training, rng)
+        return softmax(logits[0]), features
+
+    def loss_and_grads(self, sample, target: int, class_weights, rng):
+        """Training-mode forward + full reverse pass. Gradient order matches
+        param_arrays()."""
+        logits, backward, _ = self._logits(sample, True, rng)
+        loss = weighted_cross_entropy(logits[0], target, class_weights)
+        d_logits = softmax_ce_grad(logits[0], target, class_weights[target])
+        return loss, backward(d_logits[None, :]), softmax(logits[0])
+
+    def param_count(self) -> int:
+        return sum(p.size for p in self.param_arrays())
+
+
+class CharmModel(_Model):
     """Shared low-level encoder applied per window, high-level encoder over
     the concatenated window features."""
 
@@ -90,33 +112,22 @@ class CharmModel:
     def param_arrays(self):
         return self.low.param_arrays() + self.high.param_arrays()
 
-    def _check_sample(self, sample):
+    def _logits(self, sample, training, rng):
+        """Features are the low-level window features [z, low_out]."""
         sample = np.asarray(sample, dtype=float)
         if sample.shape != (self.cfg.n_target, self.cfg.q):
             raise ValueError(
                 f"expected input shape {(self.cfg.n_target, self.cfg.q)}, got {sample.shape}")
-        return sample
-
-    def forward(self, sample, training: bool = False, rng=None):
-        """Returns (class probabilities [m], low-level features [z, low_out])."""
-        sample = self._check_sample(sample)
         flat = window(sample, self.cfg.r).reshape(self.cfg.z, -1)
-        low_feats, _ = self.low.forward(flat, training, rng)
-        logits, _ = self.high.forward(low_feats.reshape(1, -1), training, rng)
-        return softmax(logits[0]), low_feats
+        low_feats, low_cache = self.low.forward(flat, training, rng)
+        logits, high_cache = self.high.forward(low_feats.reshape(1, -1), training, rng)
 
-    def loss_and_grads(self, sample, target: int, class_weights, rng):
-        """Training-mode forward + full reverse pass. Gradient order matches
-        param_arrays()."""
-        sample = self._check_sample(sample)
-        flat = window(sample, self.cfg.r).reshape(self.cfg.z, -1)
-        low_feats, low_cache = self.low.forward(flat, True, rng)
-        logits, high_cache = self.high.forward(low_feats.reshape(1, -1), True, rng)
-        loss = weighted_cross_entropy(logits[0], target, class_weights)
-        d_logits = softmax_ce_grad(logits[0], target, class_weights[target])
-        high_grads, d_concat = self.high.backward(high_cache, d_logits[None, :])
-        low_grads, _ = self.low.backward(low_cache, d_concat.reshape(self.cfg.z, -1))
-        return loss, low_grads + high_grads, softmax(logits[0])
+        def backward(d_logits):
+            high_grads, d_concat = self.high.backward(high_cache, d_logits)
+            low_grads, _ = self.low.backward(low_cache, d_concat.reshape(self.cfg.z, -1))
+            return low_grads + high_grads
+
+        return logits, backward, low_feats
 
     def embed_windows(self, windows):
         """Low-level encoder only, inference mode. windows: [k, r, q] -> [k, low_out]."""
@@ -127,11 +138,8 @@ class CharmModel:
         out, _ = self.low.forward(w.reshape(w.shape[0], -1), training=False)
         return out
 
-    def param_count(self) -> int:
-        return sum(p.size for p in self.param_arrays())
 
-
-class MlpModel:
+class MlpModel(_Model):
     kind = "mlp"
 
     def __init__(self, cfg: MlpConfig, stack: Stack):
@@ -148,30 +156,16 @@ class MlpModel:
     def param_arrays(self):
         return self.stack.param_arrays()
 
-    def _flatten(self, sample):
+    def _logits(self, sample, training, rng):
         sample = np.asarray(sample, dtype=float)
         if sample.size != self.cfg.input_dim:
             raise ValueError(
                 f"expected {self.cfg.input_dim} input values, got {sample.size}")
-        return sample.reshape(1, -1)
-
-    def forward(self, sample, training: bool = False, rng=None):
-        logits, _ = self.stack.forward(self._flatten(sample), training, rng)
-        return softmax(logits[0]), None
-
-    def loss_and_grads(self, sample, target: int, class_weights, rng):
-        logits, cache = self.stack.forward(self._flatten(sample), True, rng)
-        loss = weighted_cross_entropy(logits[0], target, class_weights)
-        d_logits = softmax_ce_grad(logits[0], target, class_weights[target])
-        grads, _ = self.stack.backward(cache, d_logits[None, :])
-        return loss, grads, softmax(logits[0])
-
-    def param_count(self) -> int:
-        return sum(p.size for p in self.param_arrays())
+        logits, cache = self.stack.forward(sample.reshape(1, -1), training, rng)
+        return logits, lambda d_logits: self.stack.backward(cache, d_logits)[0], None
 
 
-def extract_low_level_embeddings(windows, model: CharmModel) -> np.ndarray:
-    return model.embed_windows(windows)
+MODELS = {"charm": (CharmConfig, CharmModel), "mlp": (MlpConfig, MlpModel)}
 
 
 # ---------------------------------------------------------------------------
@@ -181,19 +175,6 @@ def extract_low_level_embeddings(windows, model: CharmModel) -> np.ndarray:
 
 MAGIC = b"CHARM1\n"
 CHECKPOINT_VERSION = 1
-
-
-def _atomic_write(path, payload: bytes):
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".ckpt-")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(payload)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
 
 
 def save_checkpoint(model, stats: ChannelStats, path):
@@ -208,7 +189,7 @@ def save_checkpoint(model, stats: ChannelStats, path):
     }
     blob = b"".join(np.ascontiguousarray(p, dtype="<f8").tobytes() for p in params)
     payload = MAGIC + (json.dumps(header, sort_keys=True) + "\n").encode("utf-8") + blob
-    _atomic_write(path, payload)
+    atomic_write(path, payload)
 
 
 def load_checkpoint(path):
@@ -229,24 +210,20 @@ def load_checkpoint(path):
         header = json.loads(rest[:nl].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise CheckpointError(f"{path}: corrupt header: {e}") from e
+    if not isinstance(header, dict):
+        raise CheckpointError(f"{path}: corrupt header: not a JSON object")
     if header.get("version") != CHECKPOINT_VERSION:
         raise CheckpointError(
             f"{path}: unsupported checkpoint version {header.get('version')!r}")
 
     kind = header.get("kind")
+    if not isinstance(kind, str) or kind not in MODELS:
+        raise CheckpointError(f"{path}: unknown model kind {kind!r}")
+    cfg_cls, model_cls = MODELS[kind]
     try:
-        if kind == "charm":
-            cfg = CharmConfig(**header["config"])
-            model = CharmModel.init(cfg, make_rng(0))
-        elif kind == "mlp":
-            cfg = MlpConfig(**header["config"])
-            model = MlpModel.init(cfg, make_rng(0))
-        else:
-            raise CheckpointError(f"{path}: unknown model kind {kind!r}")
+        model = model_cls.init(cfg_cls(**header["config"]), make_rng(0))
         stats = ChannelStats(np.array(header["channel_means"]),
                              np.array(header["channel_stds"]))
-    except CheckpointError:
-        raise
     except (KeyError, TypeError, ValueError) as e:
         raise CheckpointError(f"{path}: malformed header: {e}") from e
 
@@ -266,10 +243,6 @@ def load_checkpoint(path):
         vals = np.frombuffer(blob[offset:offset + nbytes], dtype="<f8").reshape(p.shape)
         p[...] = vals
         offset += nbytes
-    if stats.means.shape[0] != _expected_q(model):
+    if stats.means.shape[0] != model.cfg.q:
         raise CheckpointError(f"{path}: channel stats do not match model input channels")
     return model, stats
-
-
-def _expected_q(model):
-    return model.cfg.q

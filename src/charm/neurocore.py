@@ -8,7 +8,7 @@ fixed seed gives bit-identical parameter trajectories.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -77,17 +77,6 @@ def dropout_mask(shape, p: float, rng: np.random.Generator):
     return (rng.random(shape) >= p) / (1.0 - p)
 
 
-def dropout(x, p: float, rng: np.random.Generator | None = None,
-            training: bool = False):
-    """Inverted dropout; identity at inference time."""
-    x = np.asarray(x, dtype=float)
-    if not training or p == 0.0:
-        if not 0.0 <= p < 1.0:
-            raise ValueError(f"dropout probability {p} not in [0, 1)")
-        return x
-    return x * dropout_mask(x.shape, p, rng)
-
-
 @dataclass
 class Dense:
     """Affine map y = W x + b with W of shape [out, in]."""
@@ -104,10 +93,6 @@ class Dense:
             raise ValueError(f"bias shape {self.b.shape} != ({self.w.shape[0]},)")
         if not (np.all(np.isfinite(self.w)) and np.all(np.isfinite(self.b))):
             raise ValueError("non-finite layer parameters")
-
-    @property
-    def out_dim(self) -> int:
-        return self.w.shape[0]
 
     @property
     def in_dim(self) -> int:

@@ -6,11 +6,11 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import SchemaConfig
+from .dataset import SchemaConfig, atomic_write
 
 MOTIF_TRACK = "motif"
 
@@ -195,10 +195,7 @@ def write_dataset(segments, config: SynthConfig, out_dir):
         for row, motif in zip(seg.data, seg.motif_track):
             lines.append(",".join(repr(float(v)) for v in row)
                          + f",{seg.class_name},{motif}")
-        tmp = path + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
-        os.replace(tmp, path)
+        atomic_write(path, "\n".join(lines) + "\n")
         files.append({"file": fname, "user": seg.user_id, "class": seg.class_name})
 
     schema = dataset_schema(config)
@@ -218,11 +215,8 @@ def write_dataset(segments, config: SynthConfig, out_dir):
         },
         "files": files,
     }
-    tmp = os.path.join(out_dir, "manifest.json.tmp")
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    os.replace(tmp, os.path.join(out_dir, "manifest.json"))
+    atomic_write(os.path.join(out_dir, "manifest.json"),
+                 json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return manifest
 
 

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import CharmConfig, CharmModel, MlpConfig, MlpModel
+from .model import MODELS
 from .neurocore import Adam, make_rng
 from .preprocess import ChannelStats, fit_normalizer, normalize
 
@@ -19,7 +19,6 @@ class TrainingError(Exception):
 @dataclass(frozen=True)
 class TrainConfig:
     epochs: int = 10
-    batch_size: int = 1
     lr: float = 5e-4
     seed: int = 0
     shuffle: bool = True
@@ -27,8 +26,6 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
-        if self.batch_size != 1:
-            raise ValueError("batch_size is fixed at 1")
         if self.lr <= 0:
             raise ValueError("lr must be positive")
 
@@ -63,14 +60,6 @@ def compute_class_weights(label_counts) -> np.ndarray:
     return w / w.mean()
 
 
-def _build_model(model_kind, model_cfg, rng):
-    if model_kind == "charm":
-        return CharmModel.init(model_cfg, rng)
-    if model_kind == "mlp":
-        return MlpModel.init(model_cfg, rng)
-    raise ValueError(f"unknown model kind {model_kind!r}")
-
-
 def train(train_segments, model_kind, train_cfg: TrainConfig, model_cfg,
           val_segments=None):
     """Fit the normalizer on the train split, then run one Adam step per
@@ -92,7 +81,9 @@ def train(train_segments, model_kind, train_cfg: TrainConfig, model_cfg,
                       for seg in val_segments]
 
     rng = make_rng(train_cfg.seed)
-    model = _build_model(model_kind, model_cfg, rng)
+    if model_kind not in MODELS:
+        raise ValueError(f"unknown model kind {model_kind!r}")
+    model = MODELS[model_kind][1].init(model_cfg, rng)
     params = model.param_arrays()
     opt = Adam(params, lr=train_cfg.lr)
     history = TrainHistory()

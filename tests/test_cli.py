@@ -156,6 +156,18 @@ class TestEmbed:
                   for line in out.read_text().strip().splitlines()[1:]}
         assert labels == {"armwork", "bodywork"}
 
+    def test_grouping_into_one_label_exit_3(self, workspace, checkpoint, tmp_path,
+                                            capsys):
+        grouping = tmp_path / "groups.txt"
+        grouping.write_text("".join(f"{m}=all\n" for m in (
+            "swing", "reach", "twist", "tap", "lift", "shake", "glide", "press")))
+        out = tmp_path / "emb.csv"
+        assert main(["embed", "--checkpoint", checkpoint,
+                     "--data", workspace["data"], "--grouping", str(grouping),
+                     "--out", str(out)]) == 3
+        assert "2 distinct labels" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_track_exit_3(self, workspace, checkpoint, tmp_path):
         assert main(["embed", "--checkpoint", checkpoint,
                      "--data", workspace["data"], "--track", "locomotion",
@@ -175,6 +187,20 @@ class TestFeatures:
     def test_missing_data_dir_exit_3(self, tmp_path):
         assert main(["features", "--data", str(tmp_path / "nowhere"),
                      "--out", str(tmp_path / "f.csv")]) == 3
+
+    @pytest.mark.parametrize("drop", [None, "schema", "files", "classes", "q"])
+    def test_bad_manifest_exit_3(self, workspace, tmp_path, capsys, drop):
+        with open(os.path.join(workspace["data"], "manifest.json")) as fh:
+            manifest = json.load(fh)
+        if drop is None:
+            manifest = [manifest]  # valid JSON, not an object
+        else:
+            del manifest[drop]
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        assert main(["features", "--data", str(tmp_path),
+                     "--out", str(tmp_path / "f.csv")]) == 3
+        err = capsys.readouterr().err
+        assert "manifest must be a JSON object" in err and len(err.splitlines()) == 1
 
 
 class TestHelp:

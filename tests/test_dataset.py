@@ -1,10 +1,12 @@
+import os
+
 import numpy as np
 import pytest
 
 from charm.dataset import (ActivityLabelSet, EmptyInputError, LabeledSegment,
                            ParseError, SchemaConfig, SensorStream,
-                           UnknownUserError, load_stream, loso_split,
-                           make_fixed_length_samples, reject_multilabel,
+                           UnknownUserError, atomic_write, load_stream,
+                           loso_split, make_fixed_length_samples,
                            segment_by_high_label)
 
 SCHEMA = SchemaConfig(delimiter=",", channel_columns=(0, 1),
@@ -116,15 +118,32 @@ class TestSegmentByHighLabel:
         assert segs[1].low_label_tracks["m"] == ["y", "z"]
 
 
-class TestRejectMultilabel:
-    def test_single_label_kept(self):
-        assert reject_multilabel(["A", "A", "A"], "null")
+class TestAtomicWrite:
+    def test_bytes_round_trip(self, tmp_path):
+        path = tmp_path / "out.bin"
+        atomic_write(path, b"\x00\xffabc\n")
+        assert path.read_bytes() == b"\x00\xffabc\n"
+        assert os.listdir(tmp_path) == ["out.bin"]
 
-    def test_two_labels_dropped(self):
-        assert not reject_multilabel(["A", "A", "B"], "null")
+    def test_text_round_trip(self, tmp_path):
+        path = tmp_path / "out.txt"
+        atomic_write(path, "caf\u00e9\nline 2\n")
+        assert path.read_bytes() == "caf\u00e9\nline 2\n".encode("utf-8")
+        (tmp_path / "plain.txt").write_text("x")
+        assert os.stat(path).st_mode == os.stat(tmp_path / "plain.txt").st_mode
 
-    def test_null_ignored(self):
-        assert reject_multilabel(["A", "null", "A"], "null")
+    def test_failed_replace_keeps_old_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "out.txt"
+        path.write_text("old")
+
+        def fail(src, dst):
+            raise OSError("replace failed")
+
+        monkeypatch.setattr(os, "replace", fail)
+        with pytest.raises(OSError, match="replace failed"):
+            atomic_write(path, "new")
+        assert path.read_text() == "old"
+        assert os.listdir(tmp_path) == ["out.txt"]
 
 
 def segment_of(n, q=2, **kw):

@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from charm.model import (CharmConfig, CharmModel, CheckpointError, MlpConfig,
-                         MlpModel, extract_low_level_embeddings,
-                         load_checkpoint, save_checkpoint)
+from charm.model import (MAGIC, CharmConfig, CharmModel, CheckpointError,
+                         MlpConfig, MlpModel, load_checkpoint, save_checkpoint)
 from charm.neurocore import make_rng
 from charm.preprocess import ChannelStats
 
@@ -69,27 +68,36 @@ class TestCharmForward:
         assert model.param_count() == low + high
 
 
+def check_finite_differences(model, x):
+    weights = np.array([1.0, 0.8, 1.2])
+    _, analytic, _ = model.loss_and_grads(x, 1, weights, make_rng(0))
+    h = 1e-5
+    for p, g in zip(model.param_arrays(), analytic):
+        flat = p.ravel()
+        idx = np.argmax(np.abs(g))  # spot-check the largest-gradient entry
+        orig = flat[idx]
+        flat[idx] = orig + h
+        hi = model.loss_and_grads(x, 1, weights, make_rng(0))[0]
+        flat[idx] = orig - h
+        lo = model.loss_and_grads(x, 1, weights, make_rng(0))[0]
+        flat[idx] = orig
+        fd = (hi - lo) / (2 * h)
+        ga = g.ravel()[idx]
+        assert abs(ga - fd) / max(abs(ga), abs(fd), 1e-6) < 1e-4
+
+
 class TestCharmGradients:
     def test_finite_difference_through_window_boundary(self):
         cfg = CharmConfig(r=16, q=3, z=4, low_hidden=8, low_out=8,
                           high_hidden=8, m=3, dropout_p=0.0)
-        model = CharmModel.init(cfg, make_rng(7))
-        x = make_rng(8).normal(size=(64, 3))
-        weights = np.array([1.0, 0.8, 1.2])
-        _, analytic, _ = model.loss_and_grads(x, 1, weights, make_rng(0))
-        h = 1e-5
-        for p, g in zip(model.param_arrays(), analytic):
-            flat = p.ravel()
-            idx = np.argmax(np.abs(g))  # spot-check the largest-gradient entry
-            orig = flat[idx]
-            flat[idx] = orig + h
-            hi = model.loss_and_grads(x, 1, weights, make_rng(0))[0]
-            flat[idx] = orig - h
-            lo = model.loss_and_grads(x, 1, weights, make_rng(0))[0]
-            flat[idx] = orig
-            fd = (hi - lo) / (2 * h)
-            ga = g.ravel()[idx]
-            assert abs(ga - fd) / max(abs(ga), abs(fd), 1e-6) < 1e-4
+        check_finite_differences(CharmModel.init(cfg, make_rng(7)),
+                                 make_rng(8).normal(size=(64, 3)))
+
+    def test_finite_difference_mlp(self):
+        # the MLP shares loss_and_grads with CHARM and has no other gradient check
+        cfg = MlpConfig(n_target=64, q=3, m=3, hidden=8, dropout_p=0.0)
+        check_finite_differences(MlpModel.init(cfg, make_rng(7)),
+                                 make_rng(8).normal(size=(64, 3)))
 
 
 class TestMlp:
@@ -124,7 +132,7 @@ class TestEmbeddings:
         model = small_model(9)
         x = make_rng(10).normal(size=(64, 3))
         _, low = model.forward(x)
-        emb = extract_low_level_embeddings(x[:16][None, :, :], model)
+        emb = model.embed_windows(x[:16][None, :, :])
         # batched vs single-row BLAS may differ in the last ulp
         np.testing.assert_allclose(emb[0], low[0], rtol=1e-12, atol=1e-15)
 
@@ -198,6 +206,23 @@ class TestCheckpoint:
         assert tampered != blob
         path.write_bytes(tampered)
         with pytest.raises(CheckpointError, match="shape"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("header", [b"[1]", b"3", b'"charm"'])
+    def test_header_not_an_object(self, tmp_path, header):
+        path = tmp_path / "model.ckpt"
+        path.write_bytes(MAGIC + header + b"\n")
+        with pytest.raises(CheckpointError, match="not a JSON object"):
+            load_checkpoint(path)
+
+    def test_non_string_kind(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(small_model(18), stats_for(3), path)
+        blob = path.read_bytes()
+        tampered = blob.replace(b'"kind": "charm"', b'"kind": ["charm"]', 1)
+        assert tampered != blob
+        path.write_bytes(tampered)
+        with pytest.raises(CheckpointError, match="kind"):
             load_checkpoint(path)
 
     def test_missing_file(self, tmp_path):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from charm.neurocore import (Adam, Dense, Stack, dropout, init_dense,
+from charm.neurocore import (Adam, Dense, Stack, dropout_mask, init_dense,
                              leaky_relu, make_rng, softmax,
                              weighted_cross_entropy)
 
@@ -65,23 +65,28 @@ class TestWeightedCrossEntropy:
 
 class TestDropout:
     def test_p_zero_identity(self):
-        x = make_rng(0).normal(size=100)
-        np.testing.assert_array_equal(dropout(x, 0.0, make_rng(1), training=True), x)
+        np.testing.assert_array_equal(dropout_mask((4, 25), 0.0, make_rng(1)),
+                                      np.ones((4, 25)))
 
     def test_inference_identity(self):
-        x = make_rng(0).normal(size=100)
-        np.testing.assert_array_equal(dropout(x, 0.5, make_rng(1), training=False), x)
+        # training=False applies no mask, whatever dropout_p is
+        stack = Stack.init([6, 5, 4, 2], make_rng(0), dropout_p=0.5)
+        x = make_rng(1).normal(size=(3, 6))
+        out, cache = stack.forward(x, training=False, rng=make_rng(2))
+        assert all(mask is None for _, _, mask, _ in cache)
+        no_dropout = Stack(stack.layers, slope=stack.slope, dropout_p=0.0)
+        np.testing.assert_array_equal(out, no_dropout.forward(x, training=True)[0])
 
     def test_inverted_scaling_preserves_mean(self):
         # each element is 0 w.p. p else 1/(1-p); var = p/(1-p)
         p, n = 0.05, 10 ** 6
-        out = dropout(np.ones(n), p, make_rng(7), training=True)
+        out = dropout_mask(n, p, make_rng(7))
         se = np.sqrt(p / (1 - p) / n)
         assert abs(out.mean() - 1.0) < 3 * se
 
     def test_bad_p(self):
         with pytest.raises(ValueError):
-            dropout(np.ones(3), 1.0, make_rng(0), training=True)
+            dropout_mask(3, 1.0, make_rng(0))
 
 
 class TestDense:

@@ -106,10 +106,12 @@ class TestGenDataset:
     def test_seed_determinism_byte_identical_files(self, tmp_path):
         cfg = self.small_config(2)
         d1, d2 = tmp_path / "a", tmp_path / "b"
-        write_dataset(gen_dataset(cfg), cfg, d1)
+        manifest = write_dataset(gen_dataset(cfg), cfg, d1)
         write_dataset(gen_dataset(cfg), cfg, d2)
         names = sorted(os.listdir(d1))
         assert names == sorted(os.listdir(d2))
+        # no temporary files left behind
+        assert names == sorted([f["file"] for f in manifest["files"]] + ["manifest.json"])
         match, mismatch, errors = filecmp.cmpfiles(d1, d2, names, shallow=False)
         assert mismatch == [] and errors == []
 

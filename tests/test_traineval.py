@@ -55,10 +55,6 @@ class TestTrain:
         with pytest.raises(ValueError):
             TrainConfig(epochs=0)
 
-    def test_batch_size_fixed(self):
-        with pytest.raises(ValueError):
-            TrainConfig(batch_size=2)
-
     def test_empty_train_set(self):
         with pytest.raises(TrainingError):
             train([], "charm", TrainConfig(), CFG)
