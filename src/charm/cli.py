@@ -144,18 +144,34 @@ def read_manifest(data_dir):
     if not isinstance(manifest, dict) or not all(k in manifest for k in required):
         raise ds.DataError(f"{path}: manifest must be a JSON object with keys "
                            f"{', '.join(required)}")
+    files = manifest["files"]
+    if not isinstance(files, list) or not all(
+            isinstance(e, dict) and isinstance(e.get("file"), str)
+            and isinstance(e.get("user"), str)
+            for e in files):
+        raise ds.DataError(f"{path}: manifest 'files' must be a list of objects, "
+                           f"each with string 'file' and 'user'")
     return manifest
+
+
+_SCHEMA_KEYS = ("delimiter", "channel_columns", "high_label_column")
 
 
 def manifest_schema(manifest) -> ds.SchemaConfig:
     s = manifest["schema"]
-    return ds.SchemaConfig(
-        delimiter=s["delimiter"],
-        channel_columns=tuple(s["channel_columns"]),
-        high_label_column=s["high_label_column"],
-        low_label_columns=dict(s.get("low_label_columns") or {}) or None,
-        null_label_token=s.get("null_label_token", "null"),
-    )
+    if not isinstance(s, dict) or not all(k in s for k in _SCHEMA_KEYS):
+        raise ds.DataError(f"manifest 'schema' must be an object with keys "
+                           f"{', '.join(_SCHEMA_KEYS)}")
+    try:
+        return ds.SchemaConfig(
+            delimiter=s["delimiter"],
+            channel_columns=tuple(s["channel_columns"]),
+            high_label_column=s["high_label_column"],
+            low_label_columns=dict(s.get("low_label_columns") or {}) or None,
+            null_label_token=s.get("null_label_token", "null"),
+        )
+    except (TypeError, ValueError) as e:
+        raise ds.DataError(f"bad manifest schema: {e}") from e
 
 
 def load_data_dir(data_dir):

@@ -3,9 +3,13 @@ exclusion rules, fixed-length sampling, and leave-one-subject-out splits."""
 
 from __future__ import annotations
 
+import math
 import os
+import sys
 import tempfile
 from dataclasses import dataclass
+from itertools import compress
+from operator import ne
 
 import numpy as np
 
@@ -115,9 +119,13 @@ class SchemaConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "channel_columns", tuple(self.channel_columns))
+        if not self.channel_columns:
+            raise ValueError("schema needs at least one channel column")
         cols = list(self.channel_columns) + [self.high_label_column]
         if self.low_label_columns:
             cols += list(self.low_label_columns.values())
+        if not all(isinstance(c, int) for c in cols):
+            raise ValueError("schema column indices must be integers")
         if len(set(cols)) != len(cols):
             raise ValueError("schema column indices must be distinct")
         if min(cols) < 0:
@@ -158,78 +166,101 @@ def atomic_write(path, data):
         raise
 
 
-_MISSING = ("", "nan", "NaN", "NAN")
-
-
 def load_stream(path, schema: SchemaConfig, sample_rate_hz: float = 30.0) -> LoadedFile:
-    """Parse one sensor file. Missing channel values (empty/NaN fields) are
-    linearly interpolated when the gap is <= MAX_INTERP_GAP samples and has
-    neighbors on both sides; otherwise the affected rows are dropped and
-    counted. Structurally malformed rows raise ParseError."""
-    rows = []
-    highs = []
-    lows = {name: [] for name in (schema.low_label_columns or {})}
+    """Parse one sensor file. Missing channel values (empty or whitespace
+    fields, NaN in any case) are linearly interpolated when the gap is
+    <= MAX_INTERP_GAP samples and has neighbors on both sides; otherwise the
+    affected rows are dropped and counted. Rows with too few fields, channel
+    values that are not numbers, and infinite values raise ParseError."""
     with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            fields = line.split(schema.delimiter)
-            if len(fields) < schema.width:
-                raise ParseError(path, line_no,
-                                 f"expected >= {schema.width} fields, got {len(fields)}")
-            vals = np.empty(len(schema.channel_columns))
-            for j, col in enumerate(schema.channel_columns):
-                tok = fields[col].strip()
-                if tok in _MISSING:
-                    vals[j] = np.nan
-                else:
-                    try:
-                        vals[j] = float(tok)
-                    except ValueError:
-                        raise ParseError(path, line_no,
-                                         f"bad numeric value {tok!r} in column {col}") from None
-            rows.append(vals)
-            highs.append(fields[schema.high_label_column].strip())
-            for name, col in (schema.low_label_columns or {}).items():
-                lows[name].append(fields[col].strip())
-
+        lines = fh.read().split("\n")
+    rows = [line.split(schema.delimiter) for line in lines if line and not line.isspace()]
     if not rows:
         raise EmptyInputError(f"{path}: no usable rows")
 
-    data = np.vstack(rows)
+    columns = list(zip(*rows))  # as many as the shortest row has fields
+    data = None
+    if len(columns) >= schema.width:
+        data = _parse_channels(columns, schema.channel_columns)
+    if data is None or np.isinf(data).any():
+        raise _first_bad_row(path, lines, rows, schema)
+    # Labels come from a small vocabulary: one shared string per name keeps
+    # a file's worth of duplicates from outliving the parse.
+    highs = list(map(sys.intern, map(str.strip, columns[schema.high_label_column])))
+    lows = {name: list(map(sys.intern, map(str.strip, columns[col])))
+            for name, col in (schema.low_label_columns or {}).items()}
+
     data, keep, n_dropped = _fill_missing(data)
     if data.shape[0] == 0:
         raise EmptyInputError(f"{path}: no usable rows after dropping "
                               f"{n_dropped} unrecoverable rows")
-    highs = [h for h, k in zip(highs, keep) if k]
-    lows = {name: [v for v, k in zip(track, keep) if k] for name, track in lows.items()}
+    if n_dropped:
+        highs = list(compress(highs, keep))
+        lows = {name: list(compress(track, keep)) for name, track in lows.items()}
     stream = SensorStream(data, sample_rate_hz=sample_rate_hz)
     return LoadedFile(stream, highs, lows, dropped_rows=n_dropped)
 
 
+def _parse_channels(columns, channel_columns):
+    """[n, q] float64 from the channel columns in one numpy call, which reads
+    each token as float() would; None when a token is not a number. Tokens
+    are stripped first, and empty ones become NaN."""
+    tokens = []
+    for col in channel_columns:
+        column = list(map(str.strip, columns[col]))
+        if "" in column:
+            column = [tok or "nan" for tok in column]
+        tokens += column
+    try:
+        flat = np.array(tokens, dtype=float)
+    except ValueError:
+        return None
+    return flat.reshape(len(channel_columns), -1).T
+
+
+def _first_bad_row(path, lines, rows, schema: SchemaConfig) -> ParseError:
+    """The ParseError naming the first row the columnar parse rejects: too few
+    fields, a channel token float() cannot read, or an infinite value."""
+    width = schema.width
+    line_nos = (no for no, line in enumerate(lines, start=1) if line and not line.isspace())
+    for line_no, fields in zip(line_nos, rows):
+        if len(fields) < width:
+            return ParseError(path, line_no, f"expected >= {width} fields, got {len(fields)}")
+        for col in schema.channel_columns:
+            tok = fields[col].strip()
+            if not tok:
+                continue
+            try:
+                value = float(tok)
+            except ValueError:
+                return ParseError(path, line_no,
+                                  f"bad numeric value {tok!r} in column {col}")
+            if math.isinf(value):
+                return ParseError(path, line_no,
+                                  f"non-finite value {tok!r} in column {col}")
+    raise RuntimeError(f"{path}: the columnar parse rejected rows the per-row check accepts")
+
+
 def _fill_missing(data: np.ndarray):
     """Interpolate short interior NaN runs per channel; rows still carrying
-    NaN afterwards are dropped."""
-    n, q = data.shape
-    for j in range(q):
-        col = data[:, j]
-        isnan = np.isnan(col)
-        if not isnan.any():
-            continue
-        i = 0
-        while i < n:
-            if not isnan[i]:
-                i += 1
-                continue
-            start = i
-            while i < n and isnan[i]:
-                i += 1
-            end = i  # run is [start, end)
-            gap = end - start
-            if start > 0 and end < n and gap <= MAX_INTERP_GAP:
-                lo, hi = col[start - 1], col[end]
-                col[start:end] = lo + (hi - lo) * np.arange(1, gap + 1) / (gap + 1)
+    NaN afterwards are dropped. Returns (kept rows, keep mask, dropped count)."""
+    n = data.shape[0]
+    missing = np.zeros((data.shape[1], n + 2), dtype=np.int8)  # [q, n] padded with 0
+    missing[:, 1:-1] = np.isnan(data.T)
+    step = np.diff(missing, axis=1)
+    chan, start = np.nonzero(step == 1)  # runs are [start, end) per channel,
+    _, end = np.nonzero(step == -1)      # both in channel-then-row order
+    gap = end - start
+    fill = (start > 0) & (end < n) & (gap <= MAX_INTERP_GAP)
+    if fill.any():
+        chan, start, end, gap = chan[fill], start[fill], end[fill], gap[fill]
+        first = np.cumsum(gap) - gap  # offset of each run in the flat list of its rows
+        k = np.arange(gap.sum()) - np.repeat(first, gap) + 1  # 1..gap within each run
+        rows = np.repeat(start, gap) + k - 1
+        cols = np.repeat(chan, gap)
+        lo = data[np.repeat(start - 1, gap), cols]
+        hi = data[np.repeat(end, gap), cols]
+        data[rows, cols] = lo + (hi - lo) * k / (np.repeat(gap, gap) + 1)
     keep = ~np.isnan(data).any(axis=1)
     return data[keep], keep, int(n - keep.sum())
 
@@ -242,27 +273,25 @@ def segment_by_high_label(stream: SensorStream, high_labels, labels: ActivityLab
 
     Returns (segments, discarded_run_count).
     """
-    if len(high_labels) != stream.n:
-        raise ValueError(f"label count {len(high_labels)} != n={stream.n}")
+    n = stream.n
+    if len(high_labels) != n:
+        raise ValueError(f"label count {len(high_labels)} != n={n}")
+    changed = map(ne, high_labels[1:], high_labels[:-1])
+    bounds = [0, *compress(range(1, n), changed), n]
     segments = []
     discarded = 0
-    start = 0
-    for i in range(1, stream.n + 1):
-        if i < stream.n and high_labels[i] == high_labels[start]:
-            continue
+    for start, end in zip(bounds, bounds[1:]):
         name = high_labels[start]
-        if name != null_token and name in labels:
-            sub = SensorStream(stream.samples[start:i],
-                               sample_rate_hz=stream.sample_rate_hz)
-            tracks = None
-            if low_labels:
-                tracks = {k: list(v[start:i]) for k, v in low_labels.items()}
-            segments.append(LabeledSegment(sub, labels.index(name), user_id,
-                                           low_label_tracks=tracks,
-                                           source=f"{source}[{start}:{i}]"))
-        else:
+        if name == null_token or name not in labels:
             discarded += 1
-        start = i
+            continue
+        sub = SensorStream(stream.samples[start:end], sample_rate_hz=stream.sample_rate_hz)
+        tracks = None
+        if low_labels:
+            tracks = {k: list(v[start:end]) for k, v in low_labels.items()}
+        segments.append(LabeledSegment(sub, labels.index(name), user_id,
+                                       low_label_tracks=tracks,
+                                       source=f"{source}[{start}:{end}]"))
     return segments, discarded
 
 

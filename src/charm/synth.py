@@ -191,11 +191,10 @@ def write_dataset(segments, config: SynthConfig, out_dir):
     for seg in segments:
         fname = f"u{seg.user_id}_{seg.class_name}_{seg.index:03d}.csv"
         path = os.path.join(out_dir, fname)
-        lines = []
-        for row, motif in zip(seg.data, seg.motif_track):
-            lines.append(",".join(repr(float(v)) for v in row)
-                         + f",{seg.class_name},{motif}")
-        atomic_write(path, "\n".join(lines) + "\n")
+        labels = f",{seg.class_name},"
+        atomic_write(path, "".join(
+            ",".join(map(repr, row)) + labels + motif + "\n"
+            for row, motif in zip(seg.data.tolist(), seg.motif_track)))
         files.append({"file": fname, "user": seg.user_id, "class": seg.class_name})
 
     schema = dataset_schema(config)

@@ -203,6 +203,99 @@ class TestFeatures:
         assert "manifest must be a JSON object" in err and len(err.splitlines()) == 1
 
 
+def copy_data_with(workspace, dst, edit_file=None, edit_manifest=None):
+    """Copy the workspace data directory, applying an edit to the text of its
+    first data file and/or to the parsed manifest."""
+    src = workspace["data"]
+    with open(os.path.join(src, "manifest.json")) as fh:
+        manifest = json.load(fh)
+    first = manifest["files"][0]["file"]
+    for entry in manifest["files"]:
+        with open(os.path.join(src, entry["file"])) as fh:
+            text = fh.read()
+        if edit_file and entry["file"] == first:
+            text = edit_file(text)
+        (dst / entry["file"]).write_text(text)
+    if edit_manifest:
+        edit_manifest(manifest)
+    (dst / "manifest.json").write_text(json.dumps(manifest))
+    return first
+
+
+def put_inf_on_line_3(text):
+    lines = text.split("\n")
+    fields = lines[2].split(",")
+    fields[1] = "inf"
+    lines[2] = ",".join(fields)
+    return "\n".join(lines)
+
+
+class TestNonFiniteValues:
+    @pytest.mark.parametrize("cmd", ["train", "features"])
+    def test_inf_exit_3_no_output(self, tmp_path, workspace, capsys, cmd):
+        data = tmp_path / "data"
+        data.mkdir()
+        first = copy_data_with(workspace, data, edit_file=put_inf_on_line_3)
+        out = tmp_path / "out"
+        args = {"train": ["train", "--config", workspace["config"],
+                          "--held-out-user", "u4"],
+                "features": ["features"]}[cmd]
+        assert main(args + ["--data", str(data), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert f"{first}:3: non-finite value 'inf' in column 1" in err
+        assert os.listdir(tmp_path) == ["data"]
+
+
+def _drop(*path):
+    def edit(manifest):
+        node = manifest
+        for key in path[:-1]:
+            node = node[key]
+        del node[path[-1]]
+    return edit
+
+
+def _set(key, value):
+    def edit(manifest):
+        manifest[key] = value
+    return edit
+
+
+class TestManifestValidation:
+    @pytest.mark.parametrize("edit, message", [
+        pytest.param(_drop("schema", "delimiter"), "'schema' must be an object with keys",
+                     id="schema-no-delimiter"),
+        pytest.param(_drop("schema", "channel_columns"),
+                     "'schema' must be an object with keys", id="schema-no-channels"),
+        pytest.param(_drop("schema", "high_label_column"),
+                     "'schema' must be an object with keys", id="schema-no-high-label"),
+        pytest.param(_set("schema", ["delimiter"]), "'schema' must be an object with keys",
+                     id="schema-not-object"),
+        pytest.param(_set("schema", {"delimiter": ",", "channel_columns": [0, 1],
+                                     "high_label_column": 1}),
+                     "bad manifest schema: ", id="schema-shared-column"),
+        pytest.param(_set("schema", {"delimiter": ",", "channel_columns": [0.0, 1],
+                                     "high_label_column": 2}),
+                     "bad manifest schema: ", id="schema-float-column"),
+        pytest.param(_drop("files", 0, "file"), "'files' must be a list of objects",
+                     id="entry-no-file"),
+        pytest.param(_drop("files", 1, "user"), "'files' must be a list of objects",
+                     id="entry-no-user"),
+        pytest.param(_set("files", {"file": "x.csv", "user": "u1"}),
+                     "'files' must be a list of objects", id="files-not-list"),
+        pytest.param(_set("files", ["x.csv"]), "'files' must be a list of objects",
+                     id="entry-not-object"),
+    ])
+    def test_bad_schema_or_files_exit_3(self, tmp_path, workspace, capsys, edit, message):
+        copy_data_with(workspace, tmp_path, edit_manifest=edit)
+        out = tmp_path / "f.csv"
+        assert main(["features", "--data", str(tmp_path), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert message in err and len(err.splitlines()) == 1
+        assert not out.exists()
+
+
 class TestHelp:
     @pytest.mark.parametrize("cmd", ["gen-synth", "train", "evaluate",
                                      "embed", "features"])

@@ -3,10 +3,10 @@ import os
 import numpy as np
 import pytest
 
-from charm.dataset import (ActivityLabelSet, EmptyInputError, LabeledSegment,
-                           ParseError, SchemaConfig, SensorStream,
-                           UnknownUserError, atomic_write, load_stream,
-                           loso_split, make_fixed_length_samples,
+from charm.dataset import (MAX_INTERP_GAP, ActivityLabelSet, EmptyInputError,
+                           LabeledSegment, ParseError, SchemaConfig, SensorStream,
+                           UnknownUserError, _fill_missing, atomic_write,
+                           load_stream, loso_split, make_fixed_length_samples,
                            segment_by_high_label)
 
 SCHEMA = SchemaConfig(delimiter=",", channel_columns=(0, 1),
@@ -74,6 +74,185 @@ class TestLoadStream:
         assert loaded.low_labels["motion"] == ["walk", "sit"]
 
 
+# Reference implementations: the per-line loader and per-element gap filler
+# that the columnar ones replace. load_stream must match them exactly.
+
+def reference_fill(data):
+    data = data.copy()
+    n, q = data.shape
+    for j in range(q):
+        col = data[:, j]
+        isnan = np.isnan(col)
+        i = 0
+        while i < n:
+            if not isnan[i]:
+                i += 1
+                continue
+            start = i
+            while i < n and isnan[i]:
+                i += 1
+            gap = i - start
+            if start > 0 and i < n and gap <= MAX_INTERP_GAP:
+                lo, hi = col[start - 1], col[i]
+                col[start:i] = lo + (hi - lo) * np.arange(1, gap + 1) / (gap + 1)
+    keep = ~np.isnan(data).any(axis=1)
+    return data[keep], keep
+
+
+def reference_load(path, schema):
+    """(samples, high labels, low label tracks, dropped rows) read a field at
+    a time; malformed input is not expected here."""
+    rows, highs = [], []
+    lows = {name: [] for name in (schema.low_label_columns or {})}
+    with open(path, "r", encoding="utf-8") as fh:
+        for line in fh:
+            line = line.rstrip("\n")
+            if not line.strip():
+                continue
+            fields = line.split(schema.delimiter)
+            assert len(fields) >= schema.width
+            toks = [fields[col].strip() for col in schema.channel_columns]
+            rows.append([float(tok) if tok else np.nan for tok in toks])
+            highs.append(fields[schema.high_label_column].strip())
+            for name, col in (schema.low_label_columns or {}).items():
+                lows[name].append(fields[col].strip())
+    data, keep = reference_fill(np.array(rows))
+    highs = [h for h, k in zip(highs, keep) if k]
+    lows = {name: [v for v, k in zip(track, keep) if k] for name, track in lows.items()}
+    return data, highs, lows, int((~keep).sum())
+
+
+PARITY_SCHEMA = SchemaConfig(delimiter=",", channel_columns=(0, 1, 2),
+                             high_label_column=3, low_label_columns={"motif": 4})
+MISSING_TOKENS = ("", " ", "nan", "NaN", "NAN")
+
+
+def messy_file(seed, crlf, final_newline):
+    """Text of a sensor file with every layout the loader must accept: blank
+    and whitespace-only lines, spaces around tokens, each missing token in
+    short and long runs, extra trailing columns and low-label columns."""
+    rng = np.random.default_rng(seed)
+    n = 120
+    values = rng.normal(0.0, 3.0, size=(n, 3))
+    tokens = [[repr(float(v)) for v in row] for row in values]
+    tokens[5][0], tokens[6][1], tokens[7][2] = "1_000", "-0.0", "1e-05"
+    blanked = 0
+    for _ in range(8):
+        col = int(rng.integers(0, 3))
+        length = int(rng.integers(1, 2 * MAX_INTERP_GAP))
+        start = int(rng.integers(0, n - length + 1))
+        for i in range(start, start + length):
+            tokens[i][col] = MISSING_TOKENS[blanked % len(MISSING_TOKENS)]
+            blanked += 1
+    lines = []
+    for i, row in enumerate(tokens):
+        pad = [" " * int(rng.integers(0, 3)) for _ in range(4)]
+        fields = [pad[0] + t + pad[1] for t in row]
+        fields += [pad[2] + "AB"[i // 40 % 2], "m%d" % (i // 7) + pad[3]]
+        fields += ["x"] * int(rng.integers(0, 3))
+        lines.append(",".join(fields))
+        if rng.random() < 0.1:
+            lines.append(" \t " if rng.random() < 0.5 else "")
+    text = ("\r\n" if crlf else "\n").join(lines)
+    return text + ("\r\n" if crlf else "\n") * final_newline
+
+
+class TestParserParity:
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("crlf", [False, True])
+    @pytest.mark.parametrize("final_newline", [False, True])
+    def test_matches_reference(self, tmp_path, seed, crlf, final_newline):
+        path = tmp_path / "messy.csv"
+        path.write_bytes(messy_file(seed, crlf, final_newline).encode("utf-8"))
+        data, highs, lows, dropped = reference_load(path, PARITY_SCHEMA)
+        loaded = load_stream(path, PARITY_SCHEMA)
+        assert loaded.stream.samples.tobytes() == data.tobytes()
+        assert loaded.stream.samples.shape == data.shape
+        assert loaded.high_labels == highs
+        assert loaded.low_labels == lows
+        assert loaded.dropped_rows == dropped
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_fill_matches_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        data = rng.normal(size=(200, 3))
+        for _ in range(12):
+            col = rng.integers(0, 3)
+            length = rng.integers(1, 3 * MAX_INTERP_GAP)
+            start = rng.integers(0, 200 - length + 1)
+            data[start:start + length, col] = np.nan
+        expected, expected_keep = reference_fill(data)
+        out, keep, dropped = _fill_missing(data.copy())
+        assert out.tobytes() == expected.tobytes()
+        np.testing.assert_array_equal(keep, expected_keep)
+        assert dropped == int((~expected_keep).sum())
+
+
+GOOD_LINE = "1.0,2.0,A"
+BAD_LINES = {"bad token": ("1.0,oops,A", "bad numeric value 'oops' in column 1"),
+             "short row": ("1.0,2.0", "expected >= 3 fields, got 2"),
+             "inf": ("1.0, -inf ,A", "non-finite value '-inf' in column 1"),
+             "overflow": ("1e500,2.0,A", "non-finite value '1e500' in column 0")}
+PLACES = {"first": ([], [GOOD_LINE] * 4, 1),
+          "middle": ([GOOD_LINE] * 2, [GOOD_LINE] * 2, 3),
+          "last": ([GOOD_LINE] * 4, [], 5),
+          "after blanks": ([GOOD_LINE, "", "  ", "\t"], [GOOD_LINE], 5)}
+
+
+class TestParseErrorLine:
+    @pytest.mark.parametrize("kind", BAD_LINES)
+    @pytest.mark.parametrize("place", PLACES)
+    def test_names_line(self, tmp_path, kind, place):
+        bad, message = BAD_LINES[kind]
+        before, after, line_no = PLACES[place]
+        path = write(tmp_path, "\n".join(before + [bad] + after) + "\n")
+        with pytest.raises(ParseError) as exc:
+            load_stream(path, SCHEMA)
+        assert exc.value.line_no == line_no
+        assert str(exc.value) == f"{path}:{line_no}: {message}"
+
+    def test_first_bad_line_wins(self, tmp_path):
+        path = write(tmp_path, "1.0,2.0,A\n1.0,inf,A\n1.0\n")
+        with pytest.raises(ParseError) as exc:
+            load_stream(path, SCHEMA)
+        assert exc.value.line_no == 2
+
+    def test_nan_is_missing_not_rejected(self, tmp_path):
+        path = write(tmp_path, "1.0,0,A\n-NaN,0,A\n3.0,0,A\n")
+        assert load_stream(path, SCHEMA).stream.samples[1, 0] == 2.0
+
+
+class TestFillMissing:
+    def test_gap_of_eight_interpolated_bit_exact(self):
+        col = np.array([1.0] + [np.nan] * 8 + [10.3])
+        out, keep, dropped = _fill_missing(np.column_stack([col, np.zeros(10)]))
+        expected = 1.0 + (10.3 - 1.0) * np.arange(1, 9) / 9
+        assert out[1:9, 0].tobytes() == expected.tobytes()
+        assert keep.all() and dropped == 0
+
+    def test_gap_of_nine_dropped(self):
+        col = np.array([1.0] + [np.nan] * 9 + [11.0])
+        out, keep, dropped = _fill_missing(np.column_stack([col, np.zeros(11)]))
+        assert dropped == 9 and out[:, 0].tolist() == [1.0, 11.0]
+        assert keep.tolist() == [True] + [False] * 9 + [True]
+
+    def test_edge_gaps_dropped(self):
+        col = np.array([np.nan, np.nan, 1.0, 2.0, np.nan])
+        out, keep, dropped = _fill_missing(np.column_stack([col, np.zeros(5)]))
+        assert keep.tolist() == [False, False, True, True, False]
+        assert dropped == 3 and out[:, 0].tolist() == [1.0, 2.0]
+
+    def test_overlapping_gaps_in_two_channels(self):
+        data = np.column_stack([np.arange(8.0), 10 * np.arange(8.0)])
+        data[2:5, 0] = np.nan
+        data[3:6, 1] = np.nan
+        out, keep, dropped = _fill_missing(data.copy())
+        assert keep.all() and dropped == 0
+        np.testing.assert_allclose(out, np.column_stack([np.arange(8.0), 10 * np.arange(8.0)]))
+        expected, _ = reference_fill(data)
+        assert out.tobytes() == expected.tobytes()
+
+
 LABELS = ActivityLabelSet(("A", "B"))
 
 
@@ -109,6 +288,21 @@ class TestSegmentByHighLabel:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             segment_by_high_label(stream_of(3), ["A"], LABELS, "null")
+
+    def test_single_row_runs(self):
+        segs, discarded = segment_by_high_label(
+            stream_of(4), ["A", "B", "A", "A"], LABELS, "null")
+        assert [(s.high_label, s.stream.n) for s in segs] == [(0, 1), (1, 1), (0, 2)]
+        assert [s.source for s in segs] == ["[0:1]", "[1:2]", "[2:4]"]
+        assert discarded == 0
+
+    def test_file_is_one_run(self):
+        stream = stream_of(5, q=2)
+        segs, discarded = segment_by_high_label(stream, ["B"] * 5, LABELS, "null",
+                                                source="f.csv")
+        assert len(segs) == 1 and discarded == 0
+        assert segs[0].source == "f.csv[0:5]" and segs[0].high_label == 1
+        np.testing.assert_array_equal(segs[0].data, stream.samples)
 
     def test_low_tracks_sliced(self):
         segs, _ = segment_by_high_label(

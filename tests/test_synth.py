@@ -4,11 +4,12 @@ import os
 import numpy as np
 import pytest
 
+from charm.dataset import load_stream
 from charm.neurocore import make_rng
 from charm.synth import (ActivityGrammar, ChannelWave, MotifSpec, SynthConfig,
-                         UserProfile, default_config, gen_dataset, gen_motif,
-                         gen_segment, motif_histogram_oracle, to_labeled_segments,
-                         write_dataset)
+                         SynthSegment, UserProfile, dataset_schema, default_config,
+                         gen_dataset, gen_motif, gen_segment, motif_histogram_oracle,
+                         to_labeled_segments, write_dataset)
 
 USER = UserProfile("u", 1.0, 0.0)
 FLAT = MotifSpec("flat", (ChannelWave(0.0, 1.0, 0.0, 2.5),
@@ -114,6 +115,22 @@ class TestGenDataset:
         assert names == sorted([f["file"] for f in manifest["files"]] + ["manifest.json"])
         match, mismatch, errors = filecmp.cmpfiles(d1, d2, names, shallow=False)
         assert mismatch == [] and errors == []
+
+    def test_file_bytes_keep_per_value_repr(self, tmp_path):
+        cfg = self.small_config(1)
+        values = [0.1, -0.0, 1e-05, 1e16, 5e-324, -1.7976931348623157e308]
+        data = np.array([values, values[::-1], [2.5] * 6])
+        seg = SynthSegment("u1", "routine", data, ["swing", "reach", "swing"], 0)
+        manifest = write_dataset([seg], cfg, tmp_path)
+        path = tmp_path / manifest["files"][0]["file"]
+        old_format = "\n".join(",".join(repr(float(v)) for v in row)
+                               + f",routine,{motif}"
+                               for row, motif in zip(data, seg.motif_track)) + "\n"
+        assert path.read_bytes() == old_format.encode("utf-8")
+        loaded = load_stream(path, dataset_schema(cfg))
+        assert loaded.stream.samples.tobytes() == data.tobytes()
+        assert loaded.high_labels == ["routine"] * 3
+        assert loaded.low_labels == {"motif": seg.motif_track}
 
     def test_different_seed_differs(self):
         a = gen_dataset(self.small_config(1))
