@@ -8,17 +8,19 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
+from dataclasses import fields, replace
 
 import numpy as np
 
 from . import dataset as ds
 from . import embed as emb
 from . import synth
+from .dataset import load_data_dir
 from .features import feature_header, handcrafted_features
 from .model import (MODELS, CharmConfig, CheckpointError, MlpConfig, load_checkpoint,
                     save_checkpoint)
+from .preprocess import normalize
 from .traineval import (TrainConfig, TrainedModel, TrainingError, evaluate,
                         format_report, report_key_values, train)
 
@@ -28,18 +30,15 @@ class ConfigError(Exception):
 
 
 # ---------------------------------------------------------------------------
-# Run configuration: a JSON file with optional sections. Unknown keys are
-# rejected. Defaults target the desk-scale synthetic dataset.
+# Run configuration: a JSON file with optional sections. A section's keys are
+# the fields of its config dataclass, less the shapes the data fixes; unknown
+# keys are rejected. Defaults target the desk-scale synthetic dataset.
 
 _SECTION_KEYS = {
-    "train": {"epochs", "lr", "seed", "shuffle"},
-    "charm": {"r", "low_hidden", "low_out", "z", "high_hidden", "dropout_p",
-              "leaky_slope", "low_out_activation"},
-    "mlp": {"hidden", "layers", "dropout_p", "leaky_slope"},
-    "sampling": {"stride"},
-    "synth": {"seed", "samples_per_class_per_user", "users", "sample_rate_hz",
-              "motifs", "grammars"},
-}
+    section: {f.name for f in fields(cls)} - {"q", "m", "n_target"}
+    for section, cls in (("train", TrainConfig), ("charm", CharmConfig),
+                         ("mlp", MlpConfig), ("synth", synth.SynthConfig))}
+_SECTION_KEYS["sampling"] = {"stride"}
 
 _CLI_CHARM_DEFAULTS = {"r": 16, "z": 32}  # n_target 512 at synthetic scale
 
@@ -93,106 +92,29 @@ def build_mlp_config(cfg: dict, n_target: int, q: int, m: int) -> MlpConfig:
 
 
 def build_synth_config(cfg: dict, seed_override=None) -> synth.SynthConfig:
-    base = synth.default_config()
-    section = cfg.get("synth", {})
-    kwargs = {
-        "motifs": base.motifs,
-        "grammars": base.grammars,
-        "users": base.users,
-        "samples_per_class_per_user": section.get(
-            "samples_per_class_per_user", base.samples_per_class_per_user),
-        "seed": section.get("seed", base.seed),
-        "sample_rate_hz": section.get("sample_rate_hz", base.sample_rate_hz),
-    }
+    """The default synthetic config with the keys of the `synth` section
+    replaced; `motifs`, `grammars` and `users` are parsed into their types."""
+    section = dict(cfg.get("synth", {}))
+    if seed_override is not None:
+        section["seed"] = seed_override
     try:
         if "motifs" in section:
-            kwargs["motifs"] = {
+            section["motifs"] = {
                 name: synth.MotifSpec(
-                    name,
-                    tuple(synth.ChannelWave(*wave) for wave in spec["channels"]),
+                    name, tuple(synth.ChannelWave(*wave) for wave in spec["channels"]),
                     tuple(spec["duration"]))
                 for name, spec in section["motifs"].items()}
         if "grammars" in section:
-            kwargs["grammars"] = tuple(
+            section["grammars"] = tuple(
                 synth.ActivityGrammar(cls, body["probs"], body["target_len"])
                 for cls, body in section["grammars"].items())
         if "users" in section:
-            kwargs["users"] = tuple(
+            section["users"] = tuple(
                 synth.UserProfile(u["id"], u["amp_scale"], u["noise_sigma"])
                 for u in section["users"])
-        if seed_override is not None:
-            kwargs["seed"] = seed_override
-        return synth.SynthConfig(**kwargs)
-    except (KeyError, TypeError, ValueError) as e:
+        return replace(synth.default_config(), **section)
+    except (AttributeError, KeyError, TypeError, ValueError) as e:
         raise ConfigError(f"bad synth config: {e}") from e
-
-
-# ---------------------------------------------------------------------------
-# Data directory access (manifest + files emitted by gen-synth, or any
-# directory following the same manifest layout).
-
-def read_manifest(data_dir):
-    path = os.path.join(data_dir, "manifest.json")
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            manifest = json.load(fh)
-    except OSError as e:
-        raise ds.DataError(f"cannot read manifest: {e}") from e
-    except json.JSONDecodeError as e:
-        raise ds.DataError(f"{path}: invalid JSON: {e}") from e
-    required = ("schema", "files", "classes", "q")
-    if not isinstance(manifest, dict) or not all(k in manifest for k in required):
-        raise ds.DataError(f"{path}: manifest must be a JSON object with keys "
-                           f"{', '.join(required)}")
-    files = manifest["files"]
-    if not isinstance(files, list) or not all(
-            isinstance(e, dict) and isinstance(e.get("file"), str)
-            and isinstance(e.get("user"), str)
-            for e in files):
-        raise ds.DataError(f"{path}: manifest 'files' must be a list of objects, "
-                           f"each with string 'file' and 'user'")
-    return manifest
-
-
-_SCHEMA_KEYS = ("delimiter", "channel_columns", "high_label_column")
-
-
-def manifest_schema(manifest) -> ds.SchemaConfig:
-    s = manifest["schema"]
-    if not isinstance(s, dict) or not all(k in s for k in _SCHEMA_KEYS):
-        raise ds.DataError(f"manifest 'schema' must be an object with keys "
-                           f"{', '.join(_SCHEMA_KEYS)}")
-    try:
-        return ds.SchemaConfig(
-            delimiter=s["delimiter"],
-            channel_columns=tuple(s["channel_columns"]),
-            high_label_column=s["high_label_column"],
-            low_label_columns=dict(s.get("low_label_columns") or {}) or None,
-            null_label_token=s.get("null_label_token", "null"),
-        )
-    except (TypeError, ValueError) as e:
-        raise ds.DataError(f"bad manifest schema: {e}") from e
-
-
-def load_data_dir(data_dir):
-    """Returns (segments, ActivityLabelSet, manifest). One or more segments
-    per file after null/unknown-label run splitting."""
-    manifest = read_manifest(data_dir)
-    labels = ds.ActivityLabelSet(tuple(manifest["classes"]))
-    rate = manifest.get("sample_rate_hz", 30.0)
-    schema = manifest_schema(manifest)
-    segments = []
-    for entry in manifest["files"]:
-        path = os.path.join(data_dir, entry["file"])
-        loaded = ds.load_stream(path, schema, sample_rate_hz=rate)
-        segs, _ = ds.segment_by_high_label(
-            loaded.stream, loaded.high_labels, labels, schema.null_label_token,
-            user_id=entry["user"], low_labels=loaded.low_labels,
-            source=entry["file"])
-        segments.extend(segs)
-    if not segments:
-        raise ds.EmptyInputError(f"{data_dir}: no labeled segments found")
-    return segments, labels, manifest
 
 
 def fixed_length_dataset(segments, n_target, stride):
@@ -224,8 +146,8 @@ def _stride_for(cfg, n_target):
 def cmd_train(args):
     cfg = load_run_config(args.config)
     tcfg = build_train_config(cfg, seed_override=args.seed)
-    segments, labels, manifest = load_data_dir(args.data)
-    q = manifest["q"]
+    segments, labels, schema = load_data_dir(args.data)
+    q = len(schema.channel_columns)
     m = len(labels)
     mcfg = build_charm_config(cfg, q=q, m=m)
     if args.model == "mlp":
@@ -253,10 +175,10 @@ def cmd_train(args):
 
 def cmd_evaluate(args):
     model, stats = load_checkpoint(args.checkpoint)
-    segments, labels, manifest = load_data_dir(args.data)
-    if manifest["q"] != model.cfg.q:
-        raise ds.DataError(f"data has {manifest['q']} channels, "
-                           f"checkpoint expects {model.cfg.q}")
+    segments, labels, schema = load_data_dir(args.data)
+    q = len(schema.channel_columns)
+    if q != model.cfg.q:
+        raise ds.DataError(f"data has {q} channels, checkpoint expects {model.cfg.q}")
     n_target = model.cfg.n_target
     cfg = load_run_config(args.config)
     samples = fixed_length_dataset(segments, n_target, _stride_for(cfg, n_target))
@@ -292,17 +214,17 @@ def cmd_embed(args):
     model, stats = load_checkpoint(args.checkpoint)
     if model.kind != "charm":
         raise CheckpointError("embedding extraction requires a charm checkpoint")
-    segments, _, manifest = load_data_dir(args.data)
+    segments, _, schema = load_data_dir(args.data)
     track = args.track
     windows = []
     labels = []
     sources = []
-    from .preprocess import normalize
     for seg in segments:
         if not seg.low_label_tracks or track not in seg.low_label_tracks:
             raise ds.DataError(f"data has no low-level label track {track!r}")
         w, labs = emb.label_pure_windows(normalize(seg.data, stats),
-                                         seg.low_label_tracks[track], model.cfg.r)
+                                         seg.low_label_tracks[track], model.cfg.r,
+                                         schema.null_label_token)
         windows.append(w)
         labels.extend(labs)
         sources.extend([seg.source] * len(labs))
@@ -330,8 +252,8 @@ def cmd_embed(args):
 
 
 def cmd_features(args):
-    segments, labels, manifest = load_data_dir(args.data)
-    q = manifest["q"]
+    segments, labels, schema = load_data_dir(args.data)
+    q = len(schema.channel_columns)
     names = [f"ch{i}" for i in range(q)]
     header = ["segment_id", "label"] + feature_header(names)
     lines = [",".join(header)]

@@ -1,13 +1,15 @@
-"""Ingestion of delimiter-separated sensor files, label-run segmentation,
-exclusion rules, fixed-length sampling, and leave-one-subject-out splits."""
+"""Ingestion of delimiter-separated sensor files and the data-directory
+manifest, label-run segmentation, exclusion rules, fixed-length sampling,
+and leave-one-subject-out splits."""
 
 from __future__ import annotations
 
+import json
 import math
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from itertools import compress
 from operator import ne
 
@@ -40,14 +42,11 @@ class SensorStream:
     """Time-ordered multi-channel samples, [n, q] float64."""
 
     samples: np.ndarray
-    sample_rate_hz: float = 30.0
 
     def __post_init__(self):
         arr = np.asarray(self.samples, dtype=float)
         if arr.ndim != 2 or arr.shape[0] < 1:
             raise ValueError(f"expected non-empty [n, q] samples, got {arr.shape}")
-        if self.sample_rate_hz <= 0:
-            raise ValueError("sample_rate_hz must be positive")
         object.__setattr__(self, "samples", arr)
 
     @property
@@ -119,6 +118,8 @@ class SchemaConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "channel_columns", tuple(self.channel_columns))
+        if not isinstance(self.low_label_columns, dict | None):
+            raise ValueError("low_label_columns must map track names to column indices")
         if not self.channel_columns:
             raise ValueError("schema needs at least one channel column")
         cols = list(self.channel_columns) + [self.high_label_column]
@@ -130,7 +131,7 @@ class SchemaConfig:
             raise ValueError("schema column indices must be distinct")
         if min(cols) < 0:
             raise ValueError("schema column indices must be non-negative")
-        if len(self.delimiter) != 1:
+        if not isinstance(self.delimiter, str) or len(self.delimiter) != 1:
             raise ValueError("delimiter must be a single character")
 
     @property
@@ -166,7 +167,7 @@ def atomic_write(path, data):
         raise
 
 
-def load_stream(path, schema: SchemaConfig, sample_rate_hz: float = 30.0) -> LoadedFile:
+def load_stream(path, schema: SchemaConfig) -> LoadedFile:
     """Parse one sensor file. Missing channel values (empty or whitespace
     fields, NaN in any case) are linearly interpolated when the gap is
     <= MAX_INTERP_GAP samples and has neighbors on both sides; otherwise the
@@ -197,8 +198,7 @@ def load_stream(path, schema: SchemaConfig, sample_rate_hz: float = 30.0) -> Loa
     if n_dropped:
         highs = list(compress(highs, keep))
         lows = {name: list(compress(track, keep)) for name, track in lows.items()}
-    stream = SensorStream(data, sample_rate_hz=sample_rate_hz)
-    return LoadedFile(stream, highs, lows, dropped_rows=n_dropped)
+    return LoadedFile(SensorStream(data), highs, lows, dropped_rows=n_dropped)
 
 
 def _parse_channels(columns, channel_columns):
@@ -285,11 +285,11 @@ def segment_by_high_label(stream: SensorStream, high_labels, labels: ActivityLab
         if name == null_token or name not in labels:
             discarded += 1
             continue
-        sub = SensorStream(stream.samples[start:end], sample_rate_hz=stream.sample_rate_hz)
         tracks = None
         if low_labels:
             tracks = {k: list(v[start:end]) for k, v in low_labels.items()}
-        segments.append(LabeledSegment(sub, labels.index(name), user_id,
+        segments.append(LabeledSegment(SensorStream(stream.samples[start:end]),
+                                       labels.index(name), user_id,
                                        low_label_tracks=tracks,
                                        source=f"{source}[{start}:{end}]"))
     return segments, discarded
@@ -298,39 +298,19 @@ def segment_by_high_label(stream: SensorStream, high_labels, labels: ActivityLab
 def make_fixed_length_samples(segment: LabeledSegment, n_target: int, stride: int):
     """Strided crops of exactly n_target samples at offsets 0, stride, 2*stride,
     ... Segments shorter than n_target are left-padded by repeating the first
-    sample and emitted once, flagged padded."""
+    sample and emitted once, flagged padded. Crops carry no low-level label
+    tracks: those are read from whole segments only."""
     if n_target < 1 or stride < 1:
         raise ValueError("n_target and stride must be >= 1")
     n = segment.stream.n
-    out = []
-
-    def slice_tracks(lo, hi):
-        if segment.low_label_tracks is None:
-            return None
-        return {k: list(v[lo:hi]) for k, v in segment.low_label_tracks.items()}
-
     if n < n_target:
-        pad = n_target - n
-        data = np.vstack([np.repeat(segment.data[:1], pad, axis=0), segment.data])
-        tracks = None
-        if segment.low_label_tracks is not None:
-            tracks = {k: [v[0]] * pad + list(v)
-                      for k, v in segment.low_label_tracks.items()}
-        stream = SensorStream(data, sample_rate_hz=segment.stream.sample_rate_hz)
-        out.append(LabeledSegment(stream, segment.high_label, segment.user_id,
-                                  low_label_tracks=tracks, padded=True,
-                                  source=f"{segment.source}|pad"))
-        return out
-
-    offset = 0
-    while offset + n_target <= n:
-        data = segment.data[offset:offset + n_target]
-        stream = SensorStream(data, sample_rate_hz=segment.stream.sample_rate_hz)
-        out.append(LabeledSegment(stream, segment.high_label, segment.user_id,
-                                  low_label_tracks=slice_tracks(offset, offset + n_target),
-                                  source=f"{segment.source}|@{offset}"))
-        offset += stride
-    return out
+        data = np.vstack([np.repeat(segment.data[:1], n_target - n, axis=0), segment.data])
+        return [LabeledSegment(SensorStream(data), segment.high_label, segment.user_id,
+                               padded=True, source=f"{segment.source}|pad")]
+    return [LabeledSegment(SensorStream(segment.data[offset:offset + n_target]),
+                           segment.high_label, segment.user_id,
+                           source=f"{segment.source}|@{offset}")
+            for offset in range(0, n - n_target + 1, stride)]
 
 
 def loso_split(dataset, held_out_user):
@@ -342,6 +322,74 @@ def loso_split(dataset, held_out_user):
     train = [seg for seg in dataset if seg.user_id != held_out_user]
     val = [seg for seg in dataset if seg.user_id == held_out_user]
     return train, val
+
+
+# ---------------------------------------------------------------------------
+# Data directory: the delimited files plus a manifest.json naming the
+# classes, the schema block (dataclasses.asdict of a SchemaConfig) and each
+# file with its user.
+
+def read_manifest(data_dir):
+    """Returns (file entries, ActivityLabelSet, SchemaConfig); any malformed
+    or inconsistent key is a DataError."""
+    path = os.path.join(data_dir, "manifest.json")
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            manifest = json.load(fh)
+    except OSError as e:
+        raise DataError(f"cannot read manifest: {e}") from e
+    except json.JSONDecodeError as e:
+        raise DataError(f"{path}: invalid JSON: {e}") from e
+    required = ("schema", "files", "classes", "q")
+    if not isinstance(manifest, dict) or not all(k in manifest for k in required):
+        raise DataError(f"{path}: manifest must be a JSON object with keys "
+                        f"{', '.join(required)}")
+    files = manifest["files"]
+    if not isinstance(files, list) or not all(
+            isinstance(e, dict) and isinstance(e.get("file"), str)
+            and isinstance(e.get("user"), str)
+            for e in files):
+        raise DataError(f"{path}: manifest 'files' must be a list of objects, "
+                        f"each with string 'file' and 'user'")
+    classes = manifest["classes"]
+    if not (isinstance(classes, list) and all(isinstance(c, str) for c in classes)
+            and len(set(classes)) == len(classes) >= 2):
+        raise DataError(f"{path}: manifest 'classes' must be a list of at least "
+                        f"2 distinct names, got {classes!r}")
+    schema = _read_schema(manifest["schema"])
+    if manifest["q"] != len(schema.channel_columns):
+        raise DataError(f"{path}: manifest 'q' is {manifest['q']!r} but the schema "
+                        f"has {len(schema.channel_columns)} channel columns")
+    return files, ActivityLabelSet(tuple(classes)), schema
+
+
+def _read_schema(block) -> SchemaConfig:
+    """SchemaConfig from the keys of a schema block named as its fields."""
+    required = [f.name for f in fields(SchemaConfig) if f.default is MISSING]
+    if not isinstance(block, dict) or not all(k in block for k in required):
+        raise DataError(f"manifest 'schema' must be an object with keys "
+                        f"{', '.join(required)}")
+    try:
+        return SchemaConfig(**{f.name: block[f.name] for f in fields(SchemaConfig)
+                               if f.name in block})
+    except (TypeError, ValueError) as e:
+        raise DataError(f"bad manifest schema: {e}") from e
+
+
+def load_data_dir(data_dir):
+    """Returns (segments, ActivityLabelSet, SchemaConfig): the labeled runs of
+    every file the manifest lists, after null/unknown-label run splitting."""
+    files, labels, schema = read_manifest(data_dir)
+    segments = []
+    for entry in files:
+        loaded = load_stream(os.path.join(data_dir, entry["file"]), schema)
+        segs, _ = segment_by_high_label(
+            loaded.stream, loaded.high_labels, labels, schema.null_label_token,
+            user_id=entry["user"], low_labels=loaded.low_labels, source=entry["file"])
+        segments.extend(segs)
+    if not segments:
+        raise EmptyInputError(f"{data_dir}: no labeled segments found")
+    return segments, labels, schema
 
 
 # Column map for the OPPORTUNITY .dat files: 3 IMU locations (lower-left arm,

@@ -84,9 +84,6 @@ class _Model:
         d_logits = softmax_ce_grad(logits[0], target, class_weights[target])
         return loss, backward(d_logits[None, :]), softmax(logits[0])
 
-    def param_count(self) -> int:
-        return sum(p.size for p in self.param_arrays())
-
 
 class CharmModel(_Model):
     """Shared low-level encoder applied per window, high-level encoder over

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -163,9 +163,8 @@ def to_labeled_segments(segments, config: SynthConfig):
     labels = ActivityLabelSet(tuple(config.class_names))
     out = []
     for seg in segments:
-        stream = SensorStream(seg.data, sample_rate_hz=config.sample_rate_hz)
         out.append(LabeledSegment(
-            stream, labels.index(seg.class_name), seg.user_id,
+            SensorStream(seg.data), labels.index(seg.class_name), seg.user_id,
             low_label_tracks={MOTIF_TRACK: list(seg.motif_track)},
             source=f"u{seg.user_id}/{seg.class_name}/{seg.index}"))
     return out, labels
@@ -197,7 +196,6 @@ def write_dataset(segments, config: SynthConfig, out_dir):
             for row, motif in zip(seg.data.tolist(), seg.motif_track)))
         files.append({"file": fname, "user": seg.user_id, "class": seg.class_name})
 
-    schema = dataset_schema(config)
     manifest = {
         "seed": config.seed,
         "sample_rate_hz": config.sample_rate_hz,
@@ -205,13 +203,7 @@ def write_dataset(segments, config: SynthConfig, out_dir):
         "classes": config.class_names,
         "users": [u.user_id for u in config.users],
         "samples_per_class_per_user": config.samples_per_class_per_user,
-        "schema": {
-            "delimiter": schema.delimiter,
-            "channel_columns": list(schema.channel_columns),
-            "high_label_column": schema.high_label_column,
-            "low_label_columns": dict(schema.low_label_columns),
-            "null_label_token": schema.null_label_token,
-        },
+        "schema": asdict(dataset_schema(config)),
         "files": files,
     }
     atomic_write(os.path.join(out_dir, "manifest.json"),

@@ -43,10 +43,6 @@ class TrainedModel:
     model: object  # CharmModel | MlpModel
     stats: ChannelStats
 
-    @property
-    def kind(self):
-        return self.model.kind
-
 
 def compute_class_weights(label_counts) -> np.ndarray:
     """w_i proportional to 1/count_i, rescaled so mean(w) = 1."""
@@ -63,22 +59,18 @@ def compute_class_weights(label_counts) -> np.ndarray:
 def train(train_segments, model_kind, train_cfg: TrainConfig, model_cfg,
           val_segments=None):
     """Fit the normalizer on the train split, then run one Adam step per
-    sample. Returns (TrainedModel, TrainHistory)."""
+    sample; with val_segments, evaluate on them after every epoch. Returns
+    (TrainedModel, TrainHistory)."""
     if not train_segments:
         raise TrainingError("empty training set")
     labels = np.array([seg.high_label for seg in train_segments])
-    m = model_cfg.m
-    counts = np.bincount(labels, minlength=m)
+    counts = np.bincount(labels, minlength=model_cfg.m)
     if np.count_nonzero(counts) < 2:
         raise TrainingError("training set must contain at least 2 classes")
     class_weights = compute_class_weights(counts)
 
     stats = fit_normalizer([seg.data for seg in train_segments])
     inputs = [normalize(seg.data, stats) for seg in train_segments]
-    val_inputs = None
-    if val_segments is not None:
-        val_inputs = [(normalize(seg.data, stats), seg.high_label)
-                      for seg in val_segments]
 
     rng = make_rng(train_cfg.seed)
     if model_kind not in MODELS:
@@ -98,23 +90,17 @@ def train(train_segments, model_kind, train_cfg: TrainConfig, model_cfg,
             opt.step(params, grads)
             losses.append(loss)
         history.train_loss.append(float(np.mean(losses)))
-        if val_inputs is not None:
-            preds = [predict_probs_argmax(model, x) for x, _ in val_inputs]
-            truth = [t for _, t in val_inputs]
-            report = metrics_from_confusion(confusion_matrix(truth, preds, m))
-            history.val_macro_f1.append(report.macro_f1)
+        if val_segments:
+            history.val_macro_f1.append(
+                evaluate(TrainedModel(model, stats), val_segments).macro_f1)
 
     return TrainedModel(model, stats), history
 
 
-def predict_probs_argmax(model, normalized_sample) -> int:
-    probs, _ = model.forward(normalized_sample, training=False)
-    return int(np.argmax(probs))  # ties break to the lowest class index
-
-
 def predict(trained: TrainedModel, segment) -> int:
     """Class index for one raw (un-normalized) segment."""
-    return predict_probs_argmax(trained.model, normalize(segment.data, trained.stats))
+    probs, _ = trained.model.forward(normalize(segment.data, trained.stats), training=False)
+    return int(np.argmax(probs))  # ties break to the lowest class index
 
 
 @dataclass

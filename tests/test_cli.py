@@ -64,6 +64,39 @@ class TestGenSynth:
         assert main(["gen-synth", "--config", str(cfg),
                      "--out", str(tmp_path / "d")]) == 2
 
+    def test_motif_grammar_user_overrides(self, tmp_path, capsys):
+        synth = {
+            "samples_per_class_per_user": 1,
+            "motifs": {
+                "sway": {"channels": [[1.0, 2.0, 0.0, 0.1], [0.5, 3.0, 0.5, 0.0]],
+                         "duration": [4, 8]},
+                "jolt": {"channels": [[0.3, 6.0, 1.0, -0.2], [1.2, 1.0, 0.0, 0.4]],
+                         "duration": [2, 5]},
+            },
+            "grammars": {
+                "stroll": {"probs": {"sway": 0.75, "jolt": 0.25}, "target_len": 30},
+                "rest": {"probs": {"sway": 0.1, "jolt": 0.9}, "target_len": 20},
+            },
+            "users": [{"id": "ann", "amp_scale": 1.0, "noise_sigma": 0.1},
+                      {"id": "bo", "amp_scale": 0.8, "noise_sigma": 0.2}],
+        }
+        cfg = tmp_path / "synth.json"
+        cfg.write_text(json.dumps({"synth": synth}))
+        out = tmp_path / "d"
+        assert main(["gen-synth", "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["classes"] == ["stroll", "rest"]
+        assert manifest["users"] == ["ann", "bo"]
+        assert manifest["q"] == 2 and len(manifest["files"]) == 4
+
+        del synth["motifs"]["jolt"]["duration"]
+        cfg.write_text(json.dumps({"synth": synth}))
+        assert main(["gen-synth", "--config", str(cfg),
+                     "--out", str(tmp_path / "e")]) == 2
+        err = capsys.readouterr().err
+        assert "duration" in err and len(err.splitlines()) == 1
+        assert not (tmp_path / "e").exists()
+
 
 class TestTrain:
     def test_writes_checkpoint_and_history(self, workspace, checkpoint):
@@ -168,6 +201,23 @@ class TestEmbed:
         assert "2 distinct labels" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_manifest_null_token_skips_windows(self, workspace, checkpoint, tmp_path):
+        def none_motif_on_first_32_rows(text):
+            lines = text.split("\n")
+            for i in range(32):  # two r=16 windows
+                lines[i] = lines[i].rsplit(",", 1)[0] + ",none"
+            return "\n".join(lines)
+
+        data = tmp_path / "data"
+        data.mkdir()
+        copy_data_with(workspace, data, edit_file=none_motif_on_first_32_rows,
+                       edit_manifest=_set("schema", "null_label_token", "none"))
+        out = tmp_path / "emb.csv"
+        assert main(["embed", "--checkpoint", checkpoint, "--data", str(data),
+                     "--out", str(out), "--quiet"]) == 0
+        labels = [line.split(",")[2] for line in out.read_text().splitlines()[1:]]
+        assert labels and "none" not in labels
+
     def test_missing_track_exit_3(self, workspace, checkpoint, tmp_path):
         assert main(["embed", "--checkpoint", checkpoint,
                      "--data", workspace["data"], "--track", "locomotion",
@@ -256,9 +306,14 @@ def _drop(*path):
     return edit
 
 
-def _set(key, value):
+def _set(*path):
+    *keys, value = path
+
     def edit(manifest):
-        manifest[key] = value
+        node = manifest
+        for key in keys[:-1]:
+            node = node[key]
+        node[keys[-1]] = value
     return edit
 
 
@@ -286,6 +341,19 @@ class TestManifestValidation:
                      "'files' must be a list of objects", id="files-not-list"),
         pytest.param(_set("files", ["x.csv"]), "'files' must be a list of objects",
                      id="entry-not-object"),
+        pytest.param(_set("q", 5), "manifest 'q' is 5 but the schema has 6 channel columns",
+                     id="q-not-channel-count"),
+        pytest.param(_set("classes", "routine"), "'classes' must be a list of at least 2 "
+                     "distinct names", id="classes-not-list"),
+        pytest.param(_set("classes", ["routine"]), "'classes' must be a list of at least 2 "
+                     "distinct names", id="classes-one-name"),
+        pytest.param(_set("classes", ["routine", "brew", "routine"]),
+                     "'classes' must be a list of at least 2 distinct names",
+                     id="classes-duplicate"),
+        pytest.param(_set("schema", "low_label_columns", [7]), "bad manifest schema: ",
+                     id="schema-low-labels-not-object"),
+        pytest.param(_set("schema", "delimiter", [","]), "bad manifest schema: ",
+                     id="schema-delimiter-not-string"),
     ])
     def test_bad_schema_or_files_exit_3(self, tmp_path, workspace, capsys, edit, message):
         copy_data_with(workspace, tmp_path, edit_manifest=edit)

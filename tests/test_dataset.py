@@ -373,10 +373,12 @@ class TestMakeFixedLengthSamples:
             out[0].data[:2460], np.tile(segment_of(100).data[0], (2460, 1)))
         np.testing.assert_array_equal(out[0].data[2460:], segment_of(100).data)
 
-    def test_padding_extends_low_tracks(self):
-        seg = segment_of(3, low_label_tracks={"m": ["a", "b", "c"]})
-        out = make_fixed_length_samples(seg, 5, 5)
-        assert out[0].low_label_tracks["m"] == ["a", "a", "a", "b", "c"]
+    def test_crops_carry_no_low_tracks(self):
+        seg = segment_of(12, low_label_tracks={"m": list("abcdefghijkl")})
+        for n_target in (5, 20):  # strided crops, then one padded crop
+            out = make_fixed_length_samples(seg, n_target, 5)
+            assert out and all(crop.low_label_tracks is None for crop in out)
+        assert seg.low_label_tracks["m"] == list("abcdefghijkl")
 
     def test_every_sample_has_target_length(self):
         for n in (10, 128, 301):
@@ -425,8 +427,6 @@ class TestTypes:
     def test_stream_invariants(self):
         with pytest.raises(ValueError):
             SensorStream(np.zeros((0, 3)))
-        with pytest.raises(ValueError):
-            SensorStream(np.zeros((3, 2)), sample_rate_hz=0.0)
 
     def test_low_track_length_checked(self):
         with pytest.raises(ValueError):

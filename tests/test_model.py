@@ -65,7 +65,7 @@ class TestCharmForward:
         model = CharmModel.init(cfg, make_rng(0))
         low = 32 * (16 * 18) + 32 + 32 * 32 + 32
         high = 32 * (160 * 32) + 32 + 4 * 32 + 4
-        assert model.param_count() == low + high
+        assert sum(p.size for p in model.param_arrays()) == low + high
 
 
 def check_finite_differences(model, x):
@@ -119,7 +119,7 @@ class TestMlp:
         # full-scale baseline: 46080 -> 16 -> 16 -> 16 -> 4
         model = MlpModel.init(MlpConfig(n_target=2560, q=18, m=4), make_rng(0))
         expected = (46080 * 16 + 16) + 2 * (16 * 16 + 16) + (16 * 4 + 4)
-        assert model.param_count() == expected
+        assert sum(p.size for p in model.param_arrays()) == expected
 
     def test_shape_mismatch(self):
         model = MlpModel.init(MlpConfig(n_target=64, q=3, m=4), make_rng(0))

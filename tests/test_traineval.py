@@ -87,7 +87,7 @@ class TestTrain:
         segs = toy_dataset()
         mcfg = MlpConfig(n_target=32, q=2, m=2)
         trained, hist = train(segs, "mlp", TrainConfig(epochs=2, seed=3), mcfg)
-        assert trained.kind == "mlp"
+        assert trained.model.kind == "mlp"
         assert len(hist.train_loss) == 2
 
 
