@@ -51,7 +51,7 @@ def load_run_config(path=None) -> dict:
             raw = json.load(fh)
     except OSError as e:
         raise ConfigError(f"cannot read config: {e}") from e
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, UnicodeDecodeError) as e:
         raise ConfigError(f"{path}: invalid JSON: {e}") from e
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: top level must be an object")
@@ -66,29 +66,28 @@ def load_run_config(path=None) -> dict:
     return raw
 
 
+def _build(section, make, **kwargs):
+    """make(**kwargs); a bad value is a ConfigError naming the section."""
+    try:
+        return make(**kwargs)
+    except (AttributeError, KeyError, TypeError, ValueError) as e:
+        raise ConfigError(f"bad {section} config: {e}") from e
+
+
 def build_train_config(cfg: dict, seed_override=None) -> TrainConfig:
     section = dict(cfg.get("train", {}))
     if seed_override is not None:
         section["seed"] = seed_override
-    try:
-        return TrainConfig(**section)
-    except (TypeError, ValueError) as e:
-        raise ConfigError(f"bad train config: {e}") from e
+    return _build("train", TrainConfig, **section)
 
 
 def build_charm_config(cfg: dict, q: int, m: int) -> CharmConfig:
-    section = {**_CLI_CHARM_DEFAULTS, **cfg.get("charm", {})}
-    try:
-        return CharmConfig(q=q, m=m, **section)
-    except (TypeError, ValueError) as e:
-        raise ConfigError(f"bad charm config: {e}") from e
+    return _build("charm", CharmConfig, q=q, m=m,
+                  **{**_CLI_CHARM_DEFAULTS, **cfg.get("charm", {})})
 
 
 def build_mlp_config(cfg: dict, n_target: int, q: int, m: int) -> MlpConfig:
-    try:
-        return MlpConfig(n_target=n_target, q=q, m=m, **cfg.get("mlp", {}))
-    except (TypeError, ValueError) as e:
-        raise ConfigError(f"bad mlp config: {e}") from e
+    return _build("mlp", MlpConfig, n_target=n_target, q=q, m=m, **cfg.get("mlp", {}))
 
 
 def build_synth_config(cfg: dict, seed_override=None) -> synth.SynthConfig:
@@ -97,24 +96,25 @@ def build_synth_config(cfg: dict, seed_override=None) -> synth.SynthConfig:
     section = dict(cfg.get("synth", {}))
     if seed_override is not None:
         section["seed"] = seed_override
-    try:
-        if "motifs" in section:
-            section["motifs"] = {
-                name: synth.MotifSpec(
-                    name, tuple(synth.ChannelWave(*wave) for wave in spec["channels"]),
-                    tuple(spec["duration"]))
-                for name, spec in section["motifs"].items()}
-        if "grammars" in section:
-            section["grammars"] = tuple(
-                synth.ActivityGrammar(cls, body["probs"], body["target_len"])
-                for cls, body in section["grammars"].items())
-        if "users" in section:
-            section["users"] = tuple(
-                synth.UserProfile(u["id"], u["amp_scale"], u["noise_sigma"])
-                for u in section["users"])
-        return replace(synth.default_config(), **section)
-    except (AttributeError, KeyError, TypeError, ValueError) as e:
-        raise ConfigError(f"bad synth config: {e}") from e
+    return _build("synth", _synth_config, **section)
+
+
+def _synth_config(**section) -> synth.SynthConfig:
+    if "motifs" in section:
+        section["motifs"] = {
+            name: synth.MotifSpec(
+                name, tuple(synth.ChannelWave(*wave) for wave in spec["channels"]),
+                tuple(spec["duration"]))
+            for name, spec in section["motifs"].items()}
+    if "grammars" in section:
+        section["grammars"] = tuple(
+            synth.ActivityGrammar(cls, body["probs"], body["target_len"])
+            for cls, body in section["grammars"].items())
+    if "users" in section:
+        section["users"] = tuple(
+            synth.UserProfile(u["id"], u["amp_scale"], u["noise_sigma"])
+            for u in section["users"])
+    return replace(synth.default_config(), **section)
 
 
 def fixed_length_dataset(segments, n_target, stride):
@@ -140,7 +140,12 @@ def cmd_gen_synth(args):
 
 
 def _stride_for(cfg, n_target):
-    return cfg.get("sampling", {}).get("stride") or n_target // 2
+    """The `sampling.stride` key, a positive int; n_target // 2 (at least 1)
+    without it."""
+    stride = cfg.get("sampling", {}).get("stride", max(n_target // 2, 1))
+    _build("sampling", ds.check_value, name="stride", value=stride, kind=int,
+           interval="[1, inf)")
+    return stride
 
 
 def cmd_train(args):
@@ -196,15 +201,18 @@ def cmd_evaluate(args):
 
 def _read_grouping(path):
     groups = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}: expected 'label=group' lines, got {line!r}")
-            label, group = line.split("=", 1)
-            groups[label.strip()] = group.strip()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for line in fh:
+                line = line.strip()
+                if not line or line.startswith("#"):
+                    continue
+                if "=" not in line:
+                    raise ConfigError(f"{path}: expected 'label=group' lines, got {line!r}")
+                label, group = line.split("=", 1)
+                groups[label.strip()] = group.strip()
+    except UnicodeDecodeError as e:
+        raise ConfigError(f"{path}: not UTF-8 text: {e}") from e
     if not groups:
         raise ConfigError(f"{path}: empty grouping file")
     return groups

@@ -4,14 +4,18 @@ and leave-one-subject-out splits."""
 
 from __future__ import annotations
 
+import functools
 import json
 import math
+import numbers
 import os
+import re
 import sys
 import tempfile
 from dataclasses import MISSING, dataclass, fields
 from itertools import compress
 from operator import ne
+from typing import Annotated, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -112,34 +116,31 @@ class SchemaConfig:
 
     delimiter: str
     channel_columns: tuple
-    high_label_column: int
+    high_label_column: Annotated[int, "[0, inf)"]
     low_label_columns: dict | None = None  # track name -> column index
     null_label_token: str = "null"
 
     def __post_init__(self):
         object.__setattr__(self, "channel_columns", tuple(self.channel_columns))
-        if not isinstance(self.low_label_columns, dict | None):
-            raise ValueError("low_label_columns must map track names to column indices")
+        check_fields(self)
         if not self.channel_columns:
             raise ValueError("schema needs at least one channel column")
-        cols = list(self.channel_columns) + [self.high_label_column]
-        if self.low_label_columns:
-            cols += list(self.low_label_columns.values())
-        if not all(isinstance(c, int) for c in cols):
-            raise ValueError("schema column indices must be integers")
+        cols = self._columns
+        for col in cols:
+            check_value("schema column", col, int, "[0, inf)")
         if len(set(cols)) != len(cols):
             raise ValueError("schema column indices must be distinct")
-        if min(cols) < 0:
-            raise ValueError("schema column indices must be non-negative")
-        if not isinstance(self.delimiter, str) or len(self.delimiter) != 1:
+        if len(self.delimiter) != 1:
             raise ValueError("delimiter must be a single character")
 
     @property
+    def _columns(self) -> list:
+        return [*self.channel_columns, self.high_label_column,
+                *(self.low_label_columns or {}).values()]
+
+    @property
     def width(self) -> int:
-        cols = list(self.channel_columns) + [self.high_label_column]
-        if self.low_label_columns:
-            cols += list(self.low_label_columns.values())
-        return max(cols) + 1
+        return max(self._columns) + 1
 
 
 @dataclass
@@ -167,14 +168,58 @@ def atomic_write(path, data):
         raise
 
 
+_INTERVAL = re.compile(r"([\[(])(.+), (.+)([\])])")
+
+
+def check_value(name, value, kind, interval):
+    """The one rule for a config value: an int is any Integral but a bool, a
+    float any finite Real but a bool, and any other type an instance of it.
+    `interval`, written like "[0, 1)" or "(0, inf)", bounds a number; None
+    leaves it unbounded. Raises ValueError naming `name`."""
+    if kind is int:
+        ok = isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    elif kind is float:  # comparing, not math.isfinite, takes ints past float range
+        ok = (isinstance(value, numbers.Real) and not isinstance(value, bool)
+              and -math.inf < value < math.inf)
+    else:
+        ok = isinstance(value, kind)
+    if ok and interval:
+        lo_bracket, lo, hi, hi_bracket = _INTERVAL.fullmatch(interval).groups()
+        lo, hi = float(lo), float(hi)
+        ok = ((lo <= value if lo_bracket == "[" else lo < value)
+              and (value <= hi if hi_bracket == "]" else value < hi))
+    if not ok:
+        what = {int: "an int", float: "a finite float"}.get(
+            kind, getattr(kind, "__name__", kind))
+        within = f" in {interval}" if interval else ""
+        raise ValueError(f"{name} must be {what}{within}, got {value!r}")
+
+
+@functools.cache
+def _field_rules(cls):
+    """(name, type, interval or None) per field of a dataclass, from
+    annotations of the form T or Annotated[T, interval]."""
+    return tuple((name, *(get_args(hint) if get_origin(hint) is Annotated else (hint, None)))
+                 for name, hint in get_type_hints(cls, include_extras=True).items())
+
+
+def check_fields(config):
+    """check_value on every field of a config dataclass instance."""
+    for name, kind, interval in _field_rules(type(config)):
+        check_value(name, getattr(config, name), kind, interval)
+
+
 def load_stream(path, schema: SchemaConfig) -> LoadedFile:
     """Parse one sensor file. Missing channel values (empty or whitespace
     fields, NaN in any case) are linearly interpolated when the gap is
     <= MAX_INTERP_GAP samples and has neighbors on both sides; otherwise the
     affected rows are dropped and counted. Rows with too few fields, channel
     values that are not numbers, and infinite values raise ParseError."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().split("\n")
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.read().split("\n")
+    except UnicodeDecodeError as e:
+        raise DataError(f"{path}: not UTF-8 text: {e}") from e
     rows = [line.split(schema.delimiter) for line in lines if line and not line.isspace()]
     if not rows:
         raise EmptyInputError(f"{path}: no usable rows")
@@ -338,7 +383,7 @@ def read_manifest(data_dir):
             manifest = json.load(fh)
     except OSError as e:
         raise DataError(f"cannot read manifest: {e}") from e
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, UnicodeDecodeError) as e:
         raise DataError(f"{path}: invalid JSON: {e}") from e
     required = ("schema", "files", "classes", "q")
     if not isinstance(manifest, dict) or not all(k in manifest for k in required):

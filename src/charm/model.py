@@ -5,10 +5,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass
+from typing import Annotated
 
 import numpy as np
 
-from .dataset import atomic_write
+from .dataset import atomic_write, check_fields
 from .neurocore import Stack, make_rng, softmax, softmax_ce_grad, weighted_cross_entropy
 from .preprocess import ChannelStats, window
 
@@ -21,23 +22,19 @@ class CheckpointError(Exception):
 class CharmConfig:
     """Shapes and regularization of the two-stage model. n_target = r * z."""
 
-    r: int = 16            # low-level window length in samples
-    q: int = 18            # input channels
-    low_hidden: int = 32
-    low_out: int = 32      # per-window feature dimension
-    z: int = 160           # windows per input sequence
-    high_hidden: int = 32
-    m: int = 4             # class count
-    dropout_p: float = 0.05
+    r: Annotated[int, "[1, inf)"] = 16        # low-level window length in samples
+    q: Annotated[int, "[1, inf)"] = 18        # input channels
+    low_hidden: Annotated[int, "[1, inf)"] = 32
+    low_out: Annotated[int, "[1, inf)"] = 32  # per-window feature dimension
+    z: Annotated[int, "[1, inf)"] = 160       # windows per input sequence
+    high_hidden: Annotated[int, "[1, inf)"] = 32
+    m: Annotated[int, "[1, inf)"] = 4         # class count
+    dropout_p: Annotated[float, "[0, 1)"] = 0.05
     leaky_slope: float = 0.01
     low_out_activation: bool = True
 
     def __post_init__(self):
-        for name in ("r", "q", "low_hidden", "low_out", "z", "high_hidden", "m"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be positive")
-        if not 0.0 <= self.dropout_p < 1.0:
-            raise ValueError("dropout_p must be in [0, 1)")
+        check_fields(self)
 
     @property
     def n_target(self) -> int:
@@ -48,17 +45,16 @@ class CharmConfig:
 class MlpConfig:
     """Flat baseline: 4 dense layers over the flattened normalized input."""
 
-    n_target: int = 2560
-    q: int = 18
-    m: int = 4
-    hidden: int = 16
-    layers: int = 4
-    dropout_p: float = 0.05
+    n_target: Annotated[int, "[1, inf)"] = 2560
+    q: Annotated[int, "[1, inf)"] = 18
+    m: Annotated[int, "[1, inf)"] = 4
+    hidden: Annotated[int, "[1, inf)"] = 16
+    layers: Annotated[int, "[2, inf)"] = 4
+    dropout_p: Annotated[float, "[0, 1)"] = 0.05
     leaky_slope: float = 0.01
 
     def __post_init__(self):
-        if min(self.n_target, self.q, self.m, self.hidden) < 1 or self.layers < 2:
-            raise ValueError("bad MLP dimensions")
+        check_fields(self)
 
     @property
     def input_dim(self) -> int:

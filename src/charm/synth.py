@@ -7,10 +7,11 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import asdict, dataclass
+from typing import Annotated
 
 import numpy as np
 
-from .dataset import SchemaConfig, atomic_write
+from .dataset import SchemaConfig, atomic_write, check_fields, check_value
 
 MOTIF_TRACK = "motif"
 
@@ -22,6 +23,9 @@ class ChannelWave:
     phase: float
     offset: float
 
+    def __post_init__(self):
+        check_fields(self)
+
 
 @dataclass(frozen=True)
 class MotifSpec:
@@ -30,32 +34,37 @@ class MotifSpec:
     duration_range: tuple  # (lo, hi) in samples, inclusive
 
     def __post_init__(self):
+        check_fields(self)
         lo, hi = self.duration_range
-        if not 1 <= lo <= hi:
+        for bound in (lo, hi):
+            check_value("duration", bound, int, "[1, inf)")
+        if lo > hi:
             raise ValueError(f"bad duration range {self.duration_range}")
-        if not all(np.isfinite([w.amplitude for w in self.channels])):
-            raise ValueError("non-finite amplitude")
 
 
 @dataclass(frozen=True)
 class ActivityGrammar:
     class_name: str
     motif_probs: dict  # motif name -> probability
-    target_len: int
+    target_len: Annotated[int, "[1, inf)"]
 
     def __post_init__(self):
+        check_fields(self)
+        for name, p in self.motif_probs.items():
+            check_value(f"probability of {name!r}", p, float, "[0, 1]")
         total = sum(self.motif_probs.values())
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"motif probabilities sum to {total}, not 1")
-        if self.target_len < 1:
-            raise ValueError("target_len must be positive")
 
 
 @dataclass(frozen=True)
 class UserProfile:
     user_id: str
     amp_scale: float
-    noise_sigma: float
+    noise_sigma: Annotated[float, "[0, inf)"]
+
+    def __post_init__(self):
+        check_fields(self)
 
 
 @dataclass(frozen=True)
@@ -63,17 +72,16 @@ class SynthConfig:
     motifs: dict  # name -> MotifSpec
     grammars: tuple  # one ActivityGrammar per class, canonical class order
     users: tuple  # UserProfile
-    samples_per_class_per_user: int = 20
-    seed: int = 42
-    sample_rate_hz: float = 30.0
+    samples_per_class_per_user: Annotated[int, "[1, inf)"] = 20
+    seed: Annotated[int, "[0, inf)"] = 42
+    sample_rate_hz: Annotated[float, "(0, inf)"] = 30.0
 
     def __post_init__(self):
+        check_fields(self)
         if len(self.grammars) < 2:
             raise ValueError("need at least 2 classes")
         if len(self.users) < 2:
             raise ValueError("need at least 2 users (LOSO requires a held-out user)")
-        if self.samples_per_class_per_user < 1:
-            raise ValueError("samples_per_class_per_user must be positive")
         for g in self.grammars:
             for name in g.motif_probs:
                 if name not in self.motifs:

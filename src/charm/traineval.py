@@ -4,9 +4,11 @@ evaluation harness producing per-class precision/recall/F1 reports."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Annotated
 
 import numpy as np
 
+from .dataset import check_fields
 from .model import MODELS
 from .neurocore import Adam, make_rng
 from .preprocess import ChannelStats, fit_normalizer, normalize
@@ -18,16 +20,12 @@ class TrainingError(Exception):
 
 @dataclass(frozen=True)
 class TrainConfig:
-    epochs: int = 10
-    lr: float = 5e-4
-    seed: int = 0
-    shuffle: bool = True
+    epochs: Annotated[int, "[1, inf)"] = 10
+    lr: Annotated[float, "(0, inf)"] = 5e-4
+    seed: Annotated[int, "[0, inf)"] = 0
 
     def __post_init__(self):
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
-        if self.lr <= 0:
-            raise ValueError("lr must be positive")
+        check_fields(self)
 
 
 @dataclass
@@ -81,10 +79,8 @@ def train(train_segments, model_kind, train_cfg: TrainConfig, model_cfg,
     history = TrainHistory()
 
     for _ in range(train_cfg.epochs):
-        order = rng.permutation(len(inputs)) if train_cfg.shuffle \
-            else np.arange(len(inputs))
         losses = []
-        for idx in order:
+        for idx in rng.permutation(len(inputs)):
             loss, grads, _ = model.loss_and_grads(
                 inputs[idx], int(labels[idx]), class_weights, rng)
             opt.step(params, grads)

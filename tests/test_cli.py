@@ -1,10 +1,11 @@
 import hashlib
 import json
 import os
+from pathlib import Path
 
 import pytest
 
-from charm.cli import main
+from charm.cli import _stride_for, main
 
 SMALL_CONFIG = {
     "synth": {"samples_per_class_per_user": 2},
@@ -13,7 +14,7 @@ SMALL_CONFIG = {
 
 
 def sha(path):
-    return hashlib.sha256(open(path, "rb").read()).hexdigest()
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
 @pytest.fixture(scope="module")
@@ -101,7 +102,7 @@ class TestGenSynth:
 class TestTrain:
     def test_writes_checkpoint_and_history(self, workspace, checkpoint):
         assert os.path.exists(checkpoint)
-        hist = json.load(open(checkpoint + ".history.json"))
+        hist = json.loads(Path(checkpoint + ".history.json").read_text())
         assert len(hist["train_loss"]) == 2
         assert len(hist["val_macro_f1"]) == 2
 
@@ -125,6 +126,11 @@ class TestTrain:
                      "--out", str(tmp_path / "x.ckpt")])
         assert code == 3
         assert "u1" in capsys.readouterr().err  # lists available users
+
+    def test_default_stride_is_half_the_crop_at_least_one(self):
+        assert _stride_for({}, 512) == 256
+        assert _stride_for({}, 1) == 1  # r = z = 1
+        assert _stride_for({"sampling": {"stride": 3}}, 512) == 3
 
     def test_mlp_model_kind(self, workspace, tmp_path):
         out = tmp_path / "mlp.ckpt"
@@ -162,6 +168,21 @@ class TestEvaluate:
     def test_missing_checkpoint_exit_4(self, workspace, tmp_path):
         assert main(["evaluate", "--checkpoint", str(tmp_path / "none.ckpt"),
                      "--data", workspace["data"], "--held-out-user", "u4"]) == 4
+
+    @pytest.mark.parametrize("old, new, key", [
+        (b'"r": 16,', b'"r": 16.5,', "r"),
+        (b'"low_out_activation": true', b'"low_out_activation": "no"', "low_out_activation"),
+    ])
+    def test_bad_header_config_exit_4(self, workspace, checkpoint, tmp_path, capsys,
+                                      old, new, key):
+        blob = Path(checkpoint).read_bytes()
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(blob.replace(old, new, 1))
+        assert bad.read_bytes() != blob
+        assert main(["evaluate", "--checkpoint", str(bad),
+                     "--data", workspace["data"], "--held-out-user", "u4"]) == 4
+        err = capsys.readouterr().err
+        assert f"{key} must be" in err and len(err.splitlines()) == 1
 
 
 class TestEmbed:
@@ -354,6 +375,10 @@ class TestManifestValidation:
                      id="schema-low-labels-not-object"),
         pytest.param(_set("schema", "delimiter", [","]), "bad manifest schema: ",
                      id="schema-delimiter-not-string"),
+        pytest.param(_set("schema", "null_label_token", 5), "bad manifest schema: ",
+                     id="schema-null-token-not-string"),
+        pytest.param(_set("schema", "high_label_column", True), "bad manifest schema: ",
+                     id="schema-high-label-bool"),
     ])
     def test_bad_schema_or_files_exit_3(self, tmp_path, workspace, capsys, edit, message):
         copy_data_with(workspace, tmp_path, edit_manifest=edit)
@@ -361,6 +386,78 @@ class TestManifestValidation:
         assert main(["features", "--data", str(tmp_path), "--out", str(out)]) == 3
         err = capsys.readouterr().err
         assert message in err and len(err.splitlines()) == 1
+        assert not out.exists()
+
+
+_BAD_USERS = [{"id": "a", "amp_scale": 1.0, "noise_sigma": 0.1},
+              {"id": "b", "amp_scale": 1.0, "noise_sigma": -0.1}]
+_BAD_MOTIFS = {"sway": {"channels": [["x", 2.0, 0.0, 0.1]], "duration": [4, 8]}}
+
+
+class TestBadConfigValue:
+    """One wrong-type and one out-of-range value per config section."""
+
+    @pytest.mark.parametrize("section, key, value, flags", [
+        pytest.param("train", "epochs", 2.5, [], id="train-epochs-float"),
+        pytest.param("train", "epochs", True, [], id="train-epochs-bool"),
+        pytest.param("train", "lr", float("nan"), [], id="train-lr-nan"),
+        pytest.param("train", "seed", -1, [], id="train-seed-negative"),
+        pytest.param("train", "seed", None, ["--seed", "-1"], id="seed-flag-negative"),
+        pytest.param("charm", "r", 16.5, [], id="charm-r-float"),
+        pytest.param("charm", "leaky_slope", "x", [], id="charm-slope-string"),
+        pytest.param("charm", "z", 0, [], id="charm-z-zero"),
+        pytest.param("mlp", "hidden", 8.5, ["--model", "mlp"], id="mlp-hidden-float"),
+        pytest.param("mlp", "dropout_p", 1.5, ["--model", "mlp"], id="mlp-dropout-above-1"),
+        pytest.param("sampling", "stride", 0, [], id="sampling-stride-zero"),
+        pytest.param("sampling", "stride", -4, [], id="sampling-stride-negative"),
+        pytest.param("sampling", "stride", 2.5, [], id="sampling-stride-float"),
+        pytest.param("sampling", "stride", "x", [], id="sampling-stride-string"),
+        pytest.param("synth", "samples_per_class_per_user", 2.5, [], id="synth-samples-float"),
+        pytest.param("synth", "seed", True, [], id="synth-seed-bool"),
+        pytest.param("synth", "sample_rate_hz", 0, [], id="synth-rate-zero"),
+        pytest.param("synth", "users", _BAD_USERS, [], id="synth-user-noise-negative"),
+        pytest.param("synth", "motifs", _BAD_MOTIFS, [], id="synth-motif-amplitude-string"),
+    ])
+    def test_exit_2_one_line_no_output(self, tmp_path, workspace, capsys,
+                                       section, key, value, flags):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({} if value is None else {section: {key: value}}))
+        out = tmp_path / "out"
+        if section == "synth":
+            args = ["gen-synth"]
+        else:
+            args = ["train", "--data", workspace["data"], "--held-out-user", "u4"]
+        assert main(args + flags + ["--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        named = {"users": "noise_sigma", "motifs": "amplitude"}.get(key, key)
+        assert f"{named} must be" in err and len(err.splitlines()) == 1
+        assert os.listdir(tmp_path) == ["config.json"]
+
+
+class TestNotUtf8:
+    @pytest.mark.parametrize("target, code", [
+        ("config", 2), ("grouping", 2), ("manifest", 3), ("sensor file", 3)])
+    def test_exit_code_one_line(self, tmp_path, workspace, checkpoint, capsys,
+                                target, code):
+        data = tmp_path / "data"
+        data.mkdir()
+        first = copy_data_with(workspace, data)
+        out = tmp_path / "out"
+        bad, args = {
+            "config": (tmp_path / "config.json", ["gen-synth", "--config"]),
+            "grouping": (tmp_path / "groups.txt",
+                         ["embed", "--checkpoint", checkpoint, "--data", str(data),
+                          "--grouping"]),
+            "manifest": (data / "manifest.json", ["features", "--data", str(data)]),
+            "sensor file": (data / first, ["features", "--data", str(data)]),
+        }[target]
+        original = bad.read_bytes() if bad.exists() else b"{}"
+        bad.write_bytes(b"\xff" + original)
+        if target in ("config", "grouping"):
+            args.append(str(bad))
+        assert main(args + ["--out", str(out)]) == code
+        err = capsys.readouterr().err
+        assert str(bad) in err and len(err.splitlines()) == 1
         assert not out.exists()
 
 

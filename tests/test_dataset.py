@@ -1,11 +1,13 @@
 import os
+from dataclasses import dataclass
+from typing import Annotated
 
 import numpy as np
 import pytest
 
 from charm.dataset import (MAX_INTERP_GAP, ActivityLabelSet, EmptyInputError,
                            LabeledSegment, ParseError, SchemaConfig, SensorStream,
-                           UnknownUserError, _fill_missing, atomic_write,
+                           UnknownUserError, _fill_missing, atomic_write, check_fields,
                            load_stream, loso_split, make_fixed_length_samples,
                            segment_by_high_label)
 
@@ -435,3 +437,26 @@ class TestTypes:
     def test_schema_distinct_columns(self):
         with pytest.raises(ValueError):
             SchemaConfig(delimiter=",", channel_columns=(0, 1), high_label_column=1)
+
+
+@dataclass
+class Rules:
+    count: Annotated[int, "[1, inf)"] = 1
+    scale: float = 0.0
+
+    def __post_init__(self):
+        check_fields(self)
+
+
+class TestCheckFields:
+    @pytest.mark.parametrize("field, value", [
+        ("count", np.int64(3)), ("count", 10 ** 30), ("scale", 2), ("scale", -1.5)])
+    def test_accepts(self, field, value):
+        assert getattr(Rules(**{field: value}), field) == value
+
+    @pytest.mark.parametrize("field, value", [
+        ("count", True), ("count", 16.0), ("count", 0), ("count", "3"),
+        ("scale", float("nan")), ("scale", float("inf")), ("scale", False)])
+    def test_rejects_naming_the_field(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            Rules(**{field: value})
