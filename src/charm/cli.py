@@ -63,7 +63,18 @@ def load_run_config(path=None) -> dict:
         for key in body:
             if key not in _SECTION_KEYS[section]:
                 raise ConfigError(f"{path}: unknown key {section}.{key!r}")
+    _check_sections(raw)
     return raw
+
+
+def _check_sections(cfg):
+    """Builds every section, with the default data shapes where the data
+    fixes them, so a bad value fails every command that reads the file."""
+    build_train_config(cfg)
+    build_charm_config(cfg, q=CharmConfig.q, m=CharmConfig.m)
+    build_mlp_config(cfg, n_target=MlpConfig.n_target, q=MlpConfig.q, m=MlpConfig.m)
+    build_synth_config(cfg)
+    _stride_for(cfg, 1)
 
 
 def _build(section, make, **kwargs):
@@ -179,13 +190,13 @@ def cmd_train(args):
 
 
 def cmd_evaluate(args):
+    cfg = load_run_config(args.config)
     model, stats = load_checkpoint(args.checkpoint)
     segments, labels, schema = load_data_dir(args.data)
     q = len(schema.channel_columns)
     if q != model.cfg.q:
         raise ds.DataError(f"data has {q} channels, checkpoint expects {model.cfg.q}")
     n_target = model.cfg.n_target
-    cfg = load_run_config(args.config)
     samples = fixed_length_dataset(segments, n_target, _stride_for(cfg, n_target))
     _, val_set = ds.loso_split(samples, args.held_out_user)
     if not val_set:
@@ -219,6 +230,7 @@ def _read_grouping(path):
 
 
 def cmd_embed(args):
+    load_run_config(args.config)  # no section applies; a bad file still fails
     model, stats = load_checkpoint(args.checkpoint)
     if model.kind != "charm":
         raise CheckpointError("embedding extraction requires a charm checkpoint")
@@ -260,6 +272,7 @@ def cmd_embed(args):
 
 
 def cmd_features(args):
+    load_run_config(args.config)  # no section applies; a bad file still fails
     segments, labels, schema = load_data_dir(args.data)
     q = len(schema.channel_columns)
     names = [f"ch{i}" for i in range(q)]

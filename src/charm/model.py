@@ -10,7 +10,8 @@ from typing import Annotated
 import numpy as np
 
 from .dataset import atomic_write, check_fields
-from .neurocore import Stack, make_rng, softmax, softmax_ce_grad, weighted_cross_entropy
+from .neurocore import (Stack, flatten_params, make_rng, softmax, softmax_ce_grad,
+                        view_arrays, weighted_cross_entropy)
 from .preprocess import ChannelStats, window
 
 
@@ -64,8 +65,9 @@ class MlpConfig:
 class _Model:
     """The training rule both models share: softmax and weighted
     cross-entropy on the logits of the subclass's `_logits` hook, which
-    returns (logits [1, m], backward(d_logits) -> grads, features or None)
-    and checks the input shape."""
+    returns (logits [1, m], backward(d_logits, grads), features or None)
+    and checks the input shape. `params` is the one float64 vector that
+    every array of param_arrays() is a view of."""
 
     def forward(self, sample, training: bool = False, rng=None):
         """Returns (class probabilities [m], features or None)."""
@@ -73,12 +75,16 @@ class _Model:
         return softmax(logits[0]), features
 
     def loss_and_grads(self, sample, target: int, class_weights, rng):
-        """Training-mode forward + full reverse pass. Gradient order matches
-        param_arrays()."""
+        """Training-mode forward + full reverse pass. Returns (loss, gradient
+        arrays aligned with param_arrays(), the flat gradient vector they
+        view). Each call returns a new vector."""
         logits, backward, _ = self._logits(sample, True, rng)
         loss = weighted_cross_entropy(logits[0], target, class_weights)
         d_logits = softmax_ce_grad(logits[0], target, class_weights[target])
-        return loss, backward(d_logits[None, :]), softmax(logits[0])
+        grad = np.empty_like(self.params)
+        grads = view_arrays(grad, [p.shape for p in self.param_arrays()])
+        backward(d_logits[None, :], grads)
+        return loss, grads, grad
 
 
 class CharmModel(_Model):
@@ -91,6 +97,7 @@ class CharmModel(_Model):
         self.cfg = cfg
         self.low = low
         self.high = high
+        self.params = flatten_params([low, high])
 
     @classmethod
     def init(cls, cfg: CharmConfig, rng) -> "CharmModel":
@@ -115,10 +122,10 @@ class CharmModel(_Model):
         low_feats, low_cache = self.low.forward(flat, training, rng)
         logits, high_cache = self.high.forward(low_feats.reshape(1, -1), training, rng)
 
-        def backward(d_logits):
-            high_grads, d_concat = self.high.backward(high_cache, d_logits)
-            low_grads, _ = self.low.backward(low_cache, d_concat.reshape(self.cfg.z, -1))
-            return low_grads + high_grads
+        def backward(d_logits, grads):
+            n_low = 2 * len(self.low.layers)
+            d_concat = self.high.backward(high_cache, d_logits, grads[n_low:])
+            self.low.backward(low_cache, d_concat.reshape(self.cfg.z, -1), grads[:n_low])
 
         return logits, backward, low_feats
 
@@ -138,6 +145,7 @@ class MlpModel(_Model):
     def __init__(self, cfg: MlpConfig, stack: Stack):
         self.cfg = cfg
         self.stack = stack
+        self.params = flatten_params([stack])
 
     @classmethod
     def init(cls, cfg: MlpConfig, rng) -> "MlpModel":
@@ -155,7 +163,7 @@ class MlpModel(_Model):
             raise ValueError(
                 f"expected {self.cfg.input_dim} input values, got {sample.size}")
         logits, cache = self.stack.forward(sample.reshape(1, -1), training, rng)
-        return logits, lambda d_logits: self.stack.backward(cache, d_logits)[0], None
+        return logits, lambda d_logits, grads: self.stack.backward(cache, d_logits, grads), None
 
 
 MODELS = {"charm": (CharmConfig, CharmModel), "mlp": (MlpConfig, MlpModel)}
@@ -163,24 +171,23 @@ MODELS = {"charm": (CharmConfig, CharmModel), "mlp": (MlpConfig, MlpModel)}
 
 # ---------------------------------------------------------------------------
 # Checkpoint format: magic line, one JSON header line (version, kind, config,
-# channel stats, array shapes), then the parameter arrays concatenated as
-# little-endian float64 in param_arrays() order.
+# channel stats, array shapes), then the model's flat parameter vector (the
+# arrays of param_arrays() concatenated in order) as little-endian float64.
 
 MAGIC = b"CHARM1\n"
 CHECKPOINT_VERSION = 1
 
 
 def save_checkpoint(model, stats: ChannelStats, path):
-    params = model.param_arrays()
     header = {
         "version": CHECKPOINT_VERSION,
         "kind": model.kind,
         "config": asdict(model.cfg),
         "channel_means": [float(v) for v in stats.means],
         "channel_stds": [float(v) for v in stats.stds],
-        "shapes": [list(p.shape) for p in params],
+        "shapes": [list(p.shape) for p in model.param_arrays()],
     }
-    blob = b"".join(np.ascontiguousarray(p, dtype="<f8").tobytes() for p in params)
+    blob = model.params.astype("<f8", copy=False).tobytes()
     payload = MAGIC + (json.dumps(header, sort_keys=True) + "\n").encode("utf-8") + blob
     atomic_write(path, payload)
 
@@ -220,22 +227,16 @@ def load_checkpoint(path):
     except (KeyError, TypeError, ValueError) as e:
         raise CheckpointError(f"{path}: malformed header: {e}") from e
 
-    params = model.param_arrays()
-    shapes = [list(p.shape) for p in params]
+    shapes = [list(p.shape) for p in model.param_arrays()]
     if header.get("shapes") != shapes:
         raise CheckpointError(
             f"{path}: array shapes {header.get('shapes')} do not match config-derived {shapes}")
     blob = rest[nl + 1:]
-    expected = sum(p.size for p in params) * 8
+    expected = model.params.size * 8
     if len(blob) != expected:
         raise CheckpointError(
             f"{path}: truncated or corrupt payload ({len(blob)} bytes, expected {expected})")
-    offset = 0
-    for p in params:
-        nbytes = p.size * 8
-        vals = np.frombuffer(blob[offset:offset + nbytes], dtype="<f8").reshape(p.shape)
-        p[...] = vals
-        offset += nbytes
+    model.params[...] = np.frombuffer(blob, dtype="<f8")
     if stats.means.shape[0] != model.cfg.q:
         raise CheckpointError(f"{path}: channel stats do not match model input channels")
     return model, stats

@@ -8,6 +8,7 @@ fixed seed gives bit-identical parameter trajectories.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -155,27 +156,57 @@ class Stack:
             x = a
         return x, cache
 
-    def backward(self, cache, d_out):
-        """Gradients of a scalar loss given d_loss/d_output.
+    def backward(self, cache, d_out, grads):
+        """Reverse pass of a scalar loss given d_loss/d_output. Writes the
+        parameter gradients into `grads`, arrays aligned with param_arrays(),
+        and returns d_loss/d_input.
 
-        Returns (grads aligned with param_arrays(), d_loss/d_input).
+        A one-row input's weight gradient is the outer product d.T * x_in;
+        gemm with inner dimension 1 makes the same products, but adds them
+        to +0.0, so only the sign of a zero product can differ from it.
         """
         d = np.asarray(d_out, dtype=float)
-        grads = [None] * (2 * len(self.layers))
         for i in range(len(self.layers) - 1, -1, -1):
             x_in, pre, mask, activated = cache[i]
             if mask is not None:
                 d = d * mask
             if activated:
                 d = d * leaky_relu_grad(pre, self.slope)
-            grads[2 * i] = d.T @ x_in
-            grads[2 * i + 1] = d.sum(axis=0)
+            if x_in.shape[0] == 1:
+                np.multiply(d.T, x_in, out=grads[2 * i])
+            else:
+                np.matmul(d.T, x_in, out=grads[2 * i])
+            d.sum(axis=0, out=grads[2 * i + 1])
             d = d @ self.layers[i].w
-        return grads, d
+        return d
+
+
+def view_arrays(flat, shapes):
+    """Consecutive views of the 1-D array `flat`, one per shape."""
+    out, offset = [], 0
+    for shape in shapes:
+        size = math.prod(shape)
+        out.append(flat[offset:offset + size].reshape(shape))
+        offset += size
+    return out
+
+
+def flatten_params(stacks) -> np.ndarray:
+    """Copies the parameters of `stacks` into one float64 vector, in
+    param_arrays() order, and makes every layer's w and b views of it."""
+    arrays = [p for stack in stacks for p in stack.param_arrays()]
+    flat = np.concatenate([p.ravel() for p in arrays])
+    views = view_arrays(flat, [p.shape for p in arrays])
+    layers = [layer for stack in stacks for layer in stack.layers]
+    for layer, w, b in zip(layers, views[::2], views[1::2]):
+        layer.w, layer.b = w, b
+    return flat
 
 
 class Adam:
-    """Adam with bias correction; updates parameter arrays in place."""
+    """Adam with bias correction; updates parameter arrays in place. Each
+    array has two preallocated temporaries, so a step allocates nothing;
+    a model passes its one flat parameter vector."""
 
     def __init__(self, params, lr: float = 5e-4, beta1: float = 0.9,
                  beta2: float = 0.999, eps: float = 1e-8):
@@ -189,6 +220,7 @@ class Adam:
         self._shapes = [p.shape for p in params]
         self.first_moment = [np.zeros_like(p) for p in params]
         self.second_moment = [np.zeros_like(p) for p in params]
+        self._scratch = [(np.empty_like(p), np.empty_like(p)) for p in params]
 
     def step(self, params, grads):
         if len(params) != len(self._shapes):
@@ -198,11 +230,18 @@ class Adam:
                 raise ValueError(f"shape mismatch: {p.shape} vs {g.shape} vs {shape}")
         self.step_count += 1
         t = self.step_count
-        for p, g, m, v in zip(params, grads, self.first_moment, self.second_moment):
+        for p, g, m, v, (a, b) in zip(params, grads, self.first_moment,
+                                      self.second_moment, self._scratch):
+            # m = b1*m + (1-b1)*g; v = b2*v + (1-b2)*g*g;
+            # p -= lr * m_hat / (sqrt(v_hat) + eps), rounded as written
             m *= self.beta1
-            m += (1.0 - self.beta1) * g
+            m += np.multiply(g, 1.0 - self.beta1, out=a)
             v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            m_hat = m / (1.0 - self.beta1 ** t)
-            v_hat = v / (1.0 - self.beta2 ** t)
-            p -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            np.multiply(g, 1.0 - self.beta2, out=a)
+            v += np.multiply(a, g, out=a)
+            np.divide(m, 1.0 - self.beta1 ** t, out=a)
+            np.multiply(a, self.lr, out=a)
+            np.divide(v, 1.0 - self.beta2 ** t, out=b)
+            np.sqrt(b, out=b)
+            b += self.eps
+            p -= np.divide(a, b, out=a)

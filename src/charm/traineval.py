@@ -74,16 +74,16 @@ def train(train_segments, model_kind, train_cfg: TrainConfig, model_cfg,
     if model_kind not in MODELS:
         raise ValueError(f"unknown model kind {model_kind!r}")
     model = MODELS[model_kind][1].init(model_cfg, rng)
-    params = model.param_arrays()
+    params = [model.params]
     opt = Adam(params, lr=train_cfg.lr)
     history = TrainHistory()
 
     for _ in range(train_cfg.epochs):
         losses = []
         for idx in rng.permutation(len(inputs)):
-            loss, grads, _ = model.loss_and_grads(
+            loss, _, grad = model.loss_and_grads(
                 inputs[idx], int(labels[idx]), class_weights, rng)
-            opt.step(params, grads)
+            opt.step(params, [grad])
             losses.append(loss)
         history.train_loss.append(float(np.mean(losses)))
         if val_segments:

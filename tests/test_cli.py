@@ -433,6 +433,22 @@ class TestBadConfigValue:
         assert f"{named} must be" in err and len(err.splitlines()) == 1
         assert os.listdir(tmp_path) == ["config.json"]
 
+    @pytest.mark.parametrize("cmd", ["evaluate", "embed", "features"])
+    def test_every_command_checks_every_section(self, tmp_path, workspace, checkpoint,
+                                                capsys, cmd):
+        # none of these three reads the train section; a bad value still fails
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"train": {"epochs": 2.5}}))
+        out = tmp_path / "out"
+        args = {"evaluate": ["--checkpoint", checkpoint, "--held-out-user", "u4"],
+                "embed": ["--checkpoint", checkpoint],
+                "features": []}[cmd]
+        assert main([cmd, "--data", workspace["data"], "--config", str(cfg),
+                     "--out", str(out)] + args) == 2
+        err = capsys.readouterr().err
+        assert "epochs must be" in err and len(err.splitlines()) == 1
+        assert os.listdir(tmp_path) == ["config.json"]
+
 
 class TestNotUtf8:
     @pytest.mark.parametrize("target, code", [

@@ -3,8 +3,9 @@ import pytest
 
 from charm.model import (MAGIC, CharmConfig, CharmModel, CheckpointError,
                          MlpConfig, MlpModel, load_checkpoint, save_checkpoint)
-from charm.neurocore import make_rng
-from charm.preprocess import ChannelStats
+from charm.neurocore import (Adam, Dense, Stack, leaky_relu_grad, make_rng,
+                             softmax_ce_grad)
+from charm.preprocess import ChannelStats, window
 
 SMALL = CharmConfig(r=16, q=3, z=4, low_hidden=8, low_out=8, high_hidden=8, m=3)
 
@@ -98,6 +99,161 @@ class TestCharmGradients:
         cfg = MlpConfig(n_target=64, q=3, m=3, hidden=8, dropout_p=0.0)
         check_finite_differences(MlpModel.init(cfg, make_rng(7)),
                                  make_rng(8).normal(size=(64, 3)))
+
+
+class ReferenceAdam:
+    """The list Adam the fused one replaced: one pass per array, with the
+    temporaries of each expression allocated anew."""
+
+    def __init__(self, params, lr=5e-4, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
+        self.t = 0
+        self.first_moment = [np.zeros_like(p) for p in params]
+        self.second_moment = [np.zeros_like(p) for p in params]
+
+    def step(self, params, grads):
+        self.t += 1
+        for p, g, m, v in zip(params, grads, self.first_moment, self.second_moment):
+            m *= self.beta1
+            m += (1.0 - self.beta1) * g
+            v *= self.beta2
+            v += (1.0 - self.beta2) * g * g
+            m_hat = m / (1.0 - self.beta1 ** self.t)
+            v_hat = v / (1.0 - self.beta2 ** self.t)
+            p -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+
+
+def reference_backward(stack, cache, d):
+    """The reverse pass the in-place one replaced: a new array per gradient,
+    each weight gradient a matmul d.T @ x_in."""
+    grads = [None] * (2 * len(stack.layers))
+    for i in range(len(stack.layers) - 1, -1, -1):
+        x_in, pre, mask, activated = cache[i]
+        if mask is not None:
+            d = d * mask
+        if activated:
+            d = d * leaky_relu_grad(pre, stack.slope)
+        grads[2 * i] = d.T @ x_in
+        grads[2 * i + 1] = d.sum(axis=0)
+        d = d @ stack.layers[i].w
+    return grads, d
+
+
+def reference_grads(stacks, x, target, weights, rng):
+    """Gradients of a chain of stacks, each stack's output flattened into one
+    row for the next, concatenated as lists in param_arrays() order."""
+    caches, out_shapes = [], []
+    for stack in stacks:
+        x, cache = stack.forward(x, True, rng)
+        caches.append(cache)
+        out_shapes.append(x.shape)
+        x = x.reshape(1, -1)
+    d = softmax_ce_grad(x[0], target, weights[target])[None, :]
+    grads = []
+    for stack, cache, shape in reversed(list(zip(stacks, caches, out_shapes))):
+        stack_grads, d = reference_backward(stack, cache, d.reshape(shape))
+        grads = stack_grads + grads
+    return grads
+
+
+def separate_copy(stack):
+    """The stack with its own parameter arrays, as before flat vectors."""
+    return Stack([Dense(layer.w.copy(), layer.b.copy()) for layer in stack.layers],
+                 slope=stack.slope, dropout_p=stack.dropout_p,
+                 final_activation=stack.final_activation)
+
+
+def flat_bytes(arrays):
+    return np.concatenate([a.ravel() for a in arrays]).tobytes()
+
+
+PARITY_CHARM = CharmConfig(r=4, q=3, z=5, low_hidden=6, low_out=5, high_hidden=7, m=3,
+                           dropout_p=0.3)
+PARITY_MLP = MlpConfig(n_target=20, q=3, m=3, hidden=6, dropout_p=0.3)
+
+
+class TestStepParity:
+    """The training step on the flat vector against the step it replaced:
+    separate arrays, new gradient arrays per call and the list Adam."""
+
+    @pytest.mark.parametrize("kind", ["charm", "mlp"])
+    def test_50_steps_byte_identical(self, kind):
+        weights = np.array([1.3, 0.6, 1.1])
+        if kind == "charm":
+            model = CharmModel.init(PARITY_CHARM, make_rng(3))
+            stacks = [separate_copy(model.low), separate_copy(model.high)]
+
+            def first_input(sample):
+                return window(sample, PARITY_CHARM.r).reshape(PARITY_CHARM.z, -1)
+        else:
+            model = MlpModel.init(PARITY_MLP, make_rng(3))
+            stacks = [separate_copy(model.stack)]
+
+            def first_input(sample):
+                return sample.reshape(1, -1)
+        ref_params = [p for stack in stacks for p in stack.param_arrays()]
+        ref_opt = ReferenceAdam(ref_params)
+        opt = Adam([model.params])
+        data, ref_rng, rng = make_rng(4), make_rng(5), make_rng(5)
+        for _ in range(50):
+            sample = data.normal(size=(20, 3))
+            target = int(data.integers(3))
+            ref_opt.step(ref_params,
+                         reference_grads(stacks, first_input(sample), target, weights, ref_rng))
+            _, _, grad = model.loss_and_grads(sample, target, weights, rng)
+            opt.step([model.params], [grad])
+        assert model.params.tobytes() == flat_bytes(ref_params)
+        assert opt.first_moment[0].tobytes() == flat_bytes(ref_opt.first_moment)
+        assert opt.second_moment[0].tobytes() == flat_bytes(ref_opt.second_moment)
+
+    def test_one_row_zeros_and_negative_inputs(self):
+        # dropped and leaky units give exact zeros in d, times negative
+        # inputs; the product and gemm may differ only in the sign of a zero,
+        # which leaves Adam's moments and update unchanged
+        stack = Stack.init([6, 5, 4, 3], make_rng(6), dropout_p=0.5)
+        x = -np.abs(make_rng(7).normal(size=(1, 6)))
+        x[0, 2] = 0.0
+        out, cache = stack.forward(x, True, make_rng(8))
+        d = softmax_ce_grad(out[0], 1, 1.0)[None, :]
+        assert any((c[2] == 0).any() for c in cache[:-1])
+        expected, expected_d_in = reference_backward(stack, cache, d)
+        grads = [np.empty_like(p) for p in stack.param_arrays()]
+        d_in = stack.backward(cache, d, grads)
+        assert d_in.tobytes() == expected_d_in.tobytes()
+        for g, e in zip(grads, expected):
+            np.testing.assert_array_equal(g, e)
+        assert (grads[0] == 0).any() and (grads[2] == 0).any()
+        params = [p.copy() for p in stack.param_arrays()]
+        ref_params = [p.copy() for p in params]
+        ref_opt, opt = ReferenceAdam(ref_params), Adam(params)
+        for _ in range(3):
+            ref_opt.step(ref_params, expected)
+            opt.step(params, grads)
+        assert flat_bytes(params) == flat_bytes(ref_params)
+        assert flat_bytes(opt.first_moment) == flat_bytes(ref_opt.first_moment)
+        assert flat_bytes(opt.second_moment) == flat_bytes(ref_opt.second_moment)
+
+    @pytest.mark.parametrize("model_cls, cfg", [(CharmModel, PARITY_CHARM),
+                                                (MlpModel, PARITY_MLP)], ids=["charm", "mlp"])
+    def test_param_arrays_view_the_flat_vector(self, model_cls, cfg):
+        model = model_cls.init(cfg, make_rng(0))
+        arrays = model.param_arrays()
+        assert all(np.shares_memory(p, model.params) for p in arrays)
+        assert flat_bytes(arrays) == model.params.tobytes()
+        model.params[...] = 0.5
+        assert all((p == 0.5).all() for p in arrays)
+
+    def test_returned_gradients_survive_next_call(self):
+        model = CharmModel.init(PARITY_CHARM, make_rng(1))
+        weights = np.ones(3)
+        _, grads, grad = model.loss_and_grads(make_rng(2).normal(size=(20, 3)), 0,
+                                              weights, make_rng(3))
+        kept = grad.copy()
+        assert all(np.shares_memory(g, grad) for g in grads)
+        _, _, second = model.loss_and_grads(make_rng(4).normal(size=(20, 3)), 2,
+                                             weights, make_rng(5))
+        assert grad.tobytes() == kept.tobytes()
+        assert not np.array_equal(second, kept)
 
 
 class TestMlp:

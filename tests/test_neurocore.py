@@ -142,6 +142,10 @@ def fd_grads(loss_fn, params, h=1e-5):
     return grads
 
 
+def new_grads(stack):
+    return [np.empty_like(p) for p in stack.param_arrays()]
+
+
 class TestStackBackward:
     def test_matches_finite_differences(self):
         rng = make_rng(0)
@@ -159,7 +163,8 @@ class TestStackBackward:
             weights[1] * (softmax(out[0]) - np.eye(3)[1]),
             weights[2] * (softmax(out[1]) - np.eye(3)[2]),
         ])
-        analytic, _ = stack.backward(cache, d)
+        analytic = new_grads(stack)
+        stack.backward(cache, d, analytic)
         numeric = fd_grads(loss_fn, stack.param_arrays())
         for a, f in zip(analytic, numeric):
             err = np.abs(a - f) / np.maximum(np.maximum(np.abs(a), np.abs(f)), 1e-6)
@@ -170,7 +175,8 @@ class TestStackBackward:
         stack = Stack([Dense(np.zeros((3, 4)), np.zeros(3))], dropout_p=0.0)
         out, cache = stack.forward(np.zeros((1, 4)))
         d = softmax(out[0]) - np.eye(3)[1]
-        grads, _ = stack.backward(cache, d[None, :])
+        grads = new_grads(stack)
+        stack.backward(cache, d[None, :], grads)
         np.testing.assert_allclose(grads[1], [1 / 3, -2 / 3, 1 / 3])
 
     def test_dropped_unit_gets_zero_grad(self):
@@ -181,7 +187,8 @@ class TestStackBackward:
         mask = cache[0][2]
         assert (mask == 0).any() and (mask != 0).any()  # seed gives a mixed mask
         d = softmax(out[0]) - np.eye(2)[0]
-        grads, d_in = stack.backward(cache, d[None, :])
+        grads = new_grads(stack)
+        stack.backward(cache, d[None, :], grads)
         dropped = np.nonzero(mask[0] == 0)[0]
         np.testing.assert_array_equal(grads[0][dropped], 0.0)
         np.testing.assert_array_equal(grads[1][dropped], 0.0)
