@@ -199,8 +199,6 @@ def cmd_evaluate(args):
     n_target = model.cfg.n_target
     samples = fixed_length_dataset(segments, n_target, _stride_for(cfg, n_target))
     _, val_set = ds.loso_split(samples, args.held_out_user)
-    if not val_set:
-        raise ds.DataError(f"no validation samples for user {args.held_out_user}")
     report = evaluate(TrainedModel(model, stats), val_set)
     text = format_report(report, labels.classes)
     if not args.quiet:

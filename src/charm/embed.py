@@ -12,6 +12,7 @@ import numpy as np
 from .dataset import atomic_write
 
 PURITY_THRESHOLD = 0.9  # fraction of samples that must share the window label
+SILHOUETTE_BLOCK = 64   # distance-matrix rows the silhouette holds at a time
 
 
 @dataclass(frozen=True)
@@ -65,28 +66,41 @@ def pca_transform(model: PcaModel, X) -> np.ndarray:
 
 def silhouette_score(points, labels) -> float:
     """Mean silhouette with Euclidean distance. Singleton-cluster points and
-    zero-spread points contribute 0."""
+    zero-spread points contribute 0. Distances are formed SILHOUETTE_BLOCK
+    rows at a time, so memory is O(SILHOUETTE_BLOCK * N)."""
     X = np.asarray(points, dtype=float)
     labels = np.asarray(labels)
     if X.shape[0] != labels.shape[0]:
         raise ValueError("points and labels length differ")
     if X.shape[0] < 3:
         raise ValueError("need at least 3 points")
-    uniq = np.unique(labels)
+    uniq, codes = np.unique(labels, return_inverse=True)
     if uniq.size < 2:
         raise ValueError("need at least 2 distinct labels")
-    diff = X[:, None, :] - X[None, :, :]
-    dist = np.sqrt((diff ** 2).sum(axis=-1))
-    scores = np.zeros(X.shape[0])
-    members = {lab: np.nonzero(labels == lab)[0] for lab in uniq}
-    for i in range(X.shape[0]):
-        own = members[labels[i]]
-        if own.size <= 1:
-            continue  # singleton cluster contributes 0
-        a = dist[i, own].sum() / (own.size - 1)
-        b = min(dist[i, members[lab]].mean() for lab in uniq if lab != labels[i])
-        denom = max(a, b)
-        scores[i] = (b - a) / denom if denom > 0 else 0.0
+    n = X.shape[0]
+    onehot = np.zeros((n, uniq.size))
+    onehot[np.arange(n), codes] = 1.0
+    sizes = np.bincount(codes)
+    scores = np.zeros(n)
+    dist_buf = np.empty((SILHOUETTE_BLOCK, n))
+    diff_buf = np.empty((SILHOUETTE_BLOCK, n))
+    for start in range(0, n, SILHOUETTE_BLOCK):
+        rows = X[start:start + SILHOUETTE_BLOCK]
+        dist, diff = dist_buf[:len(rows)], diff_buf[:len(rows)]
+        dist[...] = 0.0
+        for j in range(X.shape[1]):
+            np.subtract.outer(rows[:, j], X[:, j], out=diff)
+            dist += np.square(diff, out=diff)
+        np.sqrt(dist, out=dist)
+        sums = dist @ onehot  # [rows, k]: distance from each row to each cluster
+        own, at = codes[start:start + len(rows)], np.arange(len(rows))
+        a = sums[at, own] / np.maximum(sizes[own] - 1, 1)
+        means = sums / sizes
+        means[at, own] = np.inf
+        b = means.min(axis=1)
+        denom = np.maximum(a, b)
+        np.divide(b - a, denom, out=scores[start:start + len(rows)],
+                  where=(sizes[own] > 1) & (denom > 0))
     return float(scores.mean())
 
 

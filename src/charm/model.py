@@ -63,22 +63,37 @@ class MlpConfig:
 
 
 class _Model:
-    """The training rule both models share: softmax and weighted
-    cross-entropy on the logits of the subclass's `_logits` hook, which
-    returns (logits [1, m], backward(d_logits, grads), features or None)
-    and checks the input shape. `params` is the one float64 vector that
-    every array of param_arrays() is a view of."""
+    """The rules both models share: softmax and weighted cross-entropy on
+    the logits of the subclass's `_logits` hook, which maps a checked batch
+    [B, n_target, q] to (logits [B, m], backward(d_logits, grads), features
+    [B, ...] or None). `params` is the one float64 vector that every array
+    of param_arrays() is a view of."""
+
+    def _batch_logits(self, batch, training, rng):
+        batch = np.asarray(batch, dtype=float)
+        expected = (self.cfg.n_target, self.cfg.q)
+        if batch.ndim != 3 or batch.shape[1:] != expected:
+            raise ValueError(f"expected [batch, {expected[0]}, {expected[1]}] input, "
+                             f"got shape {batch.shape}")
+        return self._logits(batch, training, rng)
 
     def forward(self, sample, training: bool = False, rng=None):
-        """Returns (class probabilities [m], features or None)."""
-        logits, _, features = self._logits(sample, training, rng)
-        return softmax(logits[0]), features
+        """One sample [n_target, q]. Returns (class probabilities [m],
+        features or None)."""
+        logits, _, features = self._batch_logits(np.asarray(sample)[None], training, rng)
+        return softmax(logits[0]), None if features is None else features[0]
+
+    def predict(self, batch):
+        """Class indices [B] of a normalized batch [B, n_target, q], inference
+        mode; ties break to the lowest class index."""
+        logits, _, _ = self._batch_logits(batch, False, None)
+        return np.argmax(softmax(logits), axis=-1)
 
     def loss_and_grads(self, sample, target: int, class_weights, rng):
-        """Training-mode forward + full reverse pass. Returns (loss, gradient
-        arrays aligned with param_arrays(), the flat gradient vector they
-        view). Each call returns a new vector."""
-        logits, backward, _ = self._logits(sample, True, rng)
+        """Training-mode forward + full reverse pass for one sample. Returns
+        (loss, gradient arrays aligned with param_arrays(), the flat gradient
+        vector they view). Each call returns a new vector."""
+        logits, backward, _ = self._batch_logits(np.asarray(sample)[None], True, rng)
         loss = weighted_cross_entropy(logits[0], target, class_weights)
         d_logits = softmax_ce_grad(logits[0], target, class_weights[target])
         grad = np.empty_like(self.params)
@@ -112,22 +127,20 @@ class CharmModel(_Model):
     def param_arrays(self):
         return self.low.param_arrays() + self.high.param_arrays()
 
-    def _logits(self, sample, training, rng):
-        """Features are the low-level window features [z, low_out]."""
-        sample = np.asarray(sample, dtype=float)
-        if sample.shape != (self.cfg.n_target, self.cfg.q):
-            raise ValueError(
-                f"expected input shape {(self.cfg.n_target, self.cfg.q)}, got {sample.shape}")
-        flat = window(sample, self.cfg.r).reshape(self.cfg.z, -1)
-        low_feats, low_cache = self.low.forward(flat, training, rng)
-        logits, high_cache = self.high.forward(low_feats.reshape(1, -1), training, rng)
+    def _logits(self, batch, training, rng):
+        """Low encoder on [B*z, r*q], high encoder on [B, z*low_out];
+        features are the window features [B, z, low_out]."""
+        n, z = batch.shape[0], self.cfg.z
+        windows = window(batch.reshape(n * self.cfg.n_target, -1), self.cfg.r)
+        low_feats, low_cache = self.low.forward(windows.reshape(n * z, -1), training, rng)
+        logits, high_cache = self.high.forward(low_feats.reshape(n, -1), training, rng)
 
         def backward(d_logits, grads):
             n_low = 2 * len(self.low.layers)
             d_concat = self.high.backward(high_cache, d_logits, grads[n_low:])
-            self.low.backward(low_cache, d_concat.reshape(self.cfg.z, -1), grads[:n_low])
+            self.low.backward(low_cache, d_concat.reshape(n * z, -1), grads[:n_low])
 
-        return logits, backward, low_feats
+        return logits, backward, low_feats.reshape(n, z, -1)
 
     def embed_windows(self, windows):
         """Low-level encoder only, inference mode. windows: [k, r, q] -> [k, low_out]."""
@@ -157,12 +170,8 @@ class MlpModel(_Model):
     def param_arrays(self):
         return self.stack.param_arrays()
 
-    def _logits(self, sample, training, rng):
-        sample = np.asarray(sample, dtype=float)
-        if sample.size != self.cfg.input_dim:
-            raise ValueError(
-                f"expected {self.cfg.input_dim} input values, got {sample.size}")
-        logits, cache = self.stack.forward(sample.reshape(1, -1), training, rng)
+    def _logits(self, batch, training, rng):
+        logits, cache = self.stack.forward(batch.reshape(batch.shape[0], -1), training, rng)
         return logits, lambda d_logits, grads: self.stack.backward(cache, d_logits, grads), None
 
 

@@ -1,7 +1,8 @@
 """Minimal differentiable numeric core.
 
-Dense layers, leaky-ReLU, softmax / weighted cross-entropy, inverted
-dropout, reverse-mode gradients for feed-forward stacks, and Adam.
+Feed-forward stacks of (w, b) affine layers, leaky-ReLU, softmax /
+weighted cross-entropy, inverted dropout, reverse-mode gradients for the
+stacks, and Adam.
 Everything is float64 and driven by an explicit seeded generator so a
 fixed seed gives bit-identical parameter trajectories.
 """
@@ -79,46 +80,10 @@ def dropout_mask(shape, p: float, rng: np.random.Generator):
 
 
 @dataclass
-class Dense:
-    """Affine map y = W x + b with W of shape [out, in]."""
-
-    w: np.ndarray
-    b: np.ndarray
-
-    def __post_init__(self):
-        self.w = np.asarray(self.w, dtype=float)
-        self.b = np.asarray(self.b, dtype=float)
-        if self.w.ndim != 2 or min(self.w.shape) < 1:
-            raise ValueError(f"bad weight shape {self.w.shape}")
-        if self.b.shape != (self.w.shape[0],):
-            raise ValueError(f"bias shape {self.b.shape} != ({self.w.shape[0]},)")
-        if not (np.all(np.isfinite(self.w)) and np.all(np.isfinite(self.b))):
-            raise ValueError("non-finite layer parameters")
-
-    @property
-    def in_dim(self) -> int:
-        return self.w.shape[1]
-
-    def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        if x.shape[-1] != self.in_dim:
-            raise ValueError(f"input dim {x.shape[-1]} != layer in_dim {self.in_dim}")
-        return x @ self.w.T + self.b
-
-
-def init_dense(out_dim: int, in_dim: int, rng: np.random.Generator) -> Dense:
-    """Glorot-uniform weights in +-sqrt(6/(in+out)), zero biases."""
-    if out_dim < 1 or in_dim < 1:
-        raise ValueError(f"bad layer dims ({out_dim}, {in_dim})")
-    lim = np.sqrt(6.0 / (in_dim + out_dim))
-    w = rng.uniform(-lim, lim, size=(out_dim, in_dim))
-    return Dense(w, np.zeros(out_dim))
-
-
-@dataclass
 class Stack:
-    """Feed-forward stack: dense -> leaky -> dropout repeated, last layer
-    optionally activated and never followed by dropout."""
+    """Feed-forward stack: affine -> leaky -> dropout repeated, last layer
+    optionally activated and never followed by dropout. Each layer is a
+    (w [out, in], b [out]) pair computing x @ w.T + b."""
 
     layers: list
     slope: float = 0.01
@@ -127,15 +92,19 @@ class Stack:
 
     @classmethod
     def init(cls, dims, rng, slope=0.01, dropout_p=0.05, final_activation=False):
-        layers = [init_dense(dims[i + 1], dims[i], rng) for i in range(len(dims) - 1)]
+        """Glorot-uniform weights in +-sqrt(6/(in+out)), drawn layer by
+        layer, and zero biases."""
+        if min(dims) < 1:
+            raise ValueError(f"bad layer dims {dims}")
+        layers = []
+        for in_dim, out_dim in zip(dims[:-1], dims[1:]):
+            lim = np.sqrt(6.0 / (in_dim + out_dim))
+            layers.append((rng.uniform(-lim, lim, size=(out_dim, in_dim)), np.zeros(out_dim)))
         return cls(layers, slope=slope, dropout_p=dropout_p,
                    final_activation=final_activation)
 
     def param_arrays(self):
-        out = []
-        for layer in self.layers:
-            out.extend([layer.w, layer.b])
-        return out
+        return [p for layer in self.layers for p in layer]
 
     def forward(self, x, training: bool = False, rng: np.random.Generator | None = None):
         """x: [batch, in_dim]. Returns (output, cache) where cache feeds backward()."""
@@ -143,9 +112,9 @@ class Stack:
         if x.ndim != 2:
             raise ValueError(f"expected [batch, dim] input, got shape {x.shape}")
         cache = []
-        for i, layer in enumerate(self.layers):
+        for i, (w, b) in enumerate(self.layers):
             last = i == len(self.layers) - 1
-            pre = layer(x)
+            pre = x @ w.T + b
             activated = (not last) or self.final_activation
             a = leaky_relu(pre, self.slope) if activated else pre
             mask = None
@@ -177,7 +146,7 @@ class Stack:
             else:
                 np.matmul(d.T, x_in, out=grads[2 * i])
             d.sum(axis=0, out=grads[2 * i + 1])
-            d = d @ self.layers[i].w
+            d = d @ self.layers[i][0]
         return d
 
 
@@ -193,13 +162,12 @@ def view_arrays(flat, shapes):
 
 def flatten_params(stacks) -> np.ndarray:
     """Copies the parameters of `stacks` into one float64 vector, in
-    param_arrays() order, and makes every layer's w and b views of it."""
+    param_arrays() order, and rebinds every layer's (w, b) to views of it."""
     arrays = [p for stack in stacks for p in stack.param_arrays()]
     flat = np.concatenate([p.ravel() for p in arrays])
-    views = view_arrays(flat, [p.shape for p in arrays])
-    layers = [layer for stack in stacks for layer in stack.layers]
-    for layer, w, b in zip(layers, views[::2], views[1::2]):
-        layer.w, layer.b = w, b
+    views = iter(view_arrays(flat, [p.shape for p in arrays]))
+    for stack in stacks:
+        stack.layers = [(next(views), next(views)) for _ in stack.layers]
     return flat
 
 

@@ -13,6 +13,8 @@ from .model import MODELS
 from .neurocore import Adam, make_rng
 from .preprocess import ChannelStats, fit_normalizer, normalize
 
+EVAL_CHUNK = 256  # samples per batched forward in evaluate; bounds its memory
+
 
 class TrainingError(Exception):
     pass
@@ -93,12 +95,6 @@ def train(train_segments, model_kind, train_cfg: TrainConfig, model_cfg,
     return TrainedModel(model, stats), history
 
 
-def predict(trained: TrainedModel, segment) -> int:
-    """Class index for one raw (un-normalized) segment."""
-    probs, _ = trained.model.forward(normalize(segment.data, trained.stats), training=False)
-    return int(np.argmax(probs))  # ties break to the lowest class index
-
-
 @dataclass
 class MetricsReport:
     confusion: np.ndarray          # [m, m], rows = truth, cols = prediction
@@ -143,12 +139,15 @@ def metrics_from_confusion(cm) -> MetricsReport:
 
 
 def evaluate(trained: TrainedModel, val_segments) -> MetricsReport:
+    """Normalizes the raw segments and predicts them EVAL_CHUNK at a time."""
     if not val_segments:
         raise TrainingError("empty validation set")
-    m = trained.model.cfg.m
+    preds = []
+    for start in range(0, len(val_segments), EVAL_CHUNK):
+        chunk = [seg.data for seg in val_segments[start:start + EVAL_CHUNK]]
+        preds.extend(trained.model.predict(normalize(np.stack(chunk), trained.stats)))
     truth = [seg.high_label for seg in val_segments]
-    preds = [predict(trained, seg) for seg in val_segments]
-    return metrics_from_confusion(confusion_matrix(truth, preds, m))
+    return metrics_from_confusion(confusion_matrix(truth, preds, trained.model.cfg.m))
 
 
 def format_report(report: MetricsReport, class_names) -> str:

@@ -1,4 +1,5 @@
 import csv
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -82,7 +83,57 @@ class TestPcaTransform:
             pca_transform(model, np.zeros((4, 5)))
 
 
+def reference_silhouette(points, labels):
+    """The [N, N] distance-matrix silhouette the row-block one replaced."""
+    X = np.asarray(points, dtype=float)
+    labels = np.asarray(labels)
+    uniq = np.unique(labels)
+    diff = X[:, None, :] - X[None, :, :]
+    dist = np.sqrt((diff ** 2).sum(axis=-1))
+    scores = np.zeros(X.shape[0])
+    members = {lab: np.nonzero(labels == lab)[0] for lab in uniq}
+    for i in range(X.shape[0]):
+        own = members[labels[i]]
+        if own.size <= 1:
+            continue
+        a = dist[i, own].sum() / (own.size - 1)
+        b = min(dist[i, members[lab]].mean() for lab in uniq if lab != labels[i])
+        denom = max(a, b)
+        scores[i] = (b - a) / denom if denom > 0 else 0.0
+    return float(scores.mean())
+
+
 class TestSilhouette:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_matches_distance_matrix_reference(self, seed):
+        # sizes across the 64-row block edge, 2-8 labels, a forced singleton
+        # cluster and duplicated points
+        rng = make_rng(100 + seed)
+        n = int(rng.integers(3, 200))
+        k = 2 + seed % 7
+        X = rng.normal(size=(n, int(rng.integers(1, 5))))
+        labels = rng.integers(0, k, size=n).astype(str)
+        labels[0] = "single"
+        X[1::7] = X[2]
+        X[-1] = X[0]
+        ref = reference_silhouette(X, labels)
+        assert abs(silhouette_score(X, labels) - ref) < 1e-12
+
+    def test_large_n_memory_bounded(self):
+        # the [N, N] form needs several GiB here
+        rng = make_rng(11)
+        n = 20_000
+        X = rng.normal(size=(n, 2))
+        labels = rng.integers(0, 4, size=n)
+        tracemalloc.start()
+        try:
+            score = silhouette_score(X, labels)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2 ** 20
+        assert -1.0 <= score <= 1.0
+
     def test_well_separated_clusters(self):
         rng = make_rng(9)
         a = rng.normal(scale=0.05, size=(30, 2))

@@ -3,7 +3,7 @@ import pytest
 
 from charm.model import (MAGIC, CharmConfig, CharmModel, CheckpointError,
                          MlpConfig, MlpModel, load_checkpoint, save_checkpoint)
-from charm.neurocore import (Adam, Dense, Stack, leaky_relu_grad, make_rng,
+from charm.neurocore import (Adam, Stack, leaky_relu_grad, make_rng,
                              softmax_ce_grad)
 from charm.preprocess import ChannelStats, window
 
@@ -135,7 +135,7 @@ def reference_backward(stack, cache, d):
             d = d * leaky_relu_grad(pre, stack.slope)
         grads[2 * i] = d.T @ x_in
         grads[2 * i + 1] = d.sum(axis=0)
-        d = d @ stack.layers[i].w
+        d = d @ stack.layers[i][0]
     return grads, d
 
 
@@ -158,7 +158,7 @@ def reference_grads(stacks, x, target, weights, rng):
 
 def separate_copy(stack):
     """The stack with its own parameter arrays, as before flat vectors."""
-    return Stack([Dense(layer.w.copy(), layer.b.copy()) for layer in stack.layers],
+    return Stack([(w.copy(), b.copy()) for w, b in stack.layers],
                  slope=stack.slope, dropout_p=stack.dropout_p,
                  final_activation=stack.final_activation)
 

@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from charm.neurocore import (Adam, Dense, Stack, dropout_mask, init_dense,
-                             leaky_relu, make_rng, softmax,
-                             weighted_cross_entropy)
+from charm.neurocore import (Adam, Stack, dropout_mask, leaky_relu, make_rng,
+                             softmax, weighted_cross_entropy)
 
 
 class TestLeakyRelu:
@@ -90,38 +89,55 @@ class TestDropout:
 
 
 class TestDense:
+    """A Stack layer is a dense (w, b) pair computing x @ w.T + b."""
+
     def test_identity(self):
-        layer = Dense(np.eye(3), np.zeros(3))
-        np.testing.assert_array_equal(layer([1.0, 2.0, 3.0]), [1.0, 2.0, 3.0])
+        stack = Stack([(np.eye(3), np.zeros(3))], dropout_p=0.0)
+        out, _ = stack.forward([[1.0, 2.0, 3.0]])
+        np.testing.assert_array_equal(out, [[1.0, 2.0, 3.0]])
 
     def test_affine(self):
-        layer = Dense(np.array([[1.0, 1.0]]), np.array([0.5]))
-        assert layer([2.0, 3.0]) == pytest.approx([5.5])
+        stack = Stack([(np.array([[1.0, 1.0]]), np.array([0.5]))], dropout_p=0.0)
+        out, _ = stack.forward([[2.0, 3.0], [0.0, 1.0]])
+        np.testing.assert_allclose(out, [[5.5], [1.5]])
 
     def test_zero_dims_rejected(self):
         with pytest.raises(ValueError):
-            Dense(np.empty((0, 3)), np.empty(0))
-        with pytest.raises(ValueError):
-            init_dense(0, 3, make_rng(0))
+            Stack.init([3, 0], make_rng(0))
 
     def test_shape_mismatch(self):
-        layer = Dense(np.ones((2, 3)), np.zeros(2))
+        stack = Stack([(np.ones((2, 3)), np.zeros(2))])
         with pytest.raises(ValueError):
-            layer([1.0, 2.0])
+            stack.forward([[1.0, 2.0]])
 
 
 class TestInit:
+    """Stack.init: Glorot-uniform weights, zero biases."""
+
     def test_biases_zero(self):
-        assert np.all(init_dense(5, 7, make_rng(3)).b == 0.0)
+        stack = Stack.init([7, 5, 4], make_rng(3))
+        assert all(np.all(b == 0.0) for _, b in stack.layers)
 
     def test_seed_determinism(self):
-        a = init_dense(4, 6, make_rng(11))
-        b = init_dense(4, 6, make_rng(11))
-        np.testing.assert_array_equal(a.w, b.w)
+        a = Stack.init([6, 4, 3], make_rng(11))
+        b = Stack.init([6, 4, 3], make_rng(11))
+        for p, q in zip(a.param_arrays(), b.param_arrays()):
+            np.testing.assert_array_equal(p, q)
 
     def test_glorot_bound(self):
-        layer = init_dense(3, 3, make_rng(5))  # bound sqrt(6/6) = 1
-        assert np.all(np.abs(layer.w) <= 1.0)
+        stack = Stack.init([3, 3, 5], make_rng(5))  # bounds sqrt(6/6) = 1, sqrt(6/8)
+        (w1, _), (w2, _) = stack.layers
+        assert np.all(np.abs(w1) <= 1.0)
+        assert np.all(np.abs(w2) <= np.sqrt(6.0 / 8.0))
+
+    def test_same_draws_as_uniform_in_layer_order(self):
+        dims = [6, 4, 3, 2]
+        stack = Stack.init(dims, make_rng(21))
+        ref = make_rng(21)
+        for (w, b), n_in, n_out in zip(stack.layers, dims[:-1], dims[1:]):
+            lim = np.sqrt(6.0 / (n_in + n_out))
+            np.testing.assert_array_equal(w, ref.uniform(-lim, lim, size=(n_out, n_in)))
+            assert b.shape == (n_out,)
 
 
 def fd_grads(loss_fn, params, h=1e-5):
@@ -172,7 +188,7 @@ class TestStackBackward:
 
     def test_output_bias_grad_closed_form(self):
         # zero-weight net: logits are 0, so d_logits = softmax(0) - one_hot
-        stack = Stack([Dense(np.zeros((3, 4)), np.zeros(3))], dropout_p=0.0)
+        stack = Stack([(np.zeros((3, 4)), np.zeros(3))], dropout_p=0.0)
         out, cache = stack.forward(np.zeros((1, 4)))
         d = softmax(out[0]) - np.eye(3)[1]
         grads = new_grads(stack)

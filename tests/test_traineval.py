@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 from charm.dataset import LabeledSegment, SensorStream, loso_split
-from charm.model import CharmConfig
+from charm.model import CharmConfig, CharmModel, MlpConfig, MlpModel
 from charm.neurocore import make_rng
-from charm.traineval import (MetricsReport, TrainConfig, TrainingError,
-                             compute_class_weights, confusion_matrix, evaluate,
-                             format_report, metrics_from_confusion, predict,
+from charm.preprocess import fit_normalizer, normalize
+from charm.traineval import (EVAL_CHUNK, MetricsReport, TrainConfig, TrainedModel,
+                             TrainingError, compute_class_weights, confusion_matrix,
+                             evaluate, format_report, metrics_from_confusion,
                              report_key_values, train)
 
 CFG = CharmConfig(r=8, q=2, z=4, low_hidden=8, low_out=8, high_hidden=8, m=2)
@@ -91,19 +92,53 @@ class TestTrain:
         assert len(hist.train_loss) == 2
 
 
+def untrained(kind, seed=0):
+    """A randomly initialised 3-class model on CFG's input shape."""
+    if kind == "charm":
+        return CharmModel.init(CharmConfig(r=8, q=2, z=4, low_hidden=8, low_out=8,
+                                           high_hidden=8, m=3), make_rng(seed))
+    return MlpModel.init(MlpConfig(n_target=32, q=2, m=3, hidden=8), make_rng(seed))
+
+
 class TestPredict:
     def test_argmax(self):
         segs = toy_dataset()
         trained, _ = train(segs, "charm", TrainConfig(epochs=5, seed=0), CFG)
-        correct = sum(predict(trained, s) == s.high_label for s in segs)
+        x = np.stack([normalize(s.data, trained.stats) for s in segs])
+        correct = np.sum(trained.model.predict(x) == [s.high_label for s in segs])
         assert correct / len(segs) > 0.9
+        assert evaluate(trained, segs).accuracy > 0.9
+
+    @pytest.mark.parametrize("kind", ["charm", "mlp"])
+    def test_evaluate_matches_per_sample_forward(self, kind):
+        # a split over one chunk, each sample labelled with the argmax of its
+        # own one-sample forward: evaluate must score every one of them right
+        model = untrained(kind, seed=1)
+        data = make_rng(2).normal(scale=3.0, size=(EVAL_CHUNK + 45, 32, 2))
+        stats = fit_normalizer(list(data))
+        labels = [int(np.argmax(model.forward(normalize(x, stats))[0])) for x in data]
+        assert len(set(labels)) > 1
+        segs = [LabeledSegment(SensorStream(x), lab, "a") for x, lab in zip(data, labels)]
+        report = evaluate(TrainedModel(model, stats), segs)
+        assert report.accuracy == 1.0
+        assert report.confusion.sum() == len(segs)
+        np.testing.assert_array_equal(model.predict(normalize(data, stats)), labels)
 
     def test_tie_breaks_to_lowest_index(self):
-        segs = toy_dataset()
-        trained, _ = train(segs, "charm", TrainConfig(epochs=1, seed=0), CFG)
-        for p in trained.model.param_arrays():
-            p[...] = 0.0  # uniform probabilities everywhere
-        assert predict(trained, segs[0]) == 0
+        x = make_rng(3).normal(size=(5, 32, 2))
+        segs = [LabeledSegment(SensorStream(d), 0, "a") for d in x]
+        for kind in ("charm", "mlp"):
+            model = untrained(kind)
+            model.params[...] = 0.0  # uniform probabilities everywhere
+            np.testing.assert_array_equal(model.predict(x), [0] * 5)
+            trained = TrainedModel(model, fit_normalizer(list(x)))
+            assert evaluate(trained, segs).accuracy == 1.0
+
+    @pytest.mark.parametrize("kind", ["charm", "mlp"])
+    @pytest.mark.parametrize("shape", [(32, 2), (2, 31, 2), (2, 32, 3), (2, 32, 2, 1)])
+    def test_wrong_batch_shape(self, kind, shape):
+        with pytest.raises(ValueError):
+            untrained(kind).predict(np.zeros(shape))
 
     def test_evaluation_does_not_mutate_params(self):
         segs = toy_dataset()
