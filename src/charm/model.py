@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass
+from functools import cached_property
 from typing import Annotated
 
 import numpy as np
@@ -89,17 +90,29 @@ class _Model:
         logits, _, _ = self._batch_logits(batch, False, None)
         return np.argmax(softmax(logits), axis=-1)
 
-    def loss_and_grads(self, sample, target: int, class_weights, rng):
-        """Training-mode forward + full reverse pass for one sample. Returns
-        (loss, gradient arrays aligned with param_arrays(), the flat gradient
-        vector they view). Each call returns a new vector."""
-        logits, backward, _ = self._batch_logits(np.asarray(sample)[None], True, rng)
-        loss = weighted_cross_entropy(logits[0], target, class_weights)
-        d_logits = softmax_ce_grad(logits[0], target, class_weights[target])
+    def loss_and_grads(self, batch, targets, class_weights, rng):
+        """Training-mode forward + full reverse pass of the mean weighted
+        cross-entropy over a batch [B, n_target, q] with integer targets
+        [B]; one sample [n_target, q] with an int target is the batch of
+        one. Returns (loss, gradient arrays aligned with param_arrays(),
+        the flat gradient vector they view). Each call returns a new
+        vector."""
+        batch = np.asarray(batch)
+        if batch.ndim == 2:
+            batch, targets = batch[None], [targets]
+        targets = np.asarray(targets)
+        logits, backward, _ = self._batch_logits(batch, True, rng)
+        n = logits.shape[0]
+        losses = weighted_cross_entropy(logits, targets, class_weights)
+        d_logits = softmax_ce_grad(logits, targets, np.asarray(class_weights)[targets] / n)
         grad = np.empty_like(self.params)
-        grads = view_arrays(grad, [p.shape for p in self.param_arrays()])
-        backward(d_logits[None, :], grads)
-        return loss, grads, grad
+        grads = view_arrays(grad, self._shapes)
+        backward(d_logits, grads)
+        return float(losses.sum()) / n, grads, grad
+
+    @cached_property
+    def _shapes(self):
+        return [p.shape for p in self.param_arrays()]
 
 
 class CharmModel(_Model):
@@ -138,7 +151,8 @@ class CharmModel(_Model):
         def backward(d_logits, grads):
             n_low = 2 * len(self.low.layers)
             d_concat = self.high.backward(high_cache, d_logits, grads[n_low:])
-            self.low.backward(low_cache, d_concat.reshape(n * z, -1), grads[:n_low])
+            self.low.backward(low_cache, d_concat.reshape(n * z, -1), grads[:n_low],
+                              input_grad=False)
 
         return logits, backward, low_feats.reshape(n, z, -1)
 
@@ -172,7 +186,8 @@ class MlpModel(_Model):
 
     def _logits(self, batch, training, rng):
         logits, cache = self.stack.forward(batch.reshape(batch.shape[0], -1), training, rng)
-        return logits, lambda d_logits, grads: self.stack.backward(cache, d_logits, grads), None
+        return (logits, lambda d, grads: self.stack.backward(cache, d, grads, input_grad=False),
+                None)
 
 
 MODELS = {"charm": (CharmConfig, CharmModel), "mlp": (MlpConfig, MlpModel)}

@@ -36,38 +36,48 @@ def softmax(logits):
     logits = np.asarray(logits, dtype=float)
     if logits.size == 0:
         raise ValueError("softmax: empty input")
-    if not np.all(np.isfinite(logits)):
+    if not np.isfinite(logits).all():
         raise ValueError("softmax: non-finite logits")
-    shifted = logits - np.max(logits, axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / np.sum(e, axis=-1, keepdims=True)
+    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def log_softmax(logits):
     logits = np.asarray(logits, dtype=float)
-    if not np.all(np.isfinite(logits)):
+    if not np.isfinite(logits).all():
         raise ValueError("log_softmax: non-finite logits")
-    shifted = logits - np.max(logits, axis=-1, keepdims=True)
-    return shifted - np.log(np.sum(np.exp(shifted), axis=-1, keepdims=True))
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
-def weighted_cross_entropy(logits, target: int, class_weights) -> float:
-    """-w[target] * log p[target], computed in log-space."""
+def weighted_cross_entropy(logits, target, class_weights):
+    """-w[target] * log p[target], computed in log-space: a float for one
+    logit vector [m] and an int target, the [B] losses for rows [B, m] and
+    integer targets [B]."""
     logits = np.asarray(logits, dtype=float)
     class_weights = np.asarray(class_weights, dtype=float)
+    target = np.asarray(target)
     m = logits.shape[-1]
-    if not (0 <= target < m):
+    if logits.ndim > 2 or target.shape != logits.shape[:-1] or target.dtype.kind not in "iu":
+        raise ValueError(f"need one integer target per row of logits, got {target!r}")
+    if not 0 <= target.min() <= target.max() < m:
         raise ValueError(f"target {target} out of range for {m} classes")
-    if class_weights.shape != (m,) or np.any(class_weights <= 0):
+    if class_weights.shape != (m,) or (class_weights <= 0).any():
         raise ValueError("class_weights must be positive, one per class")
-    return float(-class_weights[target] * log_softmax(logits)[target])
+    t = target.reshape(-1)
+    losses = -class_weights[t] * log_softmax(logits.reshape(-1, m))[np.arange(t.size), t]
+    return float(losses[0]) if target.ndim == 0 else losses
 
 
-def softmax_ce_grad(logits, target: int, weight: float):
-    """Gradient of weighted_cross_entropy w.r.t. the logits."""
-    g = softmax(logits).copy()
-    g[target] -= 1.0
-    return weight * g
+def softmax_ce_grad(logits, target, weight):
+    """Gradient of weighted_cross_entropy w.r.t. the logits, times `weight`:
+    of one vector with an int target and a float weight, or of rows [B, m]
+    with targets [B] and weights [B]."""
+    logits = np.asarray(logits, dtype=float)
+    g = softmax(logits.reshape(-1, logits.shape[-1]))
+    np.subtract.at(g, (np.arange(len(g)), np.asarray(target).reshape(-1)), 1.0)
+    g *= np.asarray(weight).reshape(-1, 1)
+    return g.reshape(logits.shape)
 
 
 def dropout_mask(shape, p: float, rng: np.random.Generator):
@@ -125,10 +135,11 @@ class Stack:
             x = a
         return x, cache
 
-    def backward(self, cache, d_out, grads):
+    def backward(self, cache, d_out, grads, input_grad=True):
         """Reverse pass of a scalar loss given d_loss/d_output. Writes the
         parameter gradients into `grads`, arrays aligned with param_arrays(),
-        and returns d_loss/d_input.
+        and returns d_loss/d_input; with input_grad=False, for a stack that
+        reads the data, it skips that product and returns None.
 
         A one-row input's weight gradient is the outer product d.T * x_in;
         gemm with inner dimension 1 makes the same products, but adds them
@@ -146,8 +157,9 @@ class Stack:
             else:
                 np.matmul(d.T, x_in, out=grads[2 * i])
             d.sum(axis=0, out=grads[2 * i + 1])
-            d = d @ self.layers[i][0]
-        return d
+            if i or input_grad:
+                d = d @ self.layers[i][0]
+        return d if input_grad else None
 
 
 def view_arrays(flat, shapes):

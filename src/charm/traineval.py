@@ -1,5 +1,6 @@
-"""Training loop (batch size 1, Adam, weighted cross-entropy) and the
-evaluation harness producing per-class precision/recall/F1 reports."""
+"""Training loop (mini-batches of TRAIN_BATCH samples, Adam, mean weighted
+cross-entropy) and the evaluation harness producing per-class
+precision/recall/F1 reports."""
 
 from __future__ import annotations
 
@@ -14,6 +15,7 @@ from .neurocore import Adam, make_rng
 from .preprocess import ChannelStats, fit_normalizer, normalize
 
 EVAL_CHUNK = 256  # samples per batched forward in evaluate; bounds its memory
+TRAIN_BATCH = 8   # samples per Adam step in train
 
 
 class TrainingError(Exception):
@@ -23,7 +25,7 @@ class TrainingError(Exception):
 @dataclass(frozen=True)
 class TrainConfig:
     epochs: Annotated[int, "[1, inf)"] = 10
-    lr: Annotated[float, "(0, inf)"] = 5e-4
+    lr: Annotated[float, "(0, inf)"] = 2e-3
     seed: Annotated[int, "[0, inf)"] = 0
 
     def __post_init__(self):
@@ -58,9 +60,10 @@ def compute_class_weights(label_counts) -> np.ndarray:
 
 def train(train_segments, model_kind, train_cfg: TrainConfig, model_cfg,
           val_segments=None):
-    """Fit the normalizer on the train split, then run one Adam step per
-    sample; with val_segments, evaluate on them after every epoch. Returns
-    (TrainedModel, TrainHistory)."""
+    """Fit the normalizer on the train split, then take one Adam step per
+    shuffled batch of TRAIN_BATCH samples (the last batch of an epoch holds
+    the rest); with val_segments, score them after every epoch as evaluate
+    does. Returns (TrainedModel, TrainHistory)."""
     if not train_segments:
         raise TrainingError("empty training set")
     labels = np.array([seg.high_label for seg in train_segments])
@@ -70,7 +73,12 @@ def train(train_segments, model_kind, train_cfg: TrainConfig, model_cfg,
     class_weights = compute_class_weights(counts)
 
     stats = fit_normalizer([seg.data for seg in train_segments])
-    inputs = [normalize(seg.data, stats) for seg in train_segments]
+    # normalized in place, as normalize() computes it, with no second copy
+    inputs = np.stack([seg.data for seg in train_segments])
+    inputs -= stats.means
+    inputs /= stats.stds
+    if val_segments:
+        val_inputs = normalize(np.stack([seg.data for seg in val_segments]), stats)
 
     rng = make_rng(train_cfg.seed)
     if model_kind not in MODELS:
@@ -80,17 +88,20 @@ def train(train_segments, model_kind, train_cfg: TrainConfig, model_cfg,
     opt = Adam(params, lr=train_cfg.lr)
     history = TrainHistory()
 
+    n = len(inputs)
     for _ in range(train_cfg.epochs):
-        losses = []
-        for idx in rng.permutation(len(inputs)):
-            loss, _, grad = model.loss_and_grads(
-                inputs[idx], int(labels[idx]), class_weights, rng)
+        order = rng.permutation(n)
+        losses = []  # each batch's summed loss
+        for start in range(0, n, TRAIN_BATCH):
+            idx = order[start:start + TRAIN_BATCH]
+            loss, _, grad = model.loss_and_grads(inputs[idx], labels[idx], class_weights, rng)
             opt.step(params, [grad])
-            losses.append(loss)
-        history.train_loss.append(float(np.mean(losses)))
+            losses.append(loss * len(idx))
+        history.train_loss.append(float(np.sum(losses) / n))
         if val_segments:
-            history.val_macro_f1.append(
-                evaluate(TrainedModel(model, stats), val_segments).macro_f1)
+            chunks = (val_inputs[i:i + EVAL_CHUNK]
+                      for i in range(0, len(val_inputs), EVAL_CHUNK))
+            history.val_macro_f1.append(_score(model, chunks, val_segments).macro_f1)
 
     return TrainedModel(model, stats), history
 
@@ -138,16 +149,22 @@ def metrics_from_confusion(cm) -> MetricsReport:
     )
 
 
+def _score(model, chunks, segments) -> MetricsReport:
+    """Report of the model's predictions on `chunks`, consecutive normalized
+    batches of `segments`, against their labels."""
+    preds = np.concatenate([model.predict(chunk) for chunk in chunks])
+    truth = [seg.high_label for seg in segments]
+    return metrics_from_confusion(confusion_matrix(truth, preds, model.cfg.m))
+
+
 def evaluate(trained: TrainedModel, val_segments) -> MetricsReport:
     """Normalizes the raw segments and predicts them EVAL_CHUNK at a time."""
     if not val_segments:
         raise TrainingError("empty validation set")
-    preds = []
-    for start in range(0, len(val_segments), EVAL_CHUNK):
-        chunk = [seg.data for seg in val_segments[start:start + EVAL_CHUNK]]
-        preds.extend(trained.model.predict(normalize(np.stack(chunk), trained.stats)))
-    truth = [seg.high_label for seg in val_segments]
-    return metrics_from_confusion(confusion_matrix(truth, preds, trained.model.cfg.m))
+    chunks = (normalize(np.stack([seg.data for seg in val_segments[i:i + EVAL_CHUNK]]),
+                        trained.stats)
+              for i in range(0, len(val_segments), EVAL_CHUNK))
+    return _score(trained.model, chunks, val_segments)
 
 
 def format_report(report: MetricsReport, class_names) -> str:

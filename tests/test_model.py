@@ -69,18 +69,18 @@ class TestCharmForward:
         assert sum(p.size for p in model.param_arrays()) == low + high
 
 
-def check_finite_differences(model, x):
+def check_finite_differences(model, x, target=1):
     weights = np.array([1.0, 0.8, 1.2])
-    _, analytic, _ = model.loss_and_grads(x, 1, weights, make_rng(0))
+    _, analytic, _ = model.loss_and_grads(x, target, weights, make_rng(0))
     h = 1e-5
     for p, g in zip(model.param_arrays(), analytic):
         flat = p.ravel()
         idx = np.argmax(np.abs(g))  # spot-check the largest-gradient entry
         orig = flat[idx]
         flat[idx] = orig + h
-        hi = model.loss_and_grads(x, 1, weights, make_rng(0))[0]
+        hi = model.loss_and_grads(x, target, weights, make_rng(0))[0]
         flat[idx] = orig - h
-        lo = model.loss_and_grads(x, 1, weights, make_rng(0))[0]
+        lo = model.loss_and_grads(x, target, weights, make_rng(0))[0]
         flat[idx] = orig
         fd = (hi - lo) / (2 * h)
         ga = g.ravel()[idx]
@@ -99,6 +99,45 @@ class TestCharmGradients:
         cfg = MlpConfig(n_target=64, q=3, m=3, hidden=8, dropout_p=0.0)
         check_finite_differences(MlpModel.init(cfg, make_rng(7)),
                                  make_rng(8).normal(size=(64, 3)))
+
+
+NO_DROPOUT = {"charm": (CharmModel, CharmConfig(r=16, q=3, z=4, low_hidden=8, low_out=8,
+                                                high_hidden=8, m=3, dropout_p=0.0)),
+              "mlp": (MlpModel, MlpConfig(n_target=64, q=3, m=3, hidden=8, dropout_p=0.0))}
+
+
+class TestBatchedLoss:
+    """loss_and_grads on a batch [B, n_target, q] is the mean weighted
+    cross-entropy of its samples."""
+
+    @pytest.mark.parametrize("kind", ["charm", "mlp"])
+    def test_batch_gradient_is_mean_of_sample_gradients(self, kind):
+        model_cls, cfg = NO_DROPOUT[kind]
+        model = model_cls.init(cfg, make_rng(20))
+        weights = np.array([1.4, 0.5, 1.1])
+        batch = make_rng(21).normal(size=(5, 64, 3))
+        targets = np.array([0, 2, 1, 2, 0])
+        loss, grads, grad = model.loss_and_grads(batch, targets, weights, make_rng(0))
+        singles = [model.loss_and_grads(x, int(t), weights, make_rng(0))
+                   for x, t in zip(batch, targets)]
+        assert abs(loss - np.mean([s[0] for s in singles])) < 1e-12
+        np.testing.assert_allclose(grad, np.mean([s[2] for s in singles], axis=0),
+                                   rtol=0, atol=1e-12)
+        assert all(np.shares_memory(g, grad) for g in grads)
+
+    @pytest.mark.parametrize("kind", ["charm", "mlp"])
+    def test_finite_difference_batch_of_three(self, kind):
+        model_cls, cfg = NO_DROPOUT[kind]
+        check_finite_differences(model_cls.init(cfg, make_rng(22)),
+                                 make_rng(23).normal(size=(3, 64, 3)),
+                                 target=np.array([2, 0, 1]))
+
+    @pytest.mark.parametrize("targets", [1, [1, 2], [0, 1, 3], [0.0, 1.0, 2.0]],
+                             ids=["int", "too-few", "out-of-range", "float"])
+    def test_bad_targets(self, targets):
+        model = small_model()
+        with pytest.raises(ValueError):
+            model.loss_and_grads(np.zeros((3, 64, 3)), targets, np.ones(3), make_rng(0))
 
 
 class ReferenceAdam:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from charm.neurocore import (Adam, Stack, dropout_mask, leaky_relu, make_rng,
-                             softmax, weighted_cross_entropy)
+                             softmax, softmax_ce_grad, weighted_cross_entropy)
 
 
 class TestLeakyRelu:
@@ -60,6 +60,22 @@ class TestWeightedCrossEntropy:
     def test_invalid_target(self):
         with pytest.raises(ValueError):
             weighted_cross_entropy([0.0, 0.0], 2, [1.0, 1.0])
+
+    def test_rows_match_vectors(self):
+        logits = make_rng(4).normal(size=(4, 3))
+        targets = np.array([2, 0, 0, 1])
+        weights = np.array([0.7, 1.6, 1.2])
+        rows = weighted_cross_entropy(logits, targets, weights)
+        grads = softmax_ce_grad(logits, targets, weights[targets])
+        for i, t in enumerate(targets):
+            assert rows[i] == weighted_cross_entropy(logits[i], int(t), weights)
+            np.testing.assert_array_equal(grads[i],
+                                          softmax_ce_grad(logits[i], int(t), weights[t]))
+
+    @pytest.mark.parametrize("target", [[0], [0, 1, 1], [[0, 1]], [0.0, 1.0], [0, -1]])
+    def test_invalid_row_targets(self, target):
+        with pytest.raises(ValueError):
+            weighted_cross_entropy(np.zeros((2, 2)), np.array(target), [1.0, 1.0])
 
 
 class TestDropout:

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
+from charm import traineval
 from charm.dataset import LabeledSegment, SensorStream, loso_split
 from charm.model import CharmConfig, CharmModel, MlpConfig, MlpModel
-from charm.neurocore import make_rng
+from charm.neurocore import Adam, make_rng
 from charm.preprocess import fit_normalizer, normalize
-from charm.traineval import (EVAL_CHUNK, MetricsReport, TrainConfig, TrainedModel,
+from charm.traineval import (EVAL_CHUNK, TRAIN_BATCH, MetricsReport, TrainConfig, TrainedModel,
                              TrainingError, compute_class_weights, confusion_matrix,
                              evaluate, format_report, metrics_from_confusion,
                              report_key_values, train)
@@ -82,6 +83,69 @@ class TestTrain:
         np.testing.assert_array_equal(t1.stats.stds, t2.stats.stds)
         for a, b in zip(t1.model.param_arrays(), t2.model.param_arrays()):
             np.testing.assert_array_equal(a, b)
+
+    def test_val_f1_matches_evaluate(self):
+        # random labels keep the score away from 1.0; more validation
+        # samples than EVAL_CHUNK cover the chunked prediction
+        rng = make_rng(12)
+        tr = toy_dataset()
+        va = [LabeledSegment(SensorStream(rng.normal(scale=2.0, size=(32, 2))),
+                             int(rng.integers(2)), "c") for _ in range(EVAL_CHUNK + 30)]
+        trained, hist = train(tr, "charm", TrainConfig(epochs=2, seed=5), CFG, val_segments=va)
+        assert 0.0 < hist.val_macro_f1[-1] < 1.0
+        assert hist.val_macro_f1[-1] == evaluate(trained, va).macro_f1
+
+    def test_batches_of_eight_and_per_sample_loss(self, monkeypatch):
+        # 13 samples: a batch of 8 and a batch of 5 per epoch
+        segs = toy_dataset()[:13]
+        steps, calls = [], []
+        adam_step, loss_and_grads = Adam.step, CharmModel.loss_and_grads
+
+        def counting_step(opt, params, grads):
+            steps.append(opt)
+            return adam_step(opt, params, grads)
+
+        def recording(model, batch, targets, class_weights, rng):
+            out = loss_and_grads(model, batch, targets, class_weights, rng)
+            calls.append((out[0], len(batch)))
+            return out
+
+        monkeypatch.setattr(Adam, "step", counting_step)
+        monkeypatch.setattr(CharmModel, "loss_and_grads", recording)
+        _, hist = train(segs, "charm", TrainConfig(epochs=3, seed=6), CFG)
+        assert TRAIN_BATCH == 8
+        assert len(steps) == 3 * 2
+        assert [size for _, size in calls] == [8, 5] * 3
+        for epoch, mean in enumerate(hist.train_loss):
+            (a, na), (b, nb) = calls[2 * epoch:2 * epoch + 2]
+            assert mean == pytest.approx((a * na + b * nb) / 13, rel=1e-12)
+
+    @pytest.mark.parametrize("kind", ["charm", "mlp"])
+    def test_batch_of_one_is_the_per_sample_loop(self, kind, monkeypatch):
+        monkeypatch.setattr(traineval, "TRAIN_BATCH", 1)
+        model_cfg = CFG if kind == "charm" else MlpConfig(n_target=32, q=2, m=2)
+        segs = toy_dataset(n_per_class=5)
+        cfg = TrainConfig(epochs=2, lr=5e-4, seed=8)
+        trained, hist = train(segs, kind, cfg, model_cfg)
+
+        # the loop train ran before mini-batches, written out by hand
+        labels = [seg.high_label for seg in segs]
+        weights = compute_class_weights(np.bincount(labels))
+        stats = fit_normalizer([seg.data for seg in segs])
+        inputs = [normalize(seg.data, stats) for seg in segs]
+        rng = make_rng(cfg.seed)
+        model = (CharmModel if kind == "charm" else MlpModel).init(model_cfg, rng)
+        opt = Adam([model.params], lr=cfg.lr)
+        train_loss = []
+        for _ in range(cfg.epochs):
+            losses = []
+            for idx in rng.permutation(len(inputs)):
+                loss, _, grad = model.loss_and_grads(inputs[idx], labels[idx], weights, rng)
+                opt.step([model.params], [grad])
+                losses.append(loss)
+            train_loss.append(float(np.mean(losses)))
+        assert trained.model.params.tobytes() == model.params.tobytes()
+        assert hist.train_loss == train_loss
 
     def test_mlp_kind(self):
         from charm.model import MlpConfig
