@@ -189,13 +189,21 @@ def cmd_train(args):
     return 0
 
 
+def _check_data_fits(model, labels, schema):
+    """A DataError unless the data has the channel and class counts the
+    checkpoint was trained on."""
+    q, m = len(schema.channel_columns), len(labels)
+    if q != model.cfg.q:
+        raise ds.DataError(f"data has {q} channels, checkpoint expects {model.cfg.q}")
+    if m != model.cfg.m:
+        raise ds.DataError(f"data has {m} classes, checkpoint expects {model.cfg.m}")
+
+
 def cmd_evaluate(args):
     cfg = load_run_config(args.config)
     model, stats = load_checkpoint(args.checkpoint)
     segments, labels, schema = load_data_dir(args.data)
-    q = len(schema.channel_columns)
-    if q != model.cfg.q:
-        raise ds.DataError(f"data has {q} channels, checkpoint expects {model.cfg.q}")
+    _check_data_fits(model, labels, schema)
     n_target = model.cfg.n_target
     samples = fixed_length_dataset(segments, n_target, _stride_for(cfg, n_target))
     _, val_set = ds.loso_split(samples, args.held_out_user)
@@ -232,7 +240,8 @@ def cmd_embed(args):
     model, stats = load_checkpoint(args.checkpoint)
     if model.kind != "charm":
         raise CheckpointError("embedding extraction requires a charm checkpoint")
-    segments, _, schema = load_data_dir(args.data)
+    segments, classes, schema = load_data_dir(args.data)
+    _check_data_fits(model, classes, schema)
     track = args.track
     windows = []
     labels = []

@@ -54,14 +54,10 @@ def pca_fit(X, k: int) -> PcaModel:
 
 def pca_transform(model: PcaModel, X) -> np.ndarray:
     X = np.asarray(X, dtype=float)
-    squeeze = X.ndim == 1
-    if squeeze:
-        X = X[None, :]
     if X.shape[1] != model.mean.shape[0]:
         raise ValueError(
             f"column count {X.shape[1]} != fitted dimension {model.mean.shape[0]}")
-    out = (X - model.mean) @ model.components.T
-    return out[0] if squeeze else out
+    return (X - model.mean) @ model.components.T
 
 
 def silhouette_score(points, labels) -> float:
@@ -104,10 +100,10 @@ def silhouette_score(points, labels) -> float:
     return float(scores.mean())
 
 
-def label_pure_windows(data, track, r: int, null_token: str = "null",
-                       purity: float = PURITY_THRESHOLD):
+def label_pure_windows(data, track, r: int, null_token: str = "null"):
     """Non-overlapping r-sample windows whose dominant low-level label covers
-    at least `purity` of the window. Returns (windows [k, r, q], labels)."""
+    at least PURITY_THRESHOLD of the window. Returns (windows [k, r, q],
+    labels)."""
     data = np.asarray(data, dtype=float)
     track = list(track)
     if len(track) != data.shape[0]:
@@ -118,7 +114,7 @@ def label_pure_windows(data, track, r: int, null_token: str = "null",
         chunk = track[start:start + r]
         best, count = max(((lab, chunk.count(lab)) for lab in set(chunk)),
                           key=lambda kv: kv[1])
-        if best == null_token or count < purity * r:
+        if best == null_token or count < PURITY_THRESHOLD * r:
             continue
         windows.append(data[start:start + r])
         labels.append(best)

@@ -22,16 +22,6 @@ def make_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed))
 
 
-def leaky_relu(x, slope: float = 0.01):
-    x = np.asarray(x, dtype=float)
-    return np.where(x >= 0.0, x, slope * x)
-
-
-def leaky_relu_grad(pre, slope: float = 0.01):
-    """Derivative w.r.t. the pre-activation."""
-    return np.where(np.asarray(pre) >= 0.0, 1.0, slope)
-
-
 def softmax(logits):
     logits = np.asarray(logits, dtype=float)
     if logits.size == 0:
@@ -117,21 +107,25 @@ class Stack:
         return [p for layer in self.layers for p in layer]
 
     def forward(self, x, training: bool = False, rng: np.random.Generator | None = None):
-        """x: [batch, in_dim]. Returns (output, cache) where cache feeds backward()."""
+        """x: [batch, in_dim]. Returns (output, cache) where cache feeds
+        backward(): per layer (x_in, slopes, mask), slopes the leaky-ReLU
+        derivative at the pre-activation (None for an unactivated layer)."""
         x = np.asarray(x, dtype=float)
         if x.ndim != 2:
             raise ValueError(f"expected [batch, dim] input, got shape {x.shape}")
         cache = []
         for i, (w, b) in enumerate(self.layers):
             last = i == len(self.layers) - 1
-            pre = x @ w.T + b
-            activated = (not last) or self.final_activation
-            a = leaky_relu(pre, self.slope) if activated else pre
+            a = x @ w.T + b
+            slopes = None
+            if not last or self.final_activation:
+                slopes = np.where(a >= 0.0, 1.0, self.slope)
+                a *= slopes
             mask = None
             if training and not last and self.dropout_p > 0.0:
                 mask = dropout_mask(a.shape, self.dropout_p, rng)
-                a = a * mask
-            cache.append((x, pre, mask, activated))
+                a *= mask
+            cache.append((x, slopes, mask))
             x = a
         return x, cache
 
@@ -139,23 +133,15 @@ class Stack:
         """Reverse pass of a scalar loss given d_loss/d_output. Writes the
         parameter gradients into `grads`, arrays aligned with param_arrays(),
         and returns d_loss/d_input; with input_grad=False, for a stack that
-        reads the data, it skips that product and returns None.
-
-        A one-row input's weight gradient is the outer product d.T * x_in;
-        gemm with inner dimension 1 makes the same products, but adds them
-        to +0.0, so only the sign of a zero product can differ from it.
-        """
+        reads the data, it skips that product and returns None."""
         d = np.asarray(d_out, dtype=float)
         for i in range(len(self.layers) - 1, -1, -1):
-            x_in, pre, mask, activated = cache[i]
+            x_in, slopes, mask = cache[i]
             if mask is not None:
                 d = d * mask
-            if activated:
-                d = d * leaky_relu_grad(pre, self.slope)
-            if x_in.shape[0] == 1:
-                np.multiply(d.T, x_in, out=grads[2 * i])
-            else:
-                np.matmul(d.T, x_in, out=grads[2 * i])
+            if slopes is not None:
+                d = d * slopes
+            np.matmul(d.T, x_in, out=grads[2 * i])
             d.sum(axis=0, out=grads[2 * i + 1])
             if i or input_grad:
                 d = d @ self.layers[i][0]

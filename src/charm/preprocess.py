@@ -43,7 +43,9 @@ def normalize(x, stats: ChannelStats) -> np.ndarray:
     if x.shape[-1] != stats.means.shape[0]:
         raise ValueError(
             f"channel count {x.shape[-1]} != fitted {stats.means.shape[0]}")
-    return (x - stats.means) / stats.stds
+    out = x - stats.means
+    out /= stats.stds
+    return out
 
 
 def window(x, r: int) -> np.ndarray:

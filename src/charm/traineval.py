@@ -73,10 +73,7 @@ def train(train_segments, model_kind, train_cfg: TrainConfig, model_cfg,
     class_weights = compute_class_weights(counts)
 
     stats = fit_normalizer([seg.data for seg in train_segments])
-    # normalized in place, as normalize() computes it, with no second copy
-    inputs = np.stack([seg.data for seg in train_segments])
-    inputs -= stats.means
-    inputs /= stats.stds
+    inputs = normalize(np.stack([seg.data for seg in train_segments]), stats)
     if val_segments:
         val_inputs = normalize(np.stack([seg.data for seg in val_segments]), stats)
 

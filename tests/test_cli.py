@@ -391,6 +391,43 @@ class TestManifestValidation:
 
 _BAD_USERS = [{"id": "a", "amp_scale": 1.0, "noise_sigma": 0.1},
               {"id": "b", "amp_scale": 1.0, "noise_sigma": -0.1}]
+def _three_channels(manifest):
+    manifest["schema"]["channel_columns"] = [0, 1, 2]
+    manifest["q"] = 3
+
+
+def _first_two_classes(manifest):
+    manifest["classes"] = manifest["classes"][:2]
+    manifest["files"] = [f for f in manifest["files"] if f["class"] in manifest["classes"]]
+
+
+class TestCheckpointDataMismatch:
+    """The workspace checkpoint was trained on 6 channels and 4 classes."""
+
+    @pytest.mark.parametrize("cmd, edit, message", [
+        ("embed", _three_channels, "data has 3 channels, checkpoint expects 6"),
+        ("evaluate", _three_channels, "data has 3 channels, checkpoint expects 6"),
+        ("embed", _set("classes", ["routine", "brew", "meal", "tidy", "nap"]),
+         "data has 5 classes, checkpoint expects 4"),
+        ("evaluate", _set("classes", ["routine", "brew", "meal", "tidy", "nap"]),
+         "data has 5 classes, checkpoint expects 4"),
+        ("evaluate", _first_two_classes, "data has 2 classes, checkpoint expects 4"),
+    ], ids=["embed-3-channels", "evaluate-3-channels", "embed-5-classes",
+            "evaluate-5-classes", "evaluate-2-classes"])
+    def test_exit_3_one_line_no_output(self, tmp_path, workspace, checkpoint, capsys,
+                                       cmd, edit, message):
+        data = tmp_path / "data"
+        data.mkdir()
+        copy_data_with(workspace, data, edit_manifest=edit)
+        out = tmp_path / "out"
+        extra = ["--held-out-user", "u4"] if cmd == "evaluate" else []
+        assert main([cmd, "--checkpoint", checkpoint, "--data", str(data),
+                     "--out", str(out)] + extra) == 3
+        err = capsys.readouterr().err
+        assert err == f"data error: {message}\n"
+        assert not out.exists()
+
+
 _BAD_MOTIFS = {"sway": {"channels": [["x", 2.0, 0.0, 0.1]], "duration": [4, 8]}}
 
 

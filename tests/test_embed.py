@@ -61,7 +61,7 @@ class TestPcaTransform:
     def test_mean_maps_to_origin(self):
         X = make_rng(5).normal(size=(20, 4))
         model = pca_fit(X, 2)
-        np.testing.assert_allclose(pca_transform(model, model.mean), 0.0, atol=1e-12)
+        np.testing.assert_allclose(pca_transform(model, model.mean[None]), 0.0, atol=1e-12)
 
     def test_transformed_variance_matches(self):
         X = make_rng(6).normal(size=(80, 5))
@@ -74,8 +74,8 @@ class TestPcaTransform:
     def test_unit_step_along_component(self):
         X = make_rng(7).normal(size=(25, 4))
         model = pca_fit(X, 2)
-        coords = pca_transform(model, model.mean + model.components[0])
-        np.testing.assert_allclose(coords, [1.0, 0.0], atol=1e-9)
+        coords = pca_transform(model, (model.mean + model.components[0])[None])
+        np.testing.assert_allclose(coords, [[1.0, 0.0]], atol=1e-9)
 
     def test_shape_mismatch(self):
         model = pca_fit(make_rng(8).normal(size=(10, 3)), 2)
@@ -187,13 +187,13 @@ class TestLabelPureWindows:
     def test_purity_threshold(self):
         data = np.zeros((32, 1))
         track = ["x"] * 14 + ["y"] * 2 + ["y"] * 16  # first window 87.5% pure
-        windows, labels = label_pure_windows(data, track, 16, purity=0.9)
+        windows, labels = label_pure_windows(data, track, 16)
         assert labels == ["y"]
 
     def test_ninety_percent_accepted(self):
         data = np.zeros((20, 1))
         track = ["x"] * 18 + ["y"] * 2
-        _, labels = label_pure_windows(data, track, 20, purity=0.9)
+        _, labels = label_pure_windows(data, track, 20)
         assert labels == ["x"]
 
     def test_null_windows_skipped(self):

@@ -3,8 +3,7 @@ import pytest
 
 from charm.model import (MAGIC, CharmConfig, CharmModel, CheckpointError,
                          MlpConfig, MlpModel, load_checkpoint, save_checkpoint)
-from charm.neurocore import (Adam, Stack, leaky_relu_grad, make_rng,
-                             softmax_ce_grad)
+from charm.neurocore import Adam, Stack, make_rng, softmax_ce_grad
 from charm.preprocess import ChannelStats, window
 
 SMALL = CharmConfig(r=16, q=3, z=4, low_hidden=8, low_out=8, high_hidden=8, m=3)
@@ -164,14 +163,17 @@ class ReferenceAdam:
 
 def reference_backward(stack, cache, d):
     """The reverse pass the in-place one replaced: a new array per gradient,
-    each weight gradient a matmul d.T @ x_in."""
+    each weight gradient a matmul d.T @ x_in. It reads only each layer's
+    input and dropout mask from the cache and takes the leaky-ReLU
+    derivative at a pre-activation recomputed from the layer."""
     grads = [None] * (2 * len(stack.layers))
     for i in range(len(stack.layers) - 1, -1, -1):
-        x_in, pre, mask, activated = cache[i]
+        x_in, _, mask = cache[i]
         if mask is not None:
             d = d * mask
-        if activated:
-            d = d * leaky_relu_grad(pre, stack.slope)
+        if i < len(stack.layers) - 1 or stack.final_activation:
+            w, b = stack.layers[i]
+            d = d * np.where(x_in @ w.T + b >= 0.0, 1.0, stack.slope)
         grads[2 * i] = d.T @ x_in
         grads[2 * i + 1] = d.sum(axis=0)
         d = d @ stack.layers[i][0]
@@ -247,8 +249,9 @@ class TestStepParity:
 
     def test_one_row_zeros_and_negative_inputs(self):
         # dropped and leaky units give exact zeros in d, times negative
-        # inputs; the product and gemm may differ only in the sign of a zero,
-        # which leaves Adam's moments and update unchanged
+        # inputs; an outer product d.T * x_in would make some of those zeros
+        # -0.0 where gemm gives +0.0, and Adam maps both signs to the same
+        # moments and update
         stack = Stack.init([6, 5, 4, 3], make_rng(6), dropout_p=0.5)
         x = -np.abs(make_rng(7).normal(size=(1, 6)))
         x[0, 2] = 0.0
@@ -262,11 +265,13 @@ class TestStepParity:
         for g, e in zip(grads, expected):
             np.testing.assert_array_equal(g, e)
         assert (grads[0] == 0).any() and (grads[2] == 0).any()
+        negative_zeros = [np.where(g == 0, -0.0, g) for g in grads]
+        assert flat_bytes(negative_zeros) != flat_bytes(grads)
         params = [p.copy() for p in stack.param_arrays()]
         ref_params = [p.copy() for p in params]
         ref_opt, opt = ReferenceAdam(ref_params), Adam(params)
         for _ in range(3):
-            ref_opt.step(ref_params, expected)
+            ref_opt.step(ref_params, negative_zeros)
             opt.step(params, grads)
         assert flat_bytes(params) == flat_bytes(ref_params)
         assert flat_bytes(opt.first_moment) == flat_bytes(ref_opt.first_moment)

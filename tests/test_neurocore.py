@@ -1,22 +1,35 @@
 import numpy as np
 import pytest
 
-from charm.neurocore import (Adam, Stack, dropout_mask, leaky_relu, make_rng,
+from charm.neurocore import (Adam, Stack, dropout_mask, make_rng,
                              softmax, softmax_ce_grad, weighted_cross_entropy)
 
 
-class TestLeakyRelu:
+class TestStackActivation:
+    """A one-layer identity stack shows the leaky ReLU it applies."""
+
+    @staticmethod
+    def activate(values, final_activation=True, **kw):
+        x = np.asarray(values, dtype=float)[None, :]
+        stack = Stack([(np.eye(x.shape[1]), np.zeros(x.shape[1]))],
+                      final_activation=final_activation, **kw)
+        return stack.forward(x)[0][0]
+
     def test_negative_slope(self):
-        assert leaky_relu(-1.0) == pytest.approx(-0.01)
+        assert self.activate([-1.0]) == pytest.approx([-0.01])
 
     def test_zero(self):
-        assert leaky_relu(0.0) == 0.0
+        assert self.activate([0.0]) == 0.0
 
     def test_positive_identity(self):
-        assert leaky_relu(2.5) == 2.5
+        assert self.activate([2.5]) == 2.5
 
     def test_custom_slope(self):
-        assert leaky_relu(np.array([-2.0, 3.0]), slope=0.1) == pytest.approx([-0.2, 3.0])
+        assert self.activate([-2.0, 3.0], slope=0.1) == pytest.approx([-0.2, 3.0])
+
+    def test_no_final_activation_keeps_negatives(self):
+        np.testing.assert_array_equal(
+            self.activate([-2.0, 0.0, 3.0], final_activation=False), [-2.0, 0.0, 3.0])
 
 
 class TestSoftmax:
@@ -88,7 +101,7 @@ class TestDropout:
         stack = Stack.init([6, 5, 4, 2], make_rng(0), dropout_p=0.5)
         x = make_rng(1).normal(size=(3, 6))
         out, cache = stack.forward(x, training=False, rng=make_rng(2))
-        assert all(mask is None for _, _, mask, _ in cache)
+        assert all(mask is None for _, _, mask in cache)
         no_dropout = Stack(stack.layers, slope=stack.slope, dropout_p=0.0)
         np.testing.assert_array_equal(out, no_dropout.forward(x, training=True)[0])
 
@@ -224,6 +237,19 @@ class TestStackBackward:
         dropped = np.nonzero(mask[0] == 0)[0]
         np.testing.assert_array_equal(grads[0][dropped], 0.0)
         np.testing.assert_array_equal(grads[1][dropped], 0.0)
+
+    def test_one_row_weight_grad_is_outer_product(self):
+        stack = Stack.init([6, 5, 3], make_rng(3), dropout_p=0.0, final_activation=True)
+        x = make_rng(4).normal(size=(1, 6))
+        _, cache = stack.forward(x)
+        d_out = make_rng(5).normal(size=(1, 3))
+        grads = new_grads(stack)
+        stack.backward(cache, d_out, grads)
+        (x0, slopes0, _), (x1, slopes1, _) = cache
+        d1 = d_out * slopes1
+        d0 = (d1 @ stack.layers[1][0]) * slopes0
+        np.testing.assert_array_equal(grads[2], d1.T * x1)
+        np.testing.assert_array_equal(grads[0], d0.T * x0)
 
 
 def adam_oracle(g, steps, lr=5e-4, b1=0.9, b2=0.999, eps=1e-8):
