@@ -27,7 +27,10 @@ class DataError(Exception):
 class ParseError(DataError):
     def __init__(self, path, line_no, message):
         super().__init__(f"{path}:{line_no}: {message}")
-        self.line_no = line_no
+        self.path, self.line_no, self.message = path, line_no, message
+
+    def __reduce__(self):  # args holds the joined line, not the three parts
+        return type(self), (self.path, self.line_no, self.message)
 
 
 class EmptyInputError(DataError):
@@ -166,6 +169,24 @@ def atomic_write(path, data):
     except BaseException:
         os.unlink(tmp)
         raise
+
+
+def map_files(fn, items):
+    """[fn(x) for x in items], run on one forked process per CPU this process
+    may use, at most one per item. fn must be a module-level function, and
+    its items and results picklable. The first item in input order whose
+    call raises raises here; a worker that dies raises BrokenProcessPool. On
+    one CPU, or without os.fork or os.sched_getaffinity, the calls run here."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    workers = min(len(items), cpus) if hasattr(os, "fork") else 1
+    if workers < 2:
+        return [fn(x) for x in items]
+    import multiprocessing  # here, not at the top, so importing charm stays quick
+    from concurrent.futures import ProcessPoolExecutor
+
+    chunksize = -(-len(items) // (4 * workers))  # four chunks per worker
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+        return list(pool.map(fn, items, chunksize=chunksize))
 
 
 _INTERVAL = re.compile(r"([\[(])(.+), (.+)([\])])")
@@ -425,16 +446,21 @@ def load_data_dir(data_dir):
     """Returns (segments, ActivityLabelSet, SchemaConfig): the labeled runs of
     every file the manifest lists, after null/unknown-label run splitting."""
     files, labels, schema = read_manifest(data_dir)
-    segments = []
-    for entry in files:
-        loaded = load_stream(os.path.join(data_dir, entry["file"]), schema)
-        segs, _ = segment_by_high_label(
-            loaded.stream, loaded.high_labels, labels, schema.null_label_token,
-            user_id=entry["user"], low_labels=loaded.low_labels, source=entry["file"])
-        segments.extend(segs)
+    jobs = [(data_dir, entry, labels, schema) for entry in files]
+    segments = [seg for segs in map_files(_load_entry, jobs) for seg in segs]
     if not segments:
         raise EmptyInputError(f"{data_dir}: no labeled segments found")
     return segments, labels, schema
+
+
+def _load_entry(job):
+    """The labeled runs of one manifest entry."""
+    data_dir, entry, labels, schema = job
+    loaded = load_stream(os.path.join(data_dir, entry["file"]), schema)
+    segments, _ = segment_by_high_label(
+        loaded.stream, loaded.high_labels, labels, schema.null_label_token,
+        user_id=entry["user"], low_labels=loaded.low_labels, source=entry["file"])
+    return segments
 
 
 # Column map for the OPPORTUNITY .dat files: 3 IMU locations (lower-left arm,

@@ -11,7 +11,7 @@ from typing import Annotated
 
 import numpy as np
 
-from .dataset import SchemaConfig, atomic_write, check_fields, check_value
+from .dataset import SchemaConfig, atomic_write, check_fields, check_value, map_files
 
 MOTIF_TRACK = "motif"
 
@@ -194,15 +194,10 @@ def write_dataset(segments, config: SynthConfig, out_dir):
     """One file per segment plus manifest.json; reruns with the same config
     are byte-identical."""
     os.makedirs(out_dir, exist_ok=True)
-    files = []
-    for seg in segments:
-        fname = f"u{seg.user_id}_{seg.class_name}_{seg.index:03d}.csv"
-        path = os.path.join(out_dir, fname)
-        labels = f",{seg.class_name},"
-        atomic_write(path, "".join(
-            ",".join(map(repr, row)) + labels + motif + "\n"
-            for row, motif in zip(seg.data.tolist(), seg.motif_track)))
-        files.append({"file": fname, "user": seg.user_id, "class": seg.class_name})
+    files = [{"file": f"u{seg.user_id}_{seg.class_name}_{seg.index:03d}.csv",
+              "user": seg.user_id, "class": seg.class_name} for seg in segments]
+    map_files(_write_segment, [(os.path.join(out_dir, f["file"]), seg)
+                               for f, seg in zip(files, segments)])
 
     manifest = {
         "seed": config.seed,
@@ -217,6 +212,15 @@ def write_dataset(segments, config: SynthConfig, out_dir):
     atomic_write(os.path.join(out_dir, "manifest.json"),
                  json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return manifest
+
+
+def _write_segment(job):
+    """One segment's file: a row per sample, each value as repr() spells it."""
+    path, seg = job
+    labels = f",{seg.class_name},"
+    atomic_write(path, "".join(
+        ",".join(map(repr, row)) + labels + motif + "\n"
+        for row, motif in zip(seg.data.tolist(), seg.motif_track)))
 
 
 def motif_histogram_oracle(train_segments, val_segments, motif_names):

@@ -1,11 +1,16 @@
 import hashlib
 import json
+import multiprocessing
 import os
+import signal
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from charm.cli import _stride_for, main
+from charm.dataset import load_data_dir, map_files
 
 SMALL_CONFIG = {
     "synth": {"samples_per_class_per_user": 2},
@@ -523,3 +528,132 @@ class TestHelp:
         assert exc.value.code == 0
         out = capsys.readouterr().out
         assert "--config" in out and "--seed" in out
+
+
+def use_cpus(monkeypatch, n):
+    """Make map_files see n CPUs: 1 runs its calls here, 2 on a pool."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+# Module-level, so that a pool worker can unpickle them by name.
+def _pid(_):
+    return os.getpid()
+
+
+def _square(x):
+    return x * x
+
+
+def _exit_now(_):
+    os._exit(7)
+
+
+def dir_digest(path):
+    h = hashlib.sha256()
+    for p in sorted(Path(path).iterdir()):
+        h.update(p.name.encode())
+        h.update(p.read_bytes())
+    return h.hexdigest()
+
+
+def _bad_token(text):
+    lines = text.split("\n")
+    lines[4] = "x" + lines[4]
+    return "\n".join(lines)
+
+
+def _short_row(text):
+    lines = text.split("\n")
+    lines[2] = ",".join(lines[2].split(",")[:3])
+    return "\n".join(lines)
+
+
+class TestOneProcessPerCpu:
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_map_files_in_order_no_process_left(self, monkeypatch, cpus):
+        use_cpus(monkeypatch, cpus)
+        assert map_files(_square, range(50)) == [x * x for x in range(50)]
+        pids = set(map_files(_pid, range(8)))
+        if cpus == 1:
+            assert pids == {os.getpid()}
+        else:
+            assert os.getpid() not in pids and len(pids) <= cpus
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_gen_synth_same_bytes(self, tmp_path, workspace, monkeypatch, cpus):
+        use_cpus(monkeypatch, cpus)
+        out = tmp_path / "data"
+        assert main(["gen-synth", "--config", workspace["config"],
+                     "--out", str(out), "--quiet"]) == 0
+        assert dir_digest(out) == dir_digest(workspace["data"])
+
+    def test_dead_worker_raises_promptly(self, monkeypatch):
+        use_cpus(monkeypatch, 2)
+
+        def hung(*_):
+            raise TimeoutError("map_files hung after a worker died")
+
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(60)
+        try:
+            with pytest.raises(BrokenProcessPool):
+                map_files(_exit_now, range(8))
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert multiprocessing.active_children() == []
+
+    # Each case breaks an early file one way and a late file with a
+    # non-numeric token; the error must name the early one.
+    @pytest.mark.parametrize("fault, code, message", [
+        ("token", 3, ":5: bad numeric value"),
+        ("missing", 1, "No such file"),
+        ("not utf-8", 3, "not UTF-8 text"),
+        ("short row", 3, ":3: expected >= 8 fields, got 3"),
+    ])
+    def test_first_bad_file_in_manifest_order(self, tmp_path, workspace, monkeypatch,
+                                              capsys, fault, code, message):
+        data = tmp_path / "data"
+        data.mkdir()
+        copy_data_with(workspace, data)
+        names = [e["file"] for e in json.loads((data / "manifest.json").read_text())["files"]]
+        early, late = data / names[1], data / names[-2]
+        late.write_text(_bad_token(late.read_text()))
+        if fault == "missing":
+            early.unlink()
+        elif fault == "not utf-8":
+            early.write_bytes(b"\xff" + early.read_bytes())
+        else:
+            edit = {"token": _bad_token, "short row": _short_row}[fault]
+            early.write_text(edit(early.read_text()))
+        results = []
+        for cpus in (1, 2):
+            use_cpus(monkeypatch, cpus)
+            out = tmp_path / f"features-{cpus}.csv"
+            results.append((main(["features", "--data", str(data), "--out", str(out)]),
+                            capsys.readouterr().err))
+            assert not out.exists()
+        assert results[0] == results[1]
+        got, err = results[0]
+        assert got == code and len(err.splitlines()) == 1
+        assert str(early) in err and message in err and names[-2] not in err
+
+
+SEED_42_DIGEST = "01f780f599473be345ac88e8e21ae396f1fce1b3723b023c39c01dc7f1f737c2"
+
+
+def test_seed_42_files_and_load_same_on_one_cpu_and_pool(tmp_path, monkeypatch):
+    use_cpus(monkeypatch, 2)
+    data = str(tmp_path / "data")
+    assert main(["gen-synth", "--seed", "42", "--out", data, "--quiet"]) == 0
+    assert dir_digest(data) == SEED_42_DIGEST
+    pool, labels, schema = load_data_dir(data)
+    use_cpus(monkeypatch, 1)
+    one, labels_one, schema_one = load_data_dir(data)
+    assert (labels_one, schema_one) == (labels, schema)
+    assert len(one) == len(pool)
+    for a, b in zip(one, pool):
+        assert np.array_equal(a.data, b.data) and a.data.dtype == b.data.dtype
+        assert (a.high_label, a.user_id, a.source, a.low_label_tracks) == \
+            (b.high_label, b.user_id, b.source, b.low_label_tracks)

@@ -1,11 +1,12 @@
 import os
+import pickle
 from dataclasses import dataclass
 from typing import Annotated
 
 import numpy as np
 import pytest
 
-from charm.dataset import (MAX_INTERP_GAP, ActivityLabelSet, EmptyInputError,
+from charm.dataset import (MAX_INTERP_GAP, ActivityLabelSet, DataError, EmptyInputError,
                            LabeledSegment, ParseError, SchemaConfig, SensorStream,
                            UnknownUserError, _fill_missing, atomic_write, check_fields,
                            load_stream, loso_split, make_fixed_length_samples,
@@ -222,6 +223,21 @@ class TestParseErrorLine:
     def test_nan_is_missing_not_rejected(self, tmp_path):
         path = write(tmp_path, "1.0,0,A\n-NaN,0,A\n3.0,0,A\n")
         assert load_stream(path, SCHEMA).stream.samples[1, 0] == 2.0
+
+
+@pytest.mark.parametrize("error", [
+    DataError("data.csv: not UTF-8 text"),
+    ParseError("data.csv", 7, "bad numeric value 'x' in column 1"),
+    EmptyInputError("data.csv: no usable rows"),
+    UnknownUserError("unknown user 'u9'; available users: ['u1']"),
+], ids=lambda e: type(e).__name__)
+def test_errors_survive_pickle(error):
+    # a loader worker process sends its error back pickled
+    back = pickle.loads(pickle.dumps(error))
+    assert type(back) is type(error) and str(back) == str(error)
+    assert vars(back) == vars(error)
+    if isinstance(error, ParseError):
+        assert back.line_no == 7
 
 
 class TestFillMissing:
