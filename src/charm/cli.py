@@ -1,12 +1,15 @@
 """Command-line pipeline: gen-synth, train, evaluate, embed, features.
 
 Exit codes: 0 ok, 1 I/O error, 2 config error, 3 data error, 4 checkpoint
-error. All randomness flows from one run seed (--seed overrides the config).
+error, 130 interrupted. All randomness flows from one run seed (--seed
+overrides the config).
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import sys
 from dataclasses import fields, replace
@@ -21,8 +24,8 @@ from .features import feature_header, handcrafted_features
 from .model import (MODELS, CharmConfig, CheckpointError, MlpConfig, load_checkpoint,
                     save_checkpoint)
 from .preprocess import normalize
-from .traineval import (TrainConfig, TrainedModel, TrainingError, evaluate,
-                        format_report, report_key_values, train)
+from .traineval import (TrainConfig, TrainedModel, evaluate, format_report,
+                        report_key_values, train)
 
 
 class ConfigError(Exception):
@@ -162,9 +165,9 @@ def _stride_for(cfg, n_target):
 def cmd_train(args):
     cfg = load_run_config(args.config)
     tcfg = build_train_config(cfg, seed_override=args.seed)
-    segments, labels, schema = load_data_dir(args.data)
+    segments, classes, schema = load_data_dir(args.data)
     q = len(schema.channel_columns)
-    m = len(labels)
+    m = len(classes)
     mcfg = build_charm_config(cfg, q=q, m=m)
     if args.model == "mlp":
         mcfg = build_mlp_config(cfg, n_target=mcfg.n_target, q=q, m=m)
@@ -172,7 +175,7 @@ def cmd_train(args):
     samples = fixed_length_dataset(segments, n_target, _stride_for(cfg, n_target))
     train_set, val_set = ds.loso_split(samples, args.held_out_user)
     if not train_set:
-        raise TrainingError("held-out user leaves an empty training set")
+        raise ds.DataError("held-out user leaves an empty training set")
     trained, history = train(train_set, args.model, tcfg, mcfg,
                              val_segments=val_set)
     save_checkpoint(trained.model, trained.stats, args.out)
@@ -189,10 +192,10 @@ def cmd_train(args):
     return 0
 
 
-def _check_data_fits(model, labels, schema):
+def _check_data_fits(model, classes, schema):
     """A DataError unless the data has the channel and class counts the
     checkpoint was trained on."""
-    q, m = len(schema.channel_columns), len(labels)
+    q, m = len(schema.channel_columns), len(classes)
     if q != model.cfg.q:
         raise ds.DataError(f"data has {q} channels, checkpoint expects {model.cfg.q}")
     if m != model.cfg.m:
@@ -202,17 +205,17 @@ def _check_data_fits(model, labels, schema):
 def cmd_evaluate(args):
     cfg = load_run_config(args.config)
     model, stats = load_checkpoint(args.checkpoint)
-    segments, labels, schema = load_data_dir(args.data)
-    _check_data_fits(model, labels, schema)
+    segments, classes, schema = load_data_dir(args.data)
+    _check_data_fits(model, classes, schema)
     n_target = model.cfg.n_target
     samples = fixed_length_dataset(segments, n_target, _stride_for(cfg, n_target))
     _, val_set = ds.loso_split(samples, args.held_out_user)
     report = evaluate(TrainedModel(model, stats), val_set)
-    text = format_report(report, labels.classes)
+    text = format_report(report, classes)
     if not args.quiet:
         print(text)
     if args.out:
-        ds.atomic_write(args.out, report_key_values(report, labels.classes))
+        ds.atomic_write(args.out, report_key_values(report, classes))
     return 0
 
 
@@ -240,6 +243,9 @@ def cmd_embed(args):
     model, stats = load_checkpoint(args.checkpoint)
     if model.kind != "charm":
         raise CheckpointError("embedding extraction requires a charm checkpoint")
+    if model.cfg.low_out < 2:
+        raise CheckpointError("embedding extraction needs low_out >= 2 for a 2-D PCA, "
+                              f"checkpoint has {model.cfg.low_out}")
     segments, classes, schema = load_data_dir(args.data)
     _check_data_fits(model, classes, schema)
     track = args.track
@@ -280,16 +286,17 @@ def cmd_embed(args):
 
 def cmd_features(args):
     load_run_config(args.config)  # no section applies; a bad file still fails
-    segments, labels, schema = load_data_dir(args.data)
+    segments, classes, schema = load_data_dir(args.data)
     q = len(schema.channel_columns)
     names = [f"ch{i}" for i in range(q)]
-    header = ["segment_id", "label"] + feature_header(names)
-    lines = [",".join(header)]
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["segment_id", "label"] + feature_header(names))
     for seg in segments:
         feats = handcrafted_features(seg.data)
-        lines.append(",".join([seg.source, labels.classes[seg.high_label]]
-                              + [repr(float(v)) for v in feats]))
-    ds.atomic_write(args.out, "\n".join(lines) + "\n")
+        writer.writerow([seg.source, classes[seg.high_label]]
+                        + [repr(float(v)) for v in feats])
+    ds.atomic_write(args.out, buf.getvalue())
     if not args.quiet:
         print(f"wrote {len(segments)} feature rows ({5 * q} columns) to {args.out}")
     return 0
@@ -360,7 +367,7 @@ def main(argv=None) -> int:
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
-    except (ds.DataError, TrainingError) as e:
+    except ds.DataError as e:
         print(f"data error: {e}", file=sys.stderr)
         return 3
     except CheckpointError as e:
@@ -369,6 +376,9 @@ def main(argv=None) -> int:
     except OSError as e:
         print(f"i/o error: {e}", file=sys.stderr)
         return 1
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

@@ -21,24 +21,7 @@ import numpy as np
 
 
 class DataError(Exception):
-    """Base for data-layer failures."""
-
-
-class ParseError(DataError):
-    def __init__(self, path, line_no, message):
-        super().__init__(f"{path}:{line_no}: {message}")
-        self.path, self.line_no, self.message = path, line_no, message
-
-    def __reduce__(self):  # args holds the joined line, not the three parts
-        return type(self), (self.path, self.line_no, self.message)
-
-
-class EmptyInputError(DataError):
-    pass
-
-
-class UnknownUserError(DataError):
-    pass
+    """A data directory, manifest or sensor file the program cannot use."""
 
 
 MAX_INTERP_GAP = 8  # longest run of missing samples bridged by interpolation
@@ -63,30 +46,6 @@ class SensorStream:
     @property
     def q(self) -> int:
         return self.samples.shape[1]
-
-
-@dataclass(frozen=True)
-class ActivityLabelSet:
-    """Canonical ordered class names; index order is used everywhere."""
-
-    classes: tuple
-
-    def __post_init__(self):
-        classes = tuple(self.classes)
-        if len(classes) < 2:
-            raise ValueError("need at least 2 classes")
-        if len(set(classes)) != len(classes):
-            raise ValueError("class names must be unique")
-        object.__setattr__(self, "classes", classes)
-
-    def __len__(self):
-        return len(self.classes)
-
-    def __contains__(self, name):
-        return name in self.classes
-
-    def index(self, name) -> int:
-        return self.classes.index(name)
 
 
 @dataclass
@@ -175,17 +134,21 @@ def map_files(fn, items):
     """[fn(x) for x in items], run on one forked process per CPU this process
     may use, at most one per item. fn must be a module-level function, and
     its items and results picklable. The first item in input order whose
-    call raises raises here; a worker that dies raises BrokenProcessPool. On
-    one CPU, or without os.fork or os.sched_getaffinity, the calls run here."""
+    call raises raises here; a worker that dies raises BrokenProcessPool.
+    Workers ignore SIGINT: a Ctrl-C interrupts this process alone. On one
+    CPU, or without os.fork or os.sched_getaffinity, the calls run here."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     workers = min(len(items), cpus) if hasattr(os, "fork") else 1
     if workers < 2:
         return [fn(x) for x in items]
     import multiprocessing  # here, not at the top, so importing charm stays quick
+    import signal
     from concurrent.futures import ProcessPoolExecutor
 
     chunksize = -(-len(items) // (4 * workers))  # four chunks per worker
-    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                             initializer=signal.signal,
+                             initargs=(signal.SIGINT, signal.SIG_IGN)) as pool:
         return list(pool.map(fn, items, chunksize=chunksize))
 
 
@@ -235,7 +198,8 @@ def load_stream(path, schema: SchemaConfig) -> LoadedFile:
     fields, NaN in any case) are linearly interpolated when the gap is
     <= MAX_INTERP_GAP samples and has neighbors on both sides; otherwise the
     affected rows are dropped and counted. Rows with too few fields, channel
-    values that are not numbers, and infinite values raise ParseError."""
+    values that are not numbers, and infinite values raise a DataError that
+    names the file and line."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.read().split("\n")
@@ -243,7 +207,7 @@ def load_stream(path, schema: SchemaConfig) -> LoadedFile:
         raise DataError(f"{path}: not UTF-8 text: {e}") from e
     rows = [line.split(schema.delimiter) for line in lines if line and not line.isspace()]
     if not rows:
-        raise EmptyInputError(f"{path}: no usable rows")
+        raise DataError(f"{path}: no usable rows")
 
     columns = list(zip(*rows))  # as many as the shortest row has fields
     data = None
@@ -259,8 +223,8 @@ def load_stream(path, schema: SchemaConfig) -> LoadedFile:
 
     data, keep, n_dropped = _fill_missing(data)
     if data.shape[0] == 0:
-        raise EmptyInputError(f"{path}: no usable rows after dropping "
-                              f"{n_dropped} unrecoverable rows")
+        raise DataError(f"{path}: no usable rows after dropping "
+                        f"{n_dropped} unrecoverable rows")
     if n_dropped:
         highs = list(compress(highs, keep))
         lows = {name: list(compress(track, keep)) for name, track in lows.items()}
@@ -284,27 +248,33 @@ def _parse_channels(columns, channel_columns):
     return flat.reshape(len(channel_columns), -1).T
 
 
-def _first_bad_row(path, lines, rows, schema: SchemaConfig) -> ParseError:
-    """The ParseError naming the first row the columnar parse rejects: too few
-    fields, a channel token float() cannot read, or an infinite value."""
-    width = schema.width
+def _first_bad_row(path, lines, rows, schema: SchemaConfig) -> DataError:
+    """The `path:line: message` DataError for the first row the columnar
+    parse rejects."""
     line_nos = (no for no, line in enumerate(lines, start=1) if line and not line.isspace())
     for line_no, fields in zip(line_nos, rows):
-        if len(fields) < width:
-            return ParseError(path, line_no, f"expected >= {width} fields, got {len(fields)}")
-        for col in schema.channel_columns:
-            tok = fields[col].strip()
-            if not tok:
-                continue
-            try:
-                value = float(tok)
-            except ValueError:
-                return ParseError(path, line_no,
-                                  f"bad numeric value {tok!r} in column {col}")
-            if math.isinf(value):
-                return ParseError(path, line_no,
-                                  f"non-finite value {tok!r} in column {col}")
+        message = _row_fault(fields, schema)
+        if message:
+            return DataError(f"{path}:{line_no}: {message}")
     raise RuntimeError(f"{path}: the columnar parse rejected rows the per-row check accepts")
+
+
+def _row_fault(fields, schema: SchemaConfig):
+    """Why one row's fields are rejected, or None: too few fields, a channel
+    token float() cannot read, or an infinite value."""
+    if len(fields) < schema.width:
+        return f"expected >= {schema.width} fields, got {len(fields)}"
+    for col in schema.channel_columns:
+        tok = fields[col].strip()
+        if not tok:
+            continue
+        try:
+            value = float(tok)
+        except ValueError:
+            return f"bad numeric value {tok!r} in column {col}"
+        if math.isinf(value):
+            return f"non-finite value {tok!r} in column {col}"
+    return None
 
 
 def _fill_missing(data: np.ndarray):
@@ -331,11 +301,12 @@ def _fill_missing(data: np.ndarray):
     return data[keep], keep, int(n - keep.sum())
 
 
-def segment_by_high_label(stream: SensorStream, high_labels, labels: ActivityLabelSet,
+def segment_by_high_label(stream: SensorStream, high_labels, classes: tuple,
                           null_token: str, user_id: str = "",
                           low_labels: dict | None = None, source: str = ""):
-    """Split into contiguous runs of a single label. Runs labeled with the
-    null token or any name outside the label set are discarded (counted).
+    """Split into contiguous runs of a single label; a run's high_label is its
+    name's index in `classes`. Runs labeled with the null token or any name
+    outside `classes` are discarded (counted).
 
     Returns (segments, discarded_run_count).
     """
@@ -348,14 +319,14 @@ def segment_by_high_label(stream: SensorStream, high_labels, labels: ActivityLab
     discarded = 0
     for start, end in zip(bounds, bounds[1:]):
         name = high_labels[start]
-        if name == null_token or name not in labels:
+        if name == null_token or name not in classes:
             discarded += 1
             continue
         tracks = None
         if low_labels:
             tracks = {k: list(v[start:end]) for k, v in low_labels.items()}
         segments.append(LabeledSegment(SensorStream(stream.samples[start:end]),
-                                       labels.index(name), user_id,
+                                       classes.index(name), user_id,
                                        low_label_tracks=tracks,
                                        source=f"{source}[{start}:{end}]"))
     return segments, discarded
@@ -383,7 +354,7 @@ def loso_split(dataset, held_out_user):
     """Leave-one-subject-out: validation = all segments of held_out_user."""
     users = sorted({seg.user_id for seg in dataset})
     if held_out_user not in users:
-        raise UnknownUserError(
+        raise DataError(
             f"unknown user {held_out_user!r}; available users: {users}")
     train = [seg for seg in dataset if seg.user_id != held_out_user]
     val = [seg for seg in dataset if seg.user_id == held_out_user]
@@ -396,8 +367,8 @@ def loso_split(dataset, held_out_user):
 # file with its user.
 
 def read_manifest(data_dir):
-    """Returns (file entries, ActivityLabelSet, SchemaConfig); any malformed
-    or inconsistent key is a DataError."""
+    """Returns (file entries, class names as a tuple, SchemaConfig); any
+    malformed or inconsistent key is a DataError."""
     path = os.path.join(data_dir, "manifest.json")
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -426,7 +397,7 @@ def read_manifest(data_dir):
     if manifest["q"] != len(schema.channel_columns):
         raise DataError(f"{path}: manifest 'q' is {manifest['q']!r} but the schema "
                         f"has {len(schema.channel_columns)} channel columns")
-    return files, ActivityLabelSet(tuple(classes)), schema
+    return files, tuple(classes), schema
 
 
 def _read_schema(block) -> SchemaConfig:
@@ -443,22 +414,22 @@ def _read_schema(block) -> SchemaConfig:
 
 
 def load_data_dir(data_dir):
-    """Returns (segments, ActivityLabelSet, SchemaConfig): the labeled runs of
+    """Returns (segments, class names, SchemaConfig): the labeled runs of
     every file the manifest lists, after null/unknown-label run splitting."""
-    files, labels, schema = read_manifest(data_dir)
-    jobs = [(data_dir, entry, labels, schema) for entry in files]
+    files, classes, schema = read_manifest(data_dir)
+    jobs = [(data_dir, entry, classes, schema) for entry in files]
     segments = [seg for segs in map_files(_load_entry, jobs) for seg in segs]
     if not segments:
-        raise EmptyInputError(f"{data_dir}: no labeled segments found")
-    return segments, labels, schema
+        raise DataError(f"{data_dir}: no labeled segments found")
+    return segments, classes, schema
 
 
 def _load_entry(job):
     """The labeled runs of one manifest entry."""
-    data_dir, entry, labels, schema = job
+    data_dir, entry, classes, schema = job
     loaded = load_stream(os.path.join(data_dir, entry["file"]), schema)
     segments, _ = segment_by_high_label(
-        loaded.stream, loaded.high_labels, labels, schema.null_label_token,
+        loaded.stream, loaded.high_labels, classes, schema.null_label_token,
         user_id=entry["user"], low_labels=loaded.low_labels, source=entry["file"])
     return segments
 

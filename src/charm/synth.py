@@ -80,6 +80,8 @@ class SynthConfig:
         check_fields(self)
         if len(self.grammars) < 2:
             raise ValueError("need at least 2 classes")
+        if len(set(self.class_names)) != len(self.grammars):
+            raise ValueError(f"class names must be distinct, got {self.class_names}")
         if len(self.users) < 2:
             raise ValueError("need at least 2 users (LOSO requires a held-out user)")
         for g in self.grammars:
@@ -165,17 +167,17 @@ def gen_dataset(config: SynthConfig):
 
 def to_labeled_segments(segments, config: SynthConfig):
     """In-memory bridge to the dataset layer (equivalent to writing the files
-    and loading them back). Returns (LabeledSegments, ActivityLabelSet)."""
-    from .dataset import ActivityLabelSet, LabeledSegment, SensorStream
+    and loading them back). Returns (LabeledSegments, class names)."""
+    from .dataset import LabeledSegment, SensorStream
 
-    labels = ActivityLabelSet(tuple(config.class_names))
+    classes = tuple(config.class_names)
     out = []
     for seg in segments:
         out.append(LabeledSegment(
-            SensorStream(seg.data), labels.index(seg.class_name), seg.user_id,
+            SensorStream(seg.data), classes.index(seg.class_name), seg.user_id,
             low_label_tracks={MOTIF_TRACK: list(seg.motif_track)},
             source=f"u{seg.user_id}/{seg.class_name}/{seg.index}"))
-    return out, labels
+    return out, classes
 
 
 def dataset_schema(config: SynthConfig) -> SchemaConfig:

@@ -9,17 +9,13 @@ from typing import Annotated
 
 import numpy as np
 
-from .dataset import check_fields
+from .dataset import DataError, check_fields
 from .model import MODELS
 from .neurocore import Adam, make_rng
 from .preprocess import ChannelStats, fit_normalizer, normalize
 
 EVAL_CHUNK = 256  # samples per batched forward in evaluate; bounds its memory
 TRAIN_BATCH = 8   # samples per Adam step in train
-
-
-class TrainingError(Exception):
-    pass
 
 
 @dataclass(frozen=True)
@@ -53,7 +49,7 @@ def compute_class_weights(label_counts) -> np.ndarray:
         raise ValueError("label_counts must be a non-empty vector")
     zero = np.nonzero(counts <= 0)[0]
     if zero.size:
-        raise TrainingError(f"class index {int(zero[0])} has no training samples")
+        raise DataError(f"class index {int(zero[0])} has no training samples")
     w = 1.0 / counts
     return w / w.mean()
 
@@ -65,11 +61,11 @@ def train(train_segments, model_kind, train_cfg: TrainConfig, model_cfg,
     the rest); with val_segments, score them after every epoch as evaluate
     does. Returns (TrainedModel, TrainHistory)."""
     if not train_segments:
-        raise TrainingError("empty training set")
+        raise DataError("empty training set")
     labels = np.array([seg.high_label for seg in train_segments])
     counts = np.bincount(labels, minlength=model_cfg.m)
     if np.count_nonzero(counts) < 2:
-        raise TrainingError("training set must contain at least 2 classes")
+        raise DataError("training set must contain at least 2 classes")
     class_weights = compute_class_weights(counts)
 
     stats = fit_normalizer([seg.data for seg in train_segments])
@@ -157,7 +153,7 @@ def _score(model, chunks, segments) -> MetricsReport:
 def evaluate(trained: TrainedModel, val_segments) -> MetricsReport:
     """Normalizes the raw segments and predicts them EVAL_CHUNK at a time."""
     if not val_segments:
-        raise TrainingError("empty validation set")
+        raise DataError("empty validation set")
     chunks = (normalize(np.stack([seg.data for seg in val_segments[i:i + EVAL_CHUNK]]),
                         trained.stats)
               for i in range(0, len(val_segments), EVAL_CHUNK))

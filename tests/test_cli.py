@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 import multiprocessing
@@ -9,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from charm import cli
 from charm.cli import _stride_for, main
 from charm.dataset import load_data_dir, map_files
 
@@ -249,6 +251,20 @@ class TestEmbed:
                      "--data", workspace["data"], "--track", "locomotion",
                      "--out", str(tmp_path / "e.csv")]) == 3
 
+    def test_one_low_level_output_exit_4(self, workspace, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({**SMALL_CONFIG, "charm": {"low_out": 1}}))
+        ckpt = str(tmp_path / "low1.ckpt")
+        assert main(["train", "--config", str(config), "--data", workspace["data"],
+                     "--held-out-user", "u4", "--out", ckpt, "--quiet"]) == 0
+        out = tmp_path / "emb.csv"
+        assert main(["embed", "--checkpoint", ckpt, "--data", workspace["data"],
+                     "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert err == ("checkpoint error: embedding extraction needs low_out >= 2 "
+                       "for a 2-D PCA, checkpoint has 1\n")
+        assert not out.exists()
+
 
 class TestFeatures:
     def test_feature_table(self, workspace, tmp_path):
@@ -259,6 +275,20 @@ class TestFeatures:
         header = lines[0].split(",")
         assert len(header) == 2 + 5 * 6  # id, label, 5 features x 6 channels
         assert len(lines) == 1 + 4 * 4 * 2
+
+    def test_comma_in_file_name_is_quoted(self, workspace, tmp_path):
+        data = tmp_path / "data"
+        data.mkdir()
+        first = copy_data_with(workspace, data,
+                               edit_manifest=_set("files", 0, "file", "a,b.csv"))
+        (data / first).rename(data / "a,b.csv")
+        out = tmp_path / "features.csv"
+        assert main(["features", "--data", str(data), "--out", str(out), "--quiet"]) == 0
+        with open(out, newline="") as fh:
+            header, *rows = csv.reader(fh)
+        assert len(rows) == 4 * 4 * 2
+        assert all(len(row) == len(header) == 2 + 5 * 6 for row in rows)
+        assert [row[0] for row in rows if row[0].startswith("a,b.csv[")] == ["a,b.csv[0:768]"]
 
     def test_missing_data_dir_exit_3(self, tmp_path):
         assert main(["features", "--data", str(tmp_path / "nowhere"),
@@ -548,6 +578,10 @@ def _exit_now(_):
     os._exit(7)
 
 
+def _sigint_handler(_):
+    return signal.getsignal(signal.SIGINT)
+
+
 def dir_digest(path):
     h = hashlib.sha256()
     for p in sorted(Path(path).iterdir()):
@@ -604,6 +638,11 @@ class TestOneProcessPerCpu:
             signal.signal(signal.SIGALRM, previous)
         assert multiprocessing.active_children() == []
 
+    def test_workers_ignore_sigint(self, monkeypatch):
+        use_cpus(monkeypatch, 2)
+        assert map_files(_sigint_handler, range(4)) == [signal.SIG_IGN] * 4
+        assert signal.getsignal(signal.SIGINT) is signal.default_int_handler
+
     # Each case breaks an early file one way and a late file with a
     # non-numeric token; the error must name the early one.
     @pytest.mark.parametrize("fault, code, message", [
@@ -638,6 +677,15 @@ class TestOneProcessPerCpu:
         got, err = results[0]
         assert got == code and len(err.splitlines()) == 1
         assert str(early) in err and message in err and names[-2] not in err
+
+
+def test_interrupt_exit_130_one_line(monkeypatch, capsys):
+    def interrupted(_):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "cmd_features", interrupted)
+    assert main(["features", "--data", "d", "--out", "f.csv"]) == 130
+    assert capsys.readouterr().err == "interrupted\n"
 
 
 SEED_42_DIGEST = "01f780f599473be345ac88e8e21ae396f1fce1b3723b023c39c01dc7f1f737c2"

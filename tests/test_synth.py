@@ -152,7 +152,7 @@ class TestGenDataset:
         segs = gen_dataset(cfg)
         labeled, labels = to_labeled_segments(segs, cfg)
         assert len(labeled) == len(segs)
-        assert labels.classes == tuple(cfg.class_names)
+        assert labels == ("routine", "brew", "meal", "tidy")
         assert len(labeled[0].low_label_tracks["motif"]) == labeled[0].stream.n
 
 
@@ -184,6 +184,13 @@ class TestDefaultConfig:
                         users=base.users[:1])
         with pytest.raises(ValueError):
             ActivityGrammar("bad", {"x": 0.6, "y": 0.6}, 100)
+
+    def test_duplicate_class_names_rejected(self):
+        base = default_config()
+        twice = (base.grammars[0], base.grammars[1], base.grammars[0])
+        with pytest.raises(ValueError, match="^class names must be distinct, got "
+                                             r"\['routine', 'brew', 'routine'\]$"):
+            SynthConfig(motifs=base.motifs, grammars=twice, users=base.users)
 
     def test_manifest_contents(self, tmp_path):
         cfg = default_config()

@@ -2,14 +2,14 @@ import numpy as np
 import pytest
 
 from charm import traineval
-from charm.dataset import LabeledSegment, SensorStream, loso_split
+from charm.dataset import DataError, LabeledSegment, SensorStream, loso_split
 from charm.model import CharmConfig, CharmModel, MlpConfig, MlpModel
 from charm.neurocore import Adam, make_rng
 from charm.preprocess import fit_normalizer, normalize
 from charm.traineval import (EVAL_CHUNK, TRAIN_BATCH, MetricsReport, TrainConfig, TrainedModel,
-                             TrainingError, compute_class_weights, confusion_matrix,
-                             evaluate, format_report, metrics_from_confusion,
-                             report_key_values, train)
+                             compute_class_weights, confusion_matrix, evaluate,
+                             format_report, metrics_from_confusion, report_key_values,
+                             train)
 
 CFG = CharmConfig(r=8, q=2, z=4, low_hidden=8, low_out=8, high_hidden=8, m=2)
 
@@ -37,7 +37,7 @@ class TestClassWeights:
         assert w.mean() == pytest.approx(1.0)
 
     def test_zero_count_names_class(self):
-        with pytest.raises(TrainingError, match="0"):
+        with pytest.raises(DataError, match="^class index 0 has no training samples$"):
             compute_class_weights([0, 5])
 
 
@@ -58,12 +58,12 @@ class TestTrain:
             TrainConfig(epochs=0)
 
     def test_empty_train_set(self):
-        with pytest.raises(TrainingError):
+        with pytest.raises(DataError, match="^empty training set$"):
             train([], "charm", TrainConfig(), CFG)
 
     def test_single_class_rejected(self):
         segs = [s for s in toy_dataset() if s.high_label == 0]
-        with pytest.raises(TrainingError):
+        with pytest.raises(DataError, match="^training set must contain at least 2 classes$"):
             train(segs, "charm", TrainConfig(), CFG)
 
     def test_val_history_recorded(self):
