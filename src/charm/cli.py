@@ -8,11 +8,12 @@ overrides the config).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
 import sys
-from dataclasses import fields, replace
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 
@@ -46,7 +47,7 @@ _SECTION_KEYS["sampling"] = {"stride"}
 _CLI_CHARM_DEFAULTS = {"r": 16, "z": 32}  # n_target 512 at synthetic scale
 
 
-def load_run_config(path=None) -> dict:
+def load_run_config(path) -> dict:
     if path is None:
         return {}
     try:
@@ -132,24 +133,21 @@ def _synth_config(**section) -> synth.SynthConfig:
 
 
 def fixed_length_dataset(segments, n_target, stride):
-    out = []
-    for seg in segments:
-        out.extend(ds.make_fixed_length_samples(seg, n_target, stride))
-    return out
+    return [sample for seg in segments
+            for sample in ds.make_fixed_length_samples(seg, n_target, stride)]
 
 
 # ---------------------------------------------------------------------------
-# Subcommands
+# Subcommands: each takes the parsed arguments and the checked run config,
+# and prints its summary; main() owns --config and --quiet.
 
-def cmd_gen_synth(args):
-    cfg = load_run_config(args.config)
+def cmd_gen_synth(args, cfg):
     scfg = build_synth_config(cfg, seed_override=args.seed)
     segments = synth.gen_dataset(scfg)
     synth.write_dataset(segments, scfg, args.out)
-    if not args.quiet:
-        print(f"wrote {len(segments)} segments "
-              f"({len(scfg.grammars)} classes x {len(scfg.users)} users x "
-              f"{scfg.samples_per_class_per_user} samples) to {args.out}")
+    print(f"wrote {len(segments)} segments "
+          f"({len(scfg.grammars)} classes x {len(scfg.users)} users x "
+          f"{scfg.samples_per_class_per_user} samples) to {args.out}")
     return 0
 
 
@@ -162,8 +160,7 @@ def _stride_for(cfg, n_target):
     return stride
 
 
-def cmd_train(args):
-    cfg = load_run_config(args.config)
+def cmd_train(args, cfg):
     tcfg = build_train_config(cfg, seed_override=args.seed)
     segments, classes, schema = load_data_dir(args.data)
     q = len(schema.channel_columns)
@@ -180,15 +177,12 @@ def cmd_train(args):
                              val_segments=val_set)
     save_checkpoint(trained.model, trained.stats, args.out)
     hist_path = args.history or args.out + ".history.json"
-    ds.atomic_write(hist_path, json.dumps(
-        {"train_loss": history.train_loss, "val_macro_f1": history.val_macro_f1},
-        indent=2) + "\n")
-    if not args.quiet:
-        print(f"trained {args.model} on {len(train_set)} samples "
-              f"(held-out user {args.held_out_user}, {tcfg.epochs} epochs)")
-        print(f"final mean train loss {history.train_loss[-1]:.4f}, "
-              f"val macro-F1 {history.val_macro_f1[-1]:.4f}")
-        print(f"checkpoint: {args.out}")
+    ds.atomic_write(hist_path, json.dumps(asdict(history), indent=2) + "\n")
+    print(f"trained {args.model} on {len(train_set)} samples "
+          f"(held-out user {args.held_out_user}, {tcfg.epochs} epochs)")
+    print(f"final mean train loss {history.train_loss[-1]:.4f}, "
+          f"val macro-F1 {history.val_macro_f1[-1]:.4f}")
+    print(f"checkpoint: {args.out}")
     return 0
 
 
@@ -202,8 +196,7 @@ def _check_data_fits(model, classes, schema):
         raise ds.DataError(f"data has {m} classes, checkpoint expects {model.cfg.m}")
 
 
-def cmd_evaluate(args):
-    cfg = load_run_config(args.config)
+def cmd_evaluate(args, cfg):
     model, stats = load_checkpoint(args.checkpoint)
     segments, classes, schema = load_data_dir(args.data)
     _check_data_fits(model, classes, schema)
@@ -211,9 +204,7 @@ def cmd_evaluate(args):
     samples = fixed_length_dataset(segments, n_target, _stride_for(cfg, n_target))
     _, val_set = ds.loso_split(samples, args.held_out_user)
     report = evaluate(TrainedModel(model, stats), val_set)
-    text = format_report(report, classes)
-    if not args.quiet:
-        print(text)
+    print(format_report(report, classes))
     if args.out:
         ds.atomic_write(args.out, report_key_values(report, classes))
     return 0
@@ -238,8 +229,7 @@ def _read_grouping(path):
     return groups
 
 
-def cmd_embed(args):
-    load_run_config(args.config)  # no section applies; a bad file still fails
+def cmd_embed(args, cfg):
     model, stats = load_checkpoint(args.checkpoint)
     if model.kind != "charm":
         raise CheckpointError("embedding extraction requires a charm checkpoint")
@@ -277,15 +267,12 @@ def cmd_embed(args):
               for c, lab, src in zip(coords, labels, sources)]
     emb.export_embedding(points, args.out)
     score = emb.silhouette_score(coords, labels)
-    if not args.quiet:
-        print(f"{allw.shape[0]} label-pure windows, "
-              f"{len(set(labels))} labels -> {args.out}")
-        print(f"silhouette: {score:.4f}")
+    print(f"{allw.shape[0]} label-pure windows, {len(set(labels))} labels -> {args.out}")
+    print(f"silhouette: {score:.4f}")
     return 0
 
 
-def cmd_features(args):
-    load_run_config(args.config)  # no section applies; a bad file still fails
+def cmd_features(args, cfg):
     segments, classes, schema = load_data_dir(args.data)
     q = len(schema.channel_columns)
     names = [f"ch{i}" for i in range(q)]
@@ -297,8 +284,7 @@ def cmd_features(args):
         writer.writerow([seg.source, classes[seg.high_label]]
                         + [repr(float(v)) for v in feats])
     ds.atomic_write(args.out, buf.getvalue())
-    if not args.quiet:
-        print(f"wrote {len(segments)} feature rows ({5 * q} columns) to {args.out}")
+    print(f"wrote {len(segments)} feature rows ({5 * q} columns) to {args.out}")
     return 0
 
 
@@ -360,10 +346,16 @@ def build_parser():
 
 
 def main(argv=None) -> int:
+    """Runs one command. The --config file is read and checked before any
+    command starts, so a bad value fails every command that is given it,
+    and under --quiet the command's stdout is discarded."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        cfg = load_run_config(args.config)
+        stdout = io.StringIO() if args.quiet else sys.stdout
+        with contextlib.redirect_stdout(stdout):
+            return args.func(args, cfg)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2

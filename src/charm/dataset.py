@@ -43,10 +43,6 @@ class SensorStream:
     def n(self) -> int:
         return self.samples.shape[0]
 
-    @property
-    def q(self) -> int:
-        return self.samples.shape[1]
-
 
 @dataclass
 class LabeledSegment:

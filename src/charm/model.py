@@ -78,10 +78,10 @@ class _Model:
                              f"got shape {batch.shape}")
         return self._logits(batch, training, rng)
 
-    def forward(self, sample, training: bool = False, rng=None):
-        """One sample [n_target, q]. Returns (class probabilities [m],
-        features or None)."""
-        logits, _, features = self._batch_logits(np.asarray(sample)[None], training, rng)
+    def forward(self, sample):
+        """One sample [n_target, q], inference mode. Returns (class
+        probabilities [m], features or None)."""
+        logits, _, features = self._batch_logits(np.asarray(sample)[None], False, None)
         return softmax(logits[0]), None if features is None else features[0]
 
     def predict(self, batch):

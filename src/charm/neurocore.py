@@ -41,33 +41,29 @@ def log_softmax(logits):
 
 
 def weighted_cross_entropy(logits, target, class_weights):
-    """-w[target] * log p[target], computed in log-space: a float for one
-    logit vector [m] and an int target, the [B] losses for rows [B, m] and
-    integer targets [B]."""
+    """-w[target] * log p[target], computed in log-space: the [B] losses of
+    logit rows [B, m] and integer targets [B]."""
     logits = np.asarray(logits, dtype=float)
     class_weights = np.asarray(class_weights, dtype=float)
     target = np.asarray(target)
-    m = logits.shape[-1]
-    if logits.ndim > 2 or target.shape != logits.shape[:-1] or target.dtype.kind not in "iu":
-        raise ValueError(f"need one integer target per row of logits, got {target!r}")
+    if logits.ndim != 2 or target.shape != logits.shape[:1] or target.dtype.kind not in "iu":
+        raise ValueError(f"need logit rows [B, m] and one integer target per row, "
+                         f"got logits {logits.shape} and targets {target!r}")
+    m = logits.shape[1]
     if not 0 <= target.min() <= target.max() < m:
         raise ValueError(f"target {target} out of range for {m} classes")
     if class_weights.shape != (m,) or (class_weights <= 0).any():
         raise ValueError("class_weights must be positive, one per class")
-    t = target.reshape(-1)
-    losses = -class_weights[t] * log_softmax(logits.reshape(-1, m))[np.arange(t.size), t]
-    return float(losses[0]) if target.ndim == 0 else losses
+    return -class_weights[target] * log_softmax(logits)[np.arange(target.size), target]
 
 
 def softmax_ce_grad(logits, target, weight):
-    """Gradient of weighted_cross_entropy w.r.t. the logits, times `weight`:
-    of one vector with an int target and a float weight, or of rows [B, m]
-    with targets [B] and weights [B]."""
-    logits = np.asarray(logits, dtype=float)
-    g = softmax(logits.reshape(-1, logits.shape[-1]))
-    np.subtract.at(g, (np.arange(len(g)), np.asarray(target).reshape(-1)), 1.0)
-    g *= np.asarray(weight).reshape(-1, 1)
-    return g.reshape(logits.shape)
+    """Gradient of weighted_cross_entropy w.r.t. logit rows [B, m] with
+    targets [B], each row times its weight [B]."""
+    g = softmax(logits)
+    g[np.arange(len(g)), target] -= 1.0
+    g *= np.reshape(weight, (-1, 1))
+    return g
 
 
 def dropout_mask(shape, p: float, rng: np.random.Generator):
@@ -174,7 +170,7 @@ class Adam:
     array has two preallocated temporaries, so a step allocates nothing;
     a model passes its one flat parameter vector."""
 
-    def __init__(self, params, lr: float = 5e-4, beta1: float = 0.9,
+    def __init__(self, params, lr: float, beta1: float = 0.9,
                  beta2: float = 0.999, eps: float = 1e-8):
         if lr <= 0 or eps <= 0 or not (0 <= beta1 < 1) or not (0 <= beta2 < 1):
             raise ValueError("bad Adam hyperparameters")

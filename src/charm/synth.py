@@ -4,6 +4,7 @@ per-user amplitude/noise variation so leave-one-subject-out is nontrivial."""
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 from dataclasses import asdict, dataclass
@@ -11,7 +12,8 @@ from typing import Annotated
 
 import numpy as np
 
-from .dataset import SchemaConfig, atomic_write, check_fields, check_value, map_files
+from .dataset import (LabeledSegment, SchemaConfig, SensorStream, atomic_write, check_fields,
+                      check_value, map_files)
 
 MOTIF_TRACK = "motif"
 
@@ -168,16 +170,11 @@ def gen_dataset(config: SynthConfig):
 def to_labeled_segments(segments, config: SynthConfig):
     """In-memory bridge to the dataset layer (equivalent to writing the files
     and loading them back). Returns (LabeledSegments, class names)."""
-    from .dataset import LabeledSegment, SensorStream
-
     classes = tuple(config.class_names)
-    out = []
-    for seg in segments:
-        out.append(LabeledSegment(
-            SensorStream(seg.data), classes.index(seg.class_name), seg.user_id,
-            low_label_tracks={MOTIF_TRACK: list(seg.motif_track)},
-            source=f"u{seg.user_id}/{seg.class_name}/{seg.index}"))
-    return out, classes
+    return [LabeledSegment(SensorStream(seg.data), classes.index(seg.class_name), seg.user_id,
+                           low_label_tracks={MOTIF_TRACK: list(seg.motif_track)},
+                           source=f"u{seg.user_id}/{seg.class_name}/{seg.index}")
+            for seg in segments], classes
 
 
 def dataset_schema(config: SynthConfig) -> SchemaConfig:
@@ -194,8 +191,12 @@ def dataset_schema(config: SynthConfig) -> SchemaConfig:
 
 def write_dataset(segments, config: SynthConfig, out_dir):
     """One file per segment plus manifest.json; reruns with the same config
-    are byte-identical."""
+    are byte-identical. An old manifest.json is removed before the first
+    data file is written, so a failed or interrupted run leaves none."""
     os.makedirs(out_dir, exist_ok=True)
+    manifest_path = os.path.join(out_dir, "manifest.json")
+    with contextlib.suppress(FileNotFoundError):
+        os.remove(manifest_path)
     files = [{"file": f"u{seg.user_id}_{seg.class_name}_{seg.index:03d}.csv",
               "user": seg.user_id, "class": seg.class_name} for seg in segments]
     map_files(_write_segment, [(os.path.join(out_dir, f["file"]), seg)
@@ -211,8 +212,7 @@ def write_dataset(segments, config: SynthConfig, out_dir):
         "schema": asdict(dataset_schema(config)),
         "files": files,
     }
-    atomic_write(os.path.join(out_dir, "manifest.json"),
-                 json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    atomic_write(manifest_path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return manifest
 
 

@@ -10,9 +10,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from charm import cli
+from charm import cli, synth
 from charm.cli import _stride_for, main
 from charm.dataset import load_data_dir, map_files
+from charm.model import MAGIC, MlpConfig, MlpModel, save_checkpoint
+from charm.neurocore import make_rng
+from charm.preprocess import ChannelStats
 
 SMALL_CONFIG = {
     "synth": {"samples_per_class_per_user": 2},
@@ -414,6 +417,12 @@ class TestManifestValidation:
                      id="schema-null-token-not-string"),
         pytest.param(_set("schema", "high_label_column", True), "bad manifest schema: ",
                      id="schema-high-label-bool"),
+        pytest.param(_set("schema", "channel_columns", []),
+                     "bad manifest schema: schema needs at least one channel column",
+                     id="schema-no-channel-columns"),
+        pytest.param(_set("schema", "delimiter", ",;"),
+                     "bad manifest schema: delimiter must be a single character",
+                     id="schema-two-character-delimiter"),
     ])
     def test_bad_schema_or_files_exit_3(self, tmp_path, workspace, capsys, edit, message):
         copy_data_with(workspace, tmp_path, edit_manifest=edit)
@@ -549,6 +558,114 @@ class TestNotUtf8:
         assert not out.exists()
 
 
+def _keep_first_file(manifest):
+    manifest["files"] = manifest["files"][:1]
+
+
+def _null_high_labels(text):
+    rows = [line.split(",") for line in text.split("\n") if line]
+    return "".join(",".join(row[:6] + ["null"] + row[7:]) + "\n" for row in rows)
+
+
+def _short_channel_stats(blob):
+    header, payload = blob[len(MAGIC):].split(b"\n", 1)
+    header = json.loads(header)
+    header["channel_means"] = header["channel_means"][:5]
+    header["channel_stds"] = header["channel_stds"][:5]
+    return MAGIC + json.dumps(header).encode() + b"\n" + payload
+
+
+class TestErrorLines:
+    """User-facing failures: the exit code, one stderr line and no output."""
+
+    @staticmethod
+    def fails(args, out, code, message, capsys):
+        assert main(args + ["--out", str(out)]) == code
+        err = capsys.readouterr().err
+        assert message in err and len(err.splitlines()) == 1
+        assert not out.exists()
+
+    def test_embed_mlp_checkpoint_exit_4(self, tmp_path, workspace, capsys):
+        ckpt = tmp_path / "mlp.ckpt"
+        save_checkpoint(MlpModel.init(MlpConfig(n_target=512, q=6, m=4), make_rng(0)),
+                        ChannelStats(np.zeros(6), np.ones(6)), ckpt)
+        self.fails(["embed", "--checkpoint", str(ckpt), "--data", workspace["data"]],
+                   tmp_path / "emb.csv", 4,
+                   "checkpoint error: embedding extraction requires a charm checkpoint",
+                   capsys)
+
+    @pytest.mark.parametrize("text, message", [
+        (None, "config error: cannot read config: "),
+        ("[]", "top level must be an object"),
+        ('{"train": [1]}', "section 'train' must be an object"),
+    ], ids=["missing", "list", "section-not-object"])
+    def test_bad_config_file_exit_2(self, tmp_path, capsys, text, message):
+        cfg = tmp_path / "config.json"
+        if text is not None:
+            cfg.write_text(text)
+        self.fails(["gen-synth", "--config", str(cfg)], tmp_path / "data", 2, message,
+                   capsys)
+
+    @pytest.mark.parametrize("text, message", [
+        ("swing armwork\n", "expected 'label=group' lines, got 'swing armwork'"),
+        ("# comments only\n\n", "empty grouping file"),
+    ], ids=["no-equals", "comments-only"])
+    def test_bad_grouping_exit_2(self, tmp_path, workspace, checkpoint, capsys,
+                                 text, message):
+        grouping = tmp_path / "groups.txt"
+        grouping.write_text(text)
+        self.fails(["embed", "--checkpoint", checkpoint, "--data", workspace["data"],
+                    "--grouping", str(grouping)], tmp_path / "emb.csv", 2,
+                   f"config error: {grouping}: {message}", capsys)
+
+    def test_single_user_held_out_exit_3(self, tmp_path, workspace, capsys):
+        def only_u4(manifest):
+            manifest["files"] = [f for f in manifest["files"] if f["user"] == "u4"]
+
+        data = tmp_path / "data"
+        data.mkdir()
+        copy_data_with(workspace, data, edit_manifest=only_u4)
+        self.fails(["train", "--config", workspace["config"], "--data", str(data),
+                    "--held-out-user", "u4"], tmp_path / "x.ckpt", 3,
+                   "data error: held-out user leaves an empty training set", capsys)
+
+    @pytest.mark.parametrize("edit_file, edit_manifest, message", [
+        (lambda text: "\n  \n\n", None, ": no usable rows"),
+        (_null_high_labels, _keep_first_file, ": no labeled segments found"),
+    ], ids=["blank-lines-only", "all-runs-null"])
+    def test_no_usable_data_exit_3(self, tmp_path, workspace, capsys,
+                                   edit_file, edit_manifest, message):
+        data = tmp_path / "data"
+        data.mkdir()
+        copy_data_with(workspace, data, edit_file=edit_file, edit_manifest=edit_manifest)
+        self.fails(["features", "--data", str(data)], tmp_path / "f.csv", 3, message,
+                   capsys)
+
+    def test_embed_too_few_windows_exit_3(self, tmp_path, workspace, checkpoint, capsys):
+        data = tmp_path / "data"
+        data.mkdir()
+        copy_data_with(workspace, data, edit_manifest=_keep_first_file,
+                       edit_file=lambda text: "\n".join(text.split("\n")[:40]))
+        self.fails(["embed", "--checkpoint", checkpoint, "--data", str(data)],
+                   tmp_path / "emb.csv", 3,
+                   "data error: not enough label-pure windows for embedding analysis",
+                   capsys)
+
+    @pytest.mark.parametrize("corrupt, message", [
+        (lambda blob: MAGIC + b'{"version": 1}', "missing header"),
+        (lambda blob: MAGIC + b"not json\n", "corrupt header: "),
+        (lambda blob: MAGIC + b"[1]\n", "corrupt header: not a JSON object"),
+        (_short_channel_stats, "channel stats do not match model input channels"),
+    ], ids=["no-header-newline", "header-not-json", "header-list", "short-channel-stats"])
+    def test_bad_checkpoint_header_exit_4(self, tmp_path, workspace, checkpoint, capsys,
+                                          corrupt, message):
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(corrupt(Path(checkpoint).read_bytes()))
+        self.fails(["evaluate", "--checkpoint", str(bad), "--data", workspace["data"],
+                    "--held-out-user", "u4"], tmp_path / "metrics.txt", 4,
+                   f"checkpoint error: {bad}: {message}", capsys)
+
+
 class TestHelp:
     @pytest.mark.parametrize("cmd", ["gen-synth", "train", "evaluate",
                                      "embed", "features"])
@@ -680,12 +797,27 @@ class TestOneProcessPerCpu:
 
 
 def test_interrupt_exit_130_one_line(monkeypatch, capsys):
-    def interrupted(_):
+    def interrupted(*_):
         raise KeyboardInterrupt
 
     monkeypatch.setattr(cli, "cmd_features", interrupted)
     assert main(["features", "--data", "d", "--out", "f.csv"]) == 130
     assert capsys.readouterr().err == "interrupted\n"
+
+
+def test_failed_write_over_a_dataset_leaves_no_manifest(tmp_path, capsys):
+    data = tmp_path / "data"
+    assert main(["gen-synth", "--seed", "42", "--out", str(data), "--quiet"]) == 0
+    cfg = cli.build_synth_config({}, seed_override=7)
+    segments = synth.gen_dataset(cfg)
+    segments[200].user_id = "missing/u1"  # the 201st file's directory does not exist
+    with pytest.raises(FileNotFoundError):
+        synth.write_dataset(segments, cfg, str(data))
+    assert not (data / "manifest.json").exists()
+    out = tmp_path / "features.csv"
+    assert main(["features", "--data", str(data), "--out", str(out)]) == 3
+    assert len(capsys.readouterr().err.splitlines()) == 1
+    assert not out.exists()
 
 
 SEED_42_DIGEST = "01f780f599473be345ac88e8e21ae396f1fce1b3723b023c39c01dc7f1f737c2"

@@ -25,7 +25,7 @@ class TestLoadStream:
     def test_identity_parse(self, tmp_path):
         path = write(tmp_path, "1.0,2.0,A\n3.0,4.0,A\n5.0,6.0,B\n")
         loaded = load_stream(path, SCHEMA)
-        assert loaded.stream.n == 3 and loaded.stream.q == 2
+        assert loaded.stream.samples.shape == (3, 2)
         np.testing.assert_array_equal(loaded.stream.samples[1], [3.0, 4.0])
         assert loaded.high_labels == ["A", "A", "B"]
         assert loaded.dropped_rows == 0

@@ -189,7 +189,7 @@ def reference_grads(stacks, x, target, weights, rng):
         caches.append(cache)
         out_shapes.append(x.shape)
         x = x.reshape(1, -1)
-    d = softmax_ce_grad(x[0], target, weights[target])[None, :]
+    d = softmax_ce_grad(x, [target], weights[[target]])
     grads = []
     for stack, cache, shape in reversed(list(zip(stacks, caches, out_shapes))):
         stack_grads, d = reference_backward(stack, cache, d.reshape(shape))
@@ -234,7 +234,7 @@ class TestStepParity:
                 return sample.reshape(1, -1)
         ref_params = [p for stack in stacks for p in stack.param_arrays()]
         ref_opt = ReferenceAdam(ref_params)
-        opt = Adam([model.params])
+        opt = Adam([model.params], lr=5e-4)
         data, ref_rng, rng = make_rng(4), make_rng(5), make_rng(5)
         for _ in range(50):
             sample = data.normal(size=(20, 3))
@@ -256,7 +256,7 @@ class TestStepParity:
         x = -np.abs(make_rng(7).normal(size=(1, 6)))
         x[0, 2] = 0.0
         out, cache = stack.forward(x, True, make_rng(8))
-        d = softmax_ce_grad(out[0], 1, 1.0)[None, :]
+        d = softmax_ce_grad(out, [1], [1.0])
         assert any((c[2] == 0).any() for c in cache[:-1])
         expected, expected_d_in = reference_backward(stack, cache, d)
         grads = [np.empty_like(p) for p in stack.param_arrays()]
@@ -269,7 +269,7 @@ class TestStepParity:
         assert flat_bytes(negative_zeros) != flat_bytes(grads)
         params = [p.copy() for p in stack.param_arrays()]
         ref_params = [p.copy() for p in params]
-        ref_opt, opt = ReferenceAdam(ref_params), Adam(params)
+        ref_opt, opt = ReferenceAdam(ref_params), Adam(params, lr=5e-4)
         for _ in range(3):
             ref_opt.step(ref_params, negative_zeros)
             opt.step(params, grads)

@@ -58,21 +58,25 @@ class TestSoftmax:
 
 class TestWeightedCrossEntropy:
     def test_uniform_logits(self):
-        loss = weighted_cross_entropy([0.0] * 4, 1, [1.0] * 4)
-        assert loss == pytest.approx(np.log(4), abs=1e-12)
+        loss = weighted_cross_entropy([[0.0] * 4], [1], [1.0] * 4)
+        assert loss == pytest.approx([np.log(4)], abs=1e-12)
 
     def test_confident_prediction(self):
-        assert weighted_cross_entropy([50.0, 0.0], 0, [1.0, 1.0]) < 1e-9
+        assert weighted_cross_entropy([[50.0, 0.0]], [0], [1.0, 1.0])[0] < 1e-9
 
     def test_linear_in_weight(self):
-        logits = [0.3, -1.2, 0.8]
-        base = weighted_cross_entropy(logits, 2, [1.0, 1.0, 1.0])
-        doubled = weighted_cross_entropy(logits, 2, [1.0, 1.0, 2.0])
+        logits = [[0.3, -1.2, 0.8]]
+        base = weighted_cross_entropy(logits, [2], [1.0, 1.0, 1.0])
+        doubled = weighted_cross_entropy(logits, [2], [1.0, 1.0, 2.0])
         assert doubled == pytest.approx(2 * base)
 
     def test_invalid_target(self):
         with pytest.raises(ValueError):
-            weighted_cross_entropy([0.0, 0.0], 2, [1.0, 1.0])
+            weighted_cross_entropy([[0.0, 0.0]], [2], [1.0, 1.0])
+
+    def test_one_vector_rejected(self):
+        with pytest.raises(ValueError):
+            weighted_cross_entropy([0.0, 0.0], 1, [1.0, 1.0])
 
     def test_rows_match_vectors(self):
         logits = make_rng(4).normal(size=(4, 3))
@@ -80,10 +84,11 @@ class TestWeightedCrossEntropy:
         weights = np.array([0.7, 1.6, 1.2])
         rows = weighted_cross_entropy(logits, targets, weights)
         grads = softmax_ce_grad(logits, targets, weights[targets])
-        for i, t in enumerate(targets):
-            assert rows[i] == weighted_cross_entropy(logits[i], int(t), weights)
-            np.testing.assert_array_equal(grads[i],
-                                          softmax_ce_grad(logits[i], int(t), weights[t]))
+        for i in range(len(targets)):
+            one = slice(i, i + 1)
+            assert rows[i] == weighted_cross_entropy(logits[one], targets[one], weights)[0]
+            np.testing.assert_array_equal(
+                grads[i], softmax_ce_grad(logits[one], targets[one], weights[targets[one]])[0])
 
     @pytest.mark.parametrize("target", [[0], [0, 1, 1], [[0, 1]], [0.0, 1.0], [0, -1]])
     def test_invalid_row_targets(self, target):
@@ -200,8 +205,7 @@ class TestStackBackward:
 
         def loss_fn():
             out, _ = stack.forward(x)
-            return (weighted_cross_entropy(out[0], 1, weights)
-                    + weighted_cross_entropy(out[1], 2, weights))
+            return weighted_cross_entropy(out, [1, 2], weights).sum()
 
         out, cache = stack.forward(x)
         d = np.vstack([
@@ -269,7 +273,7 @@ def adam_oracle(g, steps, lr=5e-4, b1=0.9, b2=0.999, eps=1e-8):
 class TestAdam:
     def test_zero_grad_is_noop(self):
         p = np.array([1.0, -2.0])
-        opt = Adam([p])
+        opt = Adam([p], lr=5e-4)
         opt.step([p], [np.zeros(2)])
         np.testing.assert_array_equal(p, [1.0, -2.0])
         assert np.all(opt.first_moment[0] == 0) and np.all(opt.second_moment[0] == 0)
@@ -296,7 +300,7 @@ class TestAdam:
 
     def test_shape_mismatch(self):
         p = np.array([0.0, 1.0])
-        opt = Adam([p])
+        opt = Adam([p], lr=5e-4)
         with pytest.raises(ValueError):
             opt.step([p], [np.zeros(3)])
 
@@ -304,4 +308,4 @@ class TestAdam:
         with pytest.raises(ValueError):
             Adam([np.zeros(1)], lr=0.0)
         with pytest.raises(ValueError):
-            Adam([np.zeros(1)], beta1=1.0)
+            Adam([np.zeros(1)], lr=5e-4, beta1=1.0)
