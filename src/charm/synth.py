@@ -42,6 +42,8 @@ class MotifSpec:
             check_value("duration", bound, int, "[1, inf)")
         if lo > hi:
             raise ValueError(f"bad duration range {self.duration_range}")
+        if not self.channels:
+            raise ValueError(f"motif {self.name!r} has no channels")
 
 
 @dataclass(frozen=True)
@@ -104,26 +106,20 @@ class SynthConfig:
         return [g.class_name for g in self.grammars]
 
 
-def gen_motif(spec: MotifSpec, duration: int, user: UserProfile,
-              rng: np.random.Generator, sample_rate_hz: float = 30.0):
-    """[duration, q] sinusoid-per-channel samples with user scaling and noise."""
-    lo, hi = spec.duration_range
-    if not lo <= duration <= hi:
-        raise ValueError(f"duration {duration} outside {spec.duration_range}")
-    t = np.arange(duration) / sample_rate_hz
-    cols = [w.offset + user.amp_scale * w.amplitude
-            * np.sin(2 * np.pi * w.freq_hz * t + w.phase)
-            for w in spec.channels]
-    data = np.column_stack(cols)
-    if user.noise_sigma > 0:
-        data = data + rng.normal(0.0, user.noise_sigma, size=data.shape)
-    return data
+def motif_wave(spec: MotifSpec, user: UserProfile, length: int, sample_rate_hz: float):
+    """[length, q] noiseless samples: one user-scaled sinusoid per channel."""
+    t = np.arange(length) / sample_rate_hz
+    return np.column_stack([w.offset + user.amp_scale * w.amplitude
+                            * np.sin(2 * np.pi * w.freq_hz * t + w.phase)
+                            for w in spec.channels])
 
 
-def gen_segment(grammar: ActivityGrammar, user: UserProfile, motifs: dict,
-                rng: np.random.Generator, sample_rate_hz: float = 30.0):
+def gen_segment(grammar: ActivityGrammar, motifs: dict, waves: dict, noise_sigma: float,
+                rng: np.random.Generator):
     """Draw motifs i.i.d. from the grammar until target_len is covered,
-    truncating the last motif. Returns (data [n, q], motif label per sample)."""
+    truncating the last one. A draw is the first rows of its motif's wave
+    (waves: name -> [>= min(hi, target_len), q]) plus its own noise.
+    Returns (data [target_len, q], motif label per sample)."""
     names = sorted(grammar.motif_probs)
     probs = np.array([grammar.motif_probs[n] for n in names])
     chunks = []
@@ -131,14 +127,17 @@ def gen_segment(grammar: ActivityGrammar, user: UserProfile, motifs: dict,
     total = 0
     while total < grammar.target_len:
         name = names[rng.choice(len(names), p=probs)]
-        spec = motifs[name]
-        lo, hi = spec.duration_range
+        lo, hi = motifs[name].duration_range
         duration = int(rng.integers(lo, hi + 1))
-        chunks.append(gen_motif(spec, duration, user, rng, sample_rate_hz))
-        track.extend([name] * duration)
-        total += duration
-    data = np.vstack(chunks)[: grammar.target_len]
-    return data, track[: grammar.target_len]
+        n = min(duration, grammar.target_len - total)
+        chunk = waves[name][:n]
+        if noise_sigma > 0:  # all of a truncated draw's noise too: rng moves on the same
+            chunk = chunk + rng.normal(0.0, noise_sigma, (duration, chunk.shape[1]))[:n]
+        chunks.append(chunk)
+        track += [name] * n
+        total += n
+    # concatenate copies, so no segment shares memory with the waves
+    return np.concatenate(chunks), track
 
 
 @dataclass
@@ -153,15 +152,20 @@ class SynthSegment:
 def gen_dataset(config: SynthConfig):
     """All (class, user, index) segments, deterministic under the seed: each
     segment draws from its own generator keyed by (seed, user, class, index),
-    so generation order (or parallelism) cannot change the output."""
+    so generation order (or parallelism) cannot change the output. Each
+    (motif, user) wave is built once, no longer than a segment can use."""
+    longest = max(g.target_len for g in config.grammars)
     segments = []
     for ui, user in enumerate(config.users):
+        waves = {name: motif_wave(spec, user, min(spec.duration_range[1], longest),
+                                  config.sample_rate_hz)
+                 for name, spec in config.motifs.items()}
         for ci, grammar in enumerate(config.grammars):
             for si in range(config.samples_per_class_per_user):
                 rng = np.random.Generator(np.random.PCG64(
                     np.random.SeedSequence((config.seed, ui, ci, si))))
-                data, track = gen_segment(grammar, user, config.motifs, rng,
-                                          config.sample_rate_hz)
+                data, track = gen_segment(grammar, config.motifs, waves,
+                                          user.noise_sigma, rng)
                 segments.append(SynthSegment(user.user_id, grammar.class_name,
                                              data, track, si))
     return segments

@@ -108,6 +108,20 @@ class TestGenSynth:
         assert "duration" in err and len(err.splitlines()) == 1
         assert not (tmp_path / "e").exists()
 
+    def test_motif_without_channels_exit_2(self, tmp_path, capsys):
+        synth = {
+            "motifs": {"still": {"channels": [], "duration": [4, 8]}},
+            "grammars": {"a": {"probs": {"still": 1.0}, "target_len": 10},
+                         "b": {"probs": {"still": 1.0}, "target_len": 12}},
+        }
+        cfg = tmp_path / "synth.json"
+        cfg.write_text(json.dumps({"synth": synth}))
+        out = tmp_path / "d"
+        assert main(["gen-synth", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr() == (
+            "", "config error: bad synth config: motif 'still' has no channels\n")
+        assert not out.exists()
+
 
 class TestTrain:
     def test_writes_checkpoint_and_history(self, workspace, checkpoint):

@@ -1,5 +1,6 @@
 import filecmp
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,43 +9,82 @@ from charm.dataset import load_stream
 from charm.neurocore import make_rng
 from charm.synth import (ActivityGrammar, ChannelWave, MotifSpec, SynthConfig,
                          SynthSegment, UserProfile, dataset_schema, default_config,
-                         gen_dataset, gen_motif, gen_segment, motif_histogram_oracle,
+                         gen_dataset, gen_segment, motif_histogram_oracle, motif_wave,
                          to_labeled_segments, write_dataset)
 
 USER = UserProfile("u", 1.0, 0.0)
+RATE = 30.0
 FLAT = MotifSpec("flat", (ChannelWave(0.0, 1.0, 0.0, 2.5),
                           ChannelWave(0.0, 2.0, 0.0, -1.0)), (8, 64))
 
 
+def waves_for(motifs, user=USER):
+    """Each motif's noiseless wave at its longest duration."""
+    return {name: motif_wave(spec, user, spec.duration_range[1], RATE)
+            for name, spec in motifs.items()}
+
+
+def one_motif_segment(spec, user, rng):
+    """A segment of exactly one draw of `spec` at its longest duration."""
+    grammar = ActivityGrammar("g", {spec.name: 1.0}, spec.duration_range[1])
+    return gen_segment(grammar, {spec.name: spec}, waves_for({spec.name: spec}, user),
+                       user.noise_sigma, rng)
+
+
 class TestGenMotif:
+    """One motif's samples: its wave (`motif_wave`) plus the noise each draw
+    adds in `gen_segment`."""
+
     def test_zero_amp_zero_noise_gives_offsets(self):
-        out = gen_motif(FLAT, 10, USER, make_rng(0))
+        out = motif_wave(FLAT, USER, 10, RATE)
         np.testing.assert_array_equal(out, np.tile([2.5, -1.0], (10, 1)))
 
     def test_determinism(self):
         spec = default_config().motifs["swing"]
         user = UserProfile("u", 1.1, 0.2)
-        a = gen_motif(spec, 40, user, make_rng(5))
-        b = gen_motif(spec, 40, user, make_rng(5))
+        a, track_a = one_motif_segment(spec, user, make_rng(5))
+        b, track_b = one_motif_segment(spec, user, make_rng(5))
         np.testing.assert_array_equal(a, b)
+        assert track_a == track_b
 
     def test_noise_variance(self):
         spec = MotifSpec("z", (ChannelWave(0.0, 1.0, 0.0, 0.0),), (10 ** 5, 10 ** 5))
         user = UserProfile("u", 1.0, 0.1)
-        out = gen_motif(spec, 10 ** 5, user, make_rng(7))
+        out, _ = one_motif_segment(spec, user, make_rng(7))
         n = out.size
         se = 0.01 * np.sqrt(2.0 / (n - 1))
         assert abs(out.var() - 0.01) < 3 * se
 
     def test_amp_scale_applied(self):
         spec = MotifSpec("s", (ChannelWave(2.0, 1.0, 0.0, 0.0),), (30, 30))
-        big = gen_motif(spec, 30, UserProfile("u", 2.0, 0.0), make_rng(0))
-        small = gen_motif(spec, 30, UserProfile("u", 1.0, 0.0), make_rng(0))
+        big = motif_wave(spec, UserProfile("u", 2.0, 0.0), 30, RATE)
+        small = motif_wave(spec, UserProfile("u", 1.0, 0.0), 30, RATE)
         np.testing.assert_allclose(big, 2.0 * small, atol=1e-12)
 
     def test_duration_out_of_range(self):
-        with pytest.raises(ValueError):
-            gen_motif(FLAT, 100, USER, make_rng(0))
+        # no draw lasts outside its motif's range; each draw starts its wave
+        # at sin(0) = 0 and rises after, so the zeros mark where draws begin
+        specs = {
+            "a": MotifSpec("a", (ChannelWave(1.0, 0.1, 0.0, 0.0),), (8, 16)),
+            "b": MotifSpec("b", (ChannelWave(1.0, 0.1, 0.0, 0.0),), (20, 24)),
+        }
+        grammar = ActivityGrammar("g", {"a": 0.5, "b": 0.5}, 500)
+        data, track = gen_segment(grammar, specs, waves_for(specs), 0.0, make_rng(6))
+        starts = np.flatnonzero(data[:, 0] == 0.0)
+        ends = np.append(starts[1:], len(data))
+        assert starts[0] == 0 and len(starts) > 20
+        for i, (start, end) in enumerate(zip(starts, ends)):
+            assert len(set(track[start:end])) == 1
+            lo, hi = specs[track[start]].duration_range
+            assert (1 if i == len(starts) - 1 else lo) <= end - start <= hi
+        with pytest.raises(ValueError, match="^duration must be"):
+            MotifSpec("z", FLAT.channels, (0, 8))
+        with pytest.raises(ValueError, match="^bad duration range"):
+            MotifSpec("z", FLAT.channels, (9, 8))
+
+    def test_no_channels_rejected(self):
+        with pytest.raises(ValueError, match="^motif 'z' has no channels$"):
+            MotifSpec("z", (), (8, 8))
 
 
 GRAMMAR = ActivityGrammar("only", {"flat": 1.0}, 100)
@@ -52,11 +92,13 @@ GRAMMAR = ActivityGrammar("only", {"flat": 1.0}, 100)
 
 class TestGenSegment:
     def test_single_motif_constant_track(self):
-        _, track = gen_segment(GRAMMAR, USER, {"flat": FLAT}, make_rng(1))
+        _, track = gen_segment(GRAMMAR, {"flat": FLAT}, waves_for({"flat": FLAT}), 0.0,
+                               make_rng(1))
         assert set(track) == {"flat"}
 
     def test_exact_target_length(self):
-        data, track = gen_segment(GRAMMAR, USER, {"flat": FLAT}, make_rng(2))
+        data, track = gen_segment(GRAMMAR, {"flat": FLAT}, waves_for({"flat": FLAT}), 0.0,
+                                  make_rng(2))
         assert data.shape[0] == 100 and len(track) == 100
 
     def test_draw_frequencies_match_probabilities(self):
@@ -67,12 +109,13 @@ class TestGenSegment:
         }
         probs = {"a": 0.5, "b": 0.3, "c": 0.2}
         grammar = ActivityGrammar("g", probs, 400)
+        waves = waves_for(specs)
         rng = make_rng(3)
         counts = {"a": 0, "b": 0, "c": 0}
         mean_dur = 16.0  # all three motifs share the (8, 24) duration range
         n_segments = 500  # ~12500 draws in total
         for _ in range(n_segments):
-            _, track = gen_segment(grammar, USER, specs, rng)
+            _, track = gen_segment(grammar, specs, waves, 0.0, rng)
             for lab in track:
                 counts[lab] += 1
         total_samples = sum(counts.values())
@@ -88,9 +131,86 @@ class TestGenSegment:
             "hi": MotifSpec("hi", (ChannelWave(0, 1, 0, 5.0),), (8, 16)),
         }
         grammar = ActivityGrammar("g", {"lo": 0.5, "hi": 0.5}, 200)
-        data, track = gen_segment(grammar, USER, specs, make_rng(4))
+        data, track = gen_segment(grammar, specs, waves_for(specs), 0.0, make_rng(4))
         for value, lab in zip(data[:, 0], track):
             assert value == (-5.0 if lab == "lo" else 5.0)
+
+    def test_shared_generator_stream_matches_reference(self):
+        # a truncated last draw still takes its full [duration, q] noise, so a
+        # generator passed on to the next segment is where the reference leaves it
+        cfg = edge_config()
+        user = cfg.users[1]
+        waves = {name: motif_wave(spec, user, 90, cfg.sample_rate_hz)
+                 for name, spec in cfg.motifs.items()}
+        rng, ref_rng = make_rng(8), make_rng(8)
+        for grammar in cfg.grammars * 4:
+            data, track = gen_segment(grammar, cfg.motifs, waves, user.noise_sigma, rng)
+            want, want_track = reference_segment(grammar, cfg.motifs, user, ref_rng,
+                                                 cfg.sample_rate_hz)
+            assert data.tobytes() == want.tobytes() and track == want_track
+
+
+def reference_segment(grammar, motifs, user, rng, sample_rate_hz):
+    """The per-draw generator `gen_segment` replaced, kept as its oracle: every
+    draw builds its motif's sinusoids at its own duration and adds its noise."""
+    def motif(spec, duration):
+        t = np.arange(duration) / sample_rate_hz
+        data = np.column_stack([w.offset + user.amp_scale * w.amplitude
+                                * np.sin(2 * np.pi * w.freq_hz * t + w.phase)
+                                for w in spec.channels])
+        if user.noise_sigma > 0:
+            data = data + rng.normal(0.0, user.noise_sigma, size=data.shape)
+        return data
+
+    names = sorted(grammar.motif_probs)
+    probs = np.array([grammar.motif_probs[n] for n in names])
+    chunks, track = [], []
+    while len(track) < grammar.target_len:
+        name = names[rng.choice(len(names), p=probs)]
+        lo, hi = motifs[name].duration_range
+        duration = int(rng.integers(lo, hi + 1))
+        chunks.append(motif(motifs[name], duration))
+        track += [name] * duration
+    return np.vstack(chunks)[: grammar.target_len], track[: grammar.target_len]
+
+
+def reference_dataset(config):
+    segments = []
+    for ui, user in enumerate(config.users):
+        for ci, grammar in enumerate(config.grammars):
+            for si in range(config.samples_per_class_per_user):
+                rng = np.random.Generator(np.random.PCG64(
+                    np.random.SeedSequence((config.seed, ui, ci, si))))
+                data, track = reference_segment(grammar, config.motifs, user, rng,
+                                                config.sample_rate_hz)
+                segments.append(SynthSegment(user.user_id, grammar.class_name,
+                                             data, track, si))
+    return segments
+
+
+def assert_same_segments(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert (g.user_id, g.class_name, g.index) == (w.user_id, w.class_name, w.index)
+        assert g.data.dtype == w.data.dtype and g.data.shape == w.data.shape
+        assert g.data.tobytes() == w.data.tobytes()
+        assert g.motif_track == w.motif_track
+
+
+def edge_config():
+    """A zero-noise user, a motif with lo == hi and one whose longest draw
+    exceeds every target_len, over two target lengths."""
+    wave = ChannelWave(0.7, 2.3, 0.4, -0.1), ChannelWave(1.1, 5.0, 1.9, 0.3)
+    motifs = {
+        "fixed": MotifSpec("fixed", wave, (7, 7)),
+        "long": MotifSpec("long", wave[::-1], (30, 400)),
+        "short": MotifSpec("short", (wave[1], ChannelWave(0.5, 8.0, 0.0, 0.6)), (3, 9)),
+    }
+    grammars = (ActivityGrammar("one", {"fixed": 0.5, "long": 0.3, "short": 0.2}, 90),
+                ActivityGrammar("two", {"fixed": 0.2, "long": 0.6, "short": 0.2}, 57))
+    users = (UserProfile("still", 0.9, 0.0), UserProfile("noisy", 1.2, 0.25))
+    return SynthConfig(motifs=motifs, grammars=grammars, users=users,
+                       samples_per_class_per_user=12, seed=9)
 
 
 class TestGenDataset:
@@ -103,6 +223,26 @@ class TestGenDataset:
     def test_counts(self):
         segs = gen_dataset(self.small_config(5))
         assert len(segs) == 4 * 4 * 5
+
+    @pytest.mark.parametrize("seed", [42, 7, 31337])
+    def test_matches_reference_default_config(self, seed):
+        cfg = replace(default_config(), seed=seed)
+        assert_same_segments(gen_dataset(cfg), reference_dataset(cfg))
+
+    def test_matches_reference_edge_config(self):
+        cfg = edge_config()
+        segs = gen_dataset(cfg)
+        assert {len(t) for t in (s.motif_track for s in segs)} == {90, 57}
+        assert {"fixed", "long", "short"} <= {m for s in segs for m in s.motif_track}
+        assert_same_segments(segs, reference_dataset(cfg))
+
+    def test_segments_share_no_memory(self):
+        cfg = edge_config()
+        segs = gen_dataset(cfg)
+        for i, a in enumerate(segs):
+            assert not any(np.shares_memory(a.data, b.data) for b in segs[i + 1:])
+            a.data[...] = 0.0  # the zero-noise user's segments included
+        assert_same_segments(gen_dataset(cfg), reference_dataset(cfg))
 
     def test_seed_determinism_byte_identical_files(self, tmp_path):
         cfg = self.small_config(2)
