@@ -63,7 +63,8 @@ def pca_transform(model: PcaModel, X) -> np.ndarray:
 def silhouette_score(points, labels) -> float:
     """Mean silhouette with Euclidean distance. Singleton-cluster points and
     zero-spread points contribute 0. Distances are formed SILHOUETTE_BLOCK
-    rows at a time, so memory is O(SILHOUETTE_BLOCK * N)."""
+    rows at a time, each block only against itself and the rows after it
+    (the distance matrix is symmetric), so memory is O(SILHOUETTE_BLOCK * N)."""
     X = np.asarray(points, dtype=float)
     labels = np.asarray(labels)
     if X.shape[0] != labels.shape[0]:
@@ -77,26 +78,29 @@ def silhouette_score(points, labels) -> float:
     onehot = np.zeros((n, uniq.size))
     onehot[np.arange(n), codes] = 1.0
     sizes = np.bincount(codes)
-    scores = np.zeros(n)
-    dist_buf = np.empty((SILHOUETTE_BLOCK, n))
-    diff_buf = np.empty((SILHOUETTE_BLOCK, n))
+    sums = np.zeros((n, uniq.size))  # distance from each point to each cluster
+    dist_buf = np.empty(SILHOUETTE_BLOCK * n)  # flat: each block's view is contiguous
+    diff_buf = np.empty(SILHOUETTE_BLOCK * n)
     for start in range(0, n, SILHOUETTE_BLOCK):
-        rows = X[start:start + SILHOUETTE_BLOCK]
-        dist, diff = dist_buf[:len(rows)], diff_buf[:len(rows)]
+        stop = min(start + SILHOUETTE_BLOCK, n)
+        rows, shape = X[start:stop], (stop - start, n - start)
+        dist = dist_buf[:shape[0] * shape[1]].reshape(shape)
+        diff = diff_buf[:dist.size].reshape(shape)
         dist[...] = 0.0
         for j in range(X.shape[1]):
-            np.subtract.outer(rows[:, j], X[:, j], out=diff)
+            np.subtract.outer(rows[:, j], X[start:, j], out=diff)
             dist += np.square(diff, out=diff)
         np.sqrt(dist, out=dist)
-        sums = dist @ onehot  # [rows, k]: distance from each row to each cluster
-        own, at = codes[start:start + len(rows)], np.arange(len(rows))
-        a = sums[at, own] / np.maximum(sizes[own] - 1, 1)
-        means = sums / sizes
-        means[at, own] = np.inf
-        b = means.min(axis=1)
-        denom = np.maximum(a, b)
-        np.divide(b - a, denom, out=scores[start:start + len(rows)],
-                  where=(sizes[own] > 1) & (denom > 0))
+        sums[start:stop] += dist @ onehot[start:]
+        sums[stop:] += dist[:, stop - start:].T @ onehot[start:stop]
+    at, own_size = np.arange(n), sizes[codes]
+    a = sums[at, codes] / np.maximum(own_size - 1, 1)
+    sums /= sizes  # now the mean distance from each point to each cluster
+    sums[at, codes] = np.inf
+    b = sums.min(axis=1)
+    denom = np.maximum(a, b)
+    scores = np.zeros(n)
+    np.divide(b - a, denom, out=scores, where=(own_size > 1) & (denom > 0))
     return float(scores.mean())
 
 

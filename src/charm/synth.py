@@ -119,14 +119,16 @@ def gen_segment(grammar: ActivityGrammar, motifs: dict, waves: dict, noise_sigma
     """Draw motifs i.i.d. from the grammar until target_len is covered,
     truncating the last one. A draw is the first rows of its motif's wave
     (waves: name -> [>= min(hi, target_len), q]) plus its own noise.
+    Each motif is drawn as Generator.choice(p=) draws it, from one uniform.
     Returns (data [target_len, q], motif label per sample)."""
     names = sorted(grammar.motif_probs)
-    probs = np.array([grammar.motif_probs[n] for n in names])
+    cdf = np.cumsum([grammar.motif_probs[n] for n in names], dtype=float)
+    cdf /= cdf[-1]
     chunks = []
     track = []
     total = 0
     while total < grammar.target_len:
-        name = names[rng.choice(len(names), p=probs)]
+        name = names[cdf.searchsorted(rng.random(), side="right")]
         lo, hi = motifs[name].duration_range
         duration = int(rng.integers(lo, hi + 1))
         n = min(duration, grammar.target_len - total)

@@ -119,6 +119,19 @@ class TestSilhouette:
         ref = reference_silhouette(X, labels)
         assert abs(silhouette_score(X, labels) - ref) < 1e-12
 
+    @pytest.mark.parametrize("n", [63, 64, 65, 128, 129])
+    def test_block_edges_match_reference(self, n):
+        # each block adds its distances to the later rows' sums; a label held
+        # only by the last block's rows has no earlier block to take them from
+        rng = make_rng(200 + n)
+        X = rng.normal(size=(n, 3))
+        labels = rng.integers(0, 3, size=n).astype(str)
+        last = (n - 1) // 64 * 64
+        labels[max(last, n - 3):] = "tail"
+        X[-1] = X[-2]
+        ref = reference_silhouette(X, labels)
+        assert abs(silhouette_score(X, labels) - ref) < 1e-12
+
     def test_large_n_memory_bounded(self):
         # the [N, N] form needs several GiB here
         rng = make_rng(11)

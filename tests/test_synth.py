@@ -213,6 +213,43 @@ def edge_config():
                        samples_per_class_per_user=12, seed=9)
 
 
+def zero_probability_config():
+    """Four short motifs, so each segment takes dozens of draws, under
+    grammars that each give one motif probability 0."""
+    motifs = {name: MotifSpec(name, (ChannelWave(0.5, 3.0, 0.2, i),), (3, 9))
+              for i, name in enumerate("abcd")}
+    grammars = (ActivityGrammar("first", {"a": 0.0, "b": 0.7, "c": 0.2, "d": 0.1}, 200),
+                ActivityGrammar("middle", {"a": 0.7, "b": 0.2, "c": 0.0, "d": 0.1}, 200),
+                ActivityGrammar("last", {"a": 0.7, "b": 0.2, "c": 0.1, "d": 0.0}, 200),
+                ActivityGrammar("ints", {"a": 0, "b": 1, "c": 0}, 60))
+    users = (UserProfile("still", 1.0, 0.0), UserProfile("noisy", 0.8, 0.2))
+    return SynthConfig(motifs=motifs, grammars=grammars, users=users,
+                       samples_per_class_per_user=10, seed=3)
+
+
+class FixedDraws:
+    """A stand-in generator: every uniform is `u`, every duration its lower
+    bound, and no noise is asked for."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self):
+        return self.u
+
+    def integers(self, lo, hi):
+        return lo
+
+
+@pytest.mark.parametrize("u", [0.0, 0.5, 0.7, 1.0 - 2.0 ** -53])
+def test_zero_probability_motif_never_drawn_at_the_extremes(u):
+    cfg = zero_probability_config()
+    waves = {name: motif_wave(spec, USER, 9, RATE) for name, spec in cfg.motifs.items()}
+    for grammar in cfg.grammars:
+        _, track = gen_segment(grammar, cfg.motifs, waves, 0.0, FixedDraws(u))
+        assert all(grammar.motif_probs[m] > 0 for m in track)
+
+
 class TestGenDataset:
     def small_config(self, samples=5):
         base = default_config()
@@ -224,7 +261,7 @@ class TestGenDataset:
         segs = gen_dataset(self.small_config(5))
         assert len(segs) == 4 * 4 * 5
 
-    @pytest.mark.parametrize("seed", [42, 7, 31337])
+    @pytest.mark.parametrize("seed", [42, 7, 31337, 1, 0])
     def test_matches_reference_default_config(self, seed):
         cfg = replace(default_config(), seed=seed)
         assert_same_segments(gen_dataset(cfg), reference_dataset(cfg))
@@ -235,6 +272,18 @@ class TestGenDataset:
         assert {len(t) for t in (s.motif_track for s in segs)} == {90, 57}
         assert {"fixed", "long", "short"} <= {m for s in segs for m in s.motif_track}
         assert_same_segments(segs, reference_dataset(cfg))
+
+    def test_matches_reference_zero_probabilities(self):
+        # a zero-probability motif first, in the middle and last in sorted
+        # order, float probabilities that sum to 0.9999999999999999, and ints
+        cfg = zero_probability_config()
+        assert sum(cfg.grammars[0].motif_probs.values()) != 1.0
+        segs = gen_dataset(cfg)
+        assert_same_segments(segs, reference_dataset(cfg))
+        for grammar in cfg.grammars:
+            drawn = {m for s in segs if s.class_name == grammar.class_name
+                     for m in s.motif_track}
+            assert drawn == {m for m, p in grammar.motif_probs.items() if p > 0}
 
     def test_segments_share_no_memory(self):
         cfg = edge_config()
