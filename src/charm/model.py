@@ -15,6 +15,8 @@ from .neurocore import (Stack, flatten_params, make_rng, softmax, softmax_ce_gra
                         view_arrays, weighted_cross_entropy)
 from .preprocess import ChannelStats, window
 
+EMBED_CHUNK = 4096  # at most this many windows per low-encoder forward in embed_windows
+
 
 class CheckpointError(Exception):
     pass
@@ -157,13 +159,17 @@ class CharmModel(_Model):
         return logits, backward, low_feats.reshape(n, z, -1)
 
     def embed_windows(self, windows):
-        """Low-level encoder only, inference mode. windows: [k, r, q] -> [k, low_out]."""
+        """Low-level encoder only, inference mode. windows: [k, r, q] -> [k, low_out],
+        k = 0 included, encoded in ceil(k / EMBED_CHUNK) near-equal parts."""
         w = np.asarray(windows, dtype=float)
         if w.ndim != 3 or w.shape[1:] != (self.cfg.r, self.cfg.q):
             raise ValueError(
                 f"expected [k, {self.cfg.r}, {self.cfg.q}] windows, got {w.shape}")
-        out, _ = self.low.forward(w.reshape(w.shape[0], -1), training=False)
-        return out
+        flat = w.reshape(w.shape[0], self.cfg.r * self.cfg.q)
+        # near-equal parts, so no part is a short tail that BLAS would round
+        # differently from one forward over all windows
+        parts = np.array_split(flat, max(1, -(-len(flat) // EMBED_CHUNK)))
+        return np.concatenate([self.low.forward(p, training=False)[0] for p in parts])
 
 
 class MlpModel(_Model):

@@ -112,10 +112,14 @@ class Stack:
         cache = []
         for i, (w, b) in enumerate(self.layers):
             last = i == len(self.layers) - 1
-            a = x @ w.T + b
+            a = x @ w.T
+            a += b
             slopes = None
             if not last or self.final_activation:
-                slopes = np.where(a >= 0.0, 1.0, self.slope)
+                # 1 where a >= 0, else the leak (NaN too); no per-element branch
+                up = a >= 0.0
+                slopes = np.multiply(~up, self.slope)
+                slopes += up
                 a *= slopes
             mask = None
             if training and not last and self.dropout_p > 0.0:

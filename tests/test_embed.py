@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from charm.embed import (EmbeddingPoint, export_embedding, label_pure_windows,
+from charm.embed import (SILHOUETTE_BLOCK, EmbeddingPoint, export_embedding, label_pure_windows,
                          pca_fit, pca_transform, silhouette_score)
 from charm.neurocore import make_rng
 
@@ -106,7 +106,7 @@ def reference_silhouette(points, labels):
 class TestSilhouette:
     @pytest.mark.parametrize("seed", range(12))
     def test_matches_distance_matrix_reference(self, seed):
-        # sizes across the 64-row block edge, 2-8 labels, a forced singleton
+        # sizes across several SILHOUETTE_BLOCK-row block edges, 2-8 labels, a forced singleton
         # cluster and duplicated points
         rng = make_rng(100 + seed)
         n = int(rng.integers(3, 200))
@@ -119,14 +119,14 @@ class TestSilhouette:
         ref = reference_silhouette(X, labels)
         assert abs(silhouette_score(X, labels) - ref) < 1e-12
 
-    @pytest.mark.parametrize("n", [63, 64, 65, 128, 129])
+    @pytest.mark.parametrize("n", [15, 16, 17, 32, 33, 63, 64, 65, 128, 129])
     def test_block_edges_match_reference(self, n):
         # each block adds its distances to the later rows' sums; a label held
         # only by the last block's rows has no earlier block to take them from
         rng = make_rng(200 + n)
         X = rng.normal(size=(n, 3))
         labels = rng.integers(0, 3, size=n).astype(str)
-        last = (n - 1) // 64 * 64
+        last = (n - 1) // SILHOUETTE_BLOCK * SILHOUETTE_BLOCK
         labels[max(last, n - 3):] = "tail"
         X[-1] = X[-2]
         ref = reference_silhouette(X, labels)

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from charm.model import (MAGIC, CharmConfig, CharmModel, CheckpointError,
+from charm.embed import label_pure_windows
+from charm.model import (EMBED_CHUNK, MAGIC, CharmConfig, CharmModel, CheckpointError,
                          MlpConfig, MlpModel, load_checkpoint, save_checkpoint)
 from charm.neurocore import Adam, Stack, make_rng, softmax_ce_grad
 from charm.preprocess import ChannelStats, window
@@ -349,6 +350,24 @@ class TestEmbeddings:
     def test_bad_window_shape(self):
         with pytest.raises(ValueError):
             small_model().embed_windows(np.zeros((2, 8, 3)))
+
+    def test_zero_windows(self):
+        # a segment shorter than r has no label-pure window
+        windows, labels = label_pure_windows(np.zeros((5, 3)), ["walk"] * 5, 16)
+        assert windows.shape == (0, 16, 3) and labels == []
+        emb = small_model().embed_windows(windows)
+        assert emb.shape == (0, 8) and emb.dtype == np.float64
+
+    @pytest.mark.parametrize("k", [1, 2, EMBED_CHUNK - 1, EMBED_CHUNK, EMBED_CHUNK + 1,
+                                   2 * EMBED_CHUNK + 1, 13_687])
+    def test_parts_match_one_forward_bytes(self, k):
+        # the CLI's shapes; fixed EMBED_CHUNK-row chunks would leave a 1-row
+        # tail at EMBED_CHUNK + 1, which BLAS rounds differently
+        cfg = CharmConfig(q=6, z=32)
+        model = CharmModel.init(cfg, make_rng(21))
+        windows = make_rng(22).normal(size=(k, cfg.r, cfg.q))
+        one, _ = model.low.forward(windows.reshape(k, -1))
+        assert model.embed_windows(windows).tobytes() == one.tobytes()
 
 
 def stats_for(q):

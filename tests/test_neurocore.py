@@ -31,6 +31,24 @@ class TestStackActivation:
         np.testing.assert_array_equal(
             self.activate([-2.0, 0.0, 3.0], final_activation=False), [-2.0, 0.0, 3.0])
 
+    @pytest.mark.parametrize("slope", [0.0, 0.01, 0.3, 2.0, -0.5])
+    def test_slopes_are_where_bytes(self, slope):
+        # a 1x1 layer passes each value through; the bias -0.0 adds nothing.
+        # A matmul sum starts at +0.0, so the -0.0 input reaches the
+        # activation as +0.0: no pre-activation is ever -0.0
+        special = [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -5e-324,
+                   1e-310, -1e-310, 2.2250738585072014e-308, -1.0, 1.0]
+        x = np.concatenate([special, make_rng(3).normal(size=64)])[:, None]
+        w, b = np.ones((1, 1)), np.full(1, -0.0)
+        stack = Stack([(w, b)], slope=slope, final_activation=True)
+        with np.errstate(invalid="ignore"):
+            out, [(_, slopes, _)] = stack.forward(x)
+            pre = x @ w.T + b
+            expected = np.where(pre >= 0.0, 1.0, slope)
+            np.testing.assert_array_equal(pre[2:], x[2:])
+            assert slopes.tobytes() == expected.tobytes()
+            assert out.tobytes() == (pre * expected).tobytes()
+
 
 class TestSoftmax:
     def test_uniform(self):
