@@ -133,6 +133,12 @@ def _synth_config(**section) -> synth.SynthConfig:
 
 
 def fixed_length_dataset(segments, n_target, stride):
+    """The crops of every segment; a DataError, before any padding, when
+    n_target is longer than every segment."""
+    longest = max((seg.stream.n for seg in segments), default=0)
+    if segments and n_target > longest:
+        raise ds.DataError(f"crop length {n_target} is longer than every segment "
+                           f"(the longest has {longest} samples)")
     return [sample for seg in segments
             for sample in ds.make_fixed_length_samples(seg, n_target, stride)]
 
@@ -198,7 +204,7 @@ def _check_data_fits(model, classes, schema):
 
 def cmd_evaluate(args, cfg):
     model, stats = load_checkpoint(args.checkpoint)
-    segments, classes, schema = load_data_dir(args.data)
+    segments, classes, schema = load_data_dir(args.data, user=args.held_out_user)
     _check_data_fits(model, classes, schema)
     n_target = model.cfg.n_target
     samples = fixed_length_dataset(segments, n_target, _stride_for(cfg, n_target))
@@ -252,6 +258,7 @@ def cmd_embed(args, cfg):
         labels.extend(labs)
         sources.extend([seg.source] * len(labs))
     allw = np.concatenate(windows, axis=0)
+    del windows  # each window once, not twice, through the analysis
     if allw.shape[0] < 3:
         raise ds.DataError("not enough label-pure windows for embedding analysis")
     if args.grouping:

@@ -409,10 +409,17 @@ def _read_schema(block) -> SchemaConfig:
         raise DataError(f"bad manifest schema: {e}") from e
 
 
-def load_data_dir(data_dir):
+def load_data_dir(data_dir, user=None):
     """Returns (segments, class names, SchemaConfig): the labeled runs of
-    every file the manifest lists, after null/unknown-label run splitting."""
+    every file the manifest lists, after null/unknown-label run splitting.
+    With `user`, only that user's files are read; a user the manifest does
+    not name is a DataError that lists the users it names."""
     files, classes, schema = read_manifest(data_dir)
+    if user is not None:
+        users = sorted({entry["user"] for entry in files})
+        if user not in users:
+            raise DataError(f"unknown user {user!r}; available users: {users}")
+        files = [entry for entry in files if entry["user"] == user]
     jobs = [(data_dir, entry, classes, schema) for entry in files]
     segments = [seg for segs in map_files(_load_entry, jobs) for seg in segs]
     if not segments:

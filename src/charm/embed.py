@@ -112,31 +112,47 @@ def label_pure_windows(data, track, r: int, null_token: str = "null"):
     track = list(track)
     if len(track) != data.shape[0]:
         raise ValueError("label track length != sample count")
-    windows = []
-    labels = []
-    for start in range(0, data.shape[0] - r + 1, r):
-        chunk = track[start:start + r]
-        best, count = max(((lab, chunk.count(lab)) for lab in set(chunk)),
-                          key=lambda kv: kv[1])
-        if best == null_token or count < PURITY_THRESHOLD * r:
-            continue
-        windows.append(data[start:start + r])
-        labels.append(best)
-    if windows:
-        return np.stack(windows), labels
-    return np.empty((0, r, data.shape[1])), labels
+    need = PURITY_THRESHOLD * r
+    z = data.shape[0] // r
+    kept, labels = [], []
+    for i in range(z):
+        chunk = track[i * r:(i + 1) * r]
+        best = chunk[0]
+        if chunk.count(best) < need:
+            # a label above the threshold (> r/2) is the unique majority
+            best, count = max(((lab, chunk.count(lab)) for lab in set(chunk)),
+                              key=lambda kv: kv[1])
+            if count < need:
+                continue
+        if best != null_token:
+            kept.append(i)
+            labels.append(best)
+    windows = data[:z * r].reshape(z, r, data.shape[1])
+    return windows[np.array(kept, dtype=np.intp)], labels
+
+
+_CSV_SPECIAL = frozenset(',"\r\n')  # characters csv.writer would quote
 
 
 def export_embedding(points, path):
-    """CSV rows pc1, pc2, low_label, source with a header; full float
-    precision; labels containing a comma are quoted."""
+    """CSV rows pc1, pc2, low_label, source with a header and csv.writer's
+    \\r\\n line ends; full float precision; labels containing a comma are
+    quoted."""
     points = list(points)
     if not points:
         raise ValueError("nothing to export")
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["pc1", "pc2", "low_label", "source"])
-    for p in points:
-        writer.writerow([repr(float(p.coords[0])), repr(float(p.coords[1])),
-                         p.low_label, p.source])
-    atomic_write(path, buf.getvalue())
+    texts = {t for p in points for t in (p.low_label, p.source)}
+    if all(type(t) is str for t in texts) and _CSV_SPECIAL.isdisjoint("".join(texts)):
+        # nothing to quote: the bytes csv.writer writes, without its per-row cost
+        text = "".join(["pc1,pc2,low_label,source\r\n"] + [
+            f"{float(p.coords[0])!r},{float(p.coords[1])!r},{p.low_label},{p.source}\r\n"
+            for p in points])
+    else:
+        buf = io.StringIO()
+        writer = csv.writer(buf)
+        writer.writerow(["pc1", "pc2", "low_label", "source"])
+        for p in points:
+            writer.writerow([repr(float(p.coords[0])), repr(float(p.coords[1])),
+                             p.low_label, p.source])
+        text = buf.getvalue()
+    atomic_write(path, text)

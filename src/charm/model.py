@@ -11,8 +11,8 @@ from typing import Annotated
 import numpy as np
 
 from .dataset import atomic_write, check_fields
-from .neurocore import (Stack, flatten_params, make_rng, softmax, softmax_ce_grad,
-                        view_arrays, weighted_cross_entropy)
+from .neurocore import (Stack, ce_losses, check_ce_inputs, flatten_params, make_rng,
+                        softmax, softmax_ce_grad, view_arrays, view_spans)
 from .preprocess import ChannelStats, window
 
 EMBED_CHUNK = 4096  # at most this many windows per low-encoder forward in embed_windows
@@ -102,19 +102,19 @@ class _Model:
         batch = np.asarray(batch)
         if batch.ndim == 2:
             batch, targets = batch[None], [targets]
-        targets = np.asarray(targets)
         logits, backward, _ = self._batch_logits(batch, True, rng)
+        logits, targets, class_weights = check_ce_inputs(logits, targets, class_weights)
         n = logits.shape[0]
-        losses = weighted_cross_entropy(logits, targets, class_weights)
-        d_logits = softmax_ce_grad(logits, targets, np.asarray(class_weights)[targets] / n)
+        losses = ce_losses(logits, targets, class_weights)
+        d_logits = softmax_ce_grad(logits, targets, class_weights[targets] / n)
         grad = np.empty_like(self.params)
-        grads = view_arrays(grad, self._shapes)
+        grads = view_arrays(grad, self._spans)
         backward(d_logits, grads)
         return float(losses.sum()) / n, grads, grad
 
     @cached_property
-    def _shapes(self):
-        return [p.shape for p in self.param_arrays()]
+    def _spans(self):
+        return view_spans([p.shape for p in self.param_arrays()])
 
 
 class CharmModel(_Model):

@@ -28,21 +28,26 @@ def softmax(logits):
         raise ValueError("softmax: empty input")
     if not np.isfinite(logits).all():
         raise ValueError("softmax: non-finite logits")
+    return _softmax(logits)
+
+
+def _softmax(logits):
     e = np.exp(logits - logits.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
 
 
 def log_softmax(logits):
-    logits = np.asarray(logits, dtype=float)
-    if not np.isfinite(logits).all():
-        raise ValueError("log_softmax: non-finite logits")
+    """Row-wise log-softmax of a float array. It does not check its input:
+    ce_losses passes logits that check_ce_inputs has checked."""
     shifted = logits - logits.max(axis=-1, keepdims=True)
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
-def weighted_cross_entropy(logits, target, class_weights):
-    """-w[target] * log p[target], computed in log-space: the [B] losses of
-    logit rows [B, m] and integer targets [B]."""
+def check_ce_inputs(logits, target, class_weights):
+    """(logits, target, class_weights) as float, integer and float arrays;
+    a ValueError unless they are finite logit rows [B, m], one target in
+    [0, m) per row and m positive class weights."""
     logits = np.asarray(logits, dtype=float)
     class_weights = np.asarray(class_weights, dtype=float)
     target = np.asarray(target)
@@ -54,13 +59,28 @@ def weighted_cross_entropy(logits, target, class_weights):
         raise ValueError(f"target {target} out of range for {m} classes")
     if class_weights.shape != (m,) or (class_weights <= 0).any():
         raise ValueError("class_weights must be positive, one per class")
+    if not np.isfinite(logits).all():
+        raise ValueError("non-finite logits")
+    return logits, target, class_weights
+
+
+def weighted_cross_entropy(logits, target, class_weights):
+    """-w[target] * log p[target], computed in log-space: the [B] losses of
+    logit rows [B, m] and integer targets [B], checked by check_ce_inputs."""
+    return ce_losses(*check_ce_inputs(logits, target, class_weights))
+
+
+def ce_losses(logits, target, class_weights):
+    """weighted_cross_entropy of the arrays check_ce_inputs returns,
+    without checking them again."""
     return -class_weights[target] * log_softmax(logits)[np.arange(target.size), target]
 
 
 def softmax_ce_grad(logits, target, weight):
     """Gradient of weighted_cross_entropy w.r.t. logit rows [B, m] with
-    targets [B], each row times its weight [B]."""
-    g = softmax(logits)
+    targets [B], each row times its weight [B]. The logits are not checked:
+    pass them through check_ce_inputs first."""
+    g = _softmax(np.asarray(logits, dtype=float))
     g[np.arange(len(g)), target] -= 1.0
     g *= np.reshape(weight, (-1, 1))
     return g
@@ -134,28 +154,34 @@ class Stack:
         parameter gradients into `grads`, arrays aligned with param_arrays(),
         and returns d_loss/d_input; with input_grad=False, for a stack that
         reads the data, it skips that product and returns None."""
-        d = np.asarray(d_out, dtype=float)
+        d, owned = np.asarray(d_out, dtype=float), False  # owned: d is not d_out
         for i in range(len(self.layers) - 1, -1, -1):
             x_in, slopes, mask = cache[i]
-            if mask is not None:
-                d = d * mask
-            if slopes is not None:
-                d = d * slopes
+            for factor in (mask, slopes):
+                if factor is not None:
+                    d = np.multiply(d, factor, out=d if owned else None)
+                    owned = True
             np.matmul(d.T, x_in, out=grads[2 * i])
             d.sum(axis=0, out=grads[2 * i + 1])
             if i or input_grad:
-                d = d @ self.layers[i][0]
+                d, owned = d @ self.layers[i][0], True
         return d if input_grad else None
 
 
-def view_arrays(flat, shapes):
-    """Consecutive views of the 1-D array `flat`, one per shape."""
+def view_spans(shapes):
+    """(start, stop, shape) of consecutive arrays of these shapes laid out
+    in one 1-D array; computed once, they make view_arrays cheap."""
     out, offset = [], 0
     for shape in shapes:
         size = math.prod(shape)
-        out.append(flat[offset:offset + size].reshape(shape))
+        out.append((offset, offset + size, shape))
         offset += size
     return out
+
+
+def view_arrays(flat, spans):
+    """Views of the 1-D array `flat`, one per view_spans() entry."""
+    return [flat[start:stop].reshape(shape) for start, stop, shape in spans]
 
 
 def flatten_params(stacks) -> np.ndarray:
@@ -163,7 +189,7 @@ def flatten_params(stacks) -> np.ndarray:
     param_arrays() order, and rebinds every layer's (w, b) to views of it."""
     arrays = [p for stack in stacks for p in stack.param_arrays()]
     flat = np.concatenate([p.ravel() for p in arrays])
-    views = iter(view_arrays(flat, [p.shape for p in arrays]))
+    views = iter(view_arrays(flat, view_spans([p.shape for p in arrays])))
     for stack in stacks:
         stack.layers = [(next(views), next(views)) for _ in stack.layers]
     return flat
@@ -196,6 +222,9 @@ class Adam:
                 raise ValueError(f"shape mismatch: {p.shape} vs {g.shape} vs {shape}")
         self.step_count += 1
         t = self.step_count
+        # x / 1.0 == x bit for bit, so a bias correction that has rounded to
+        # 1.0 (1 - b1**t from t = 356 at b1 = 0.9) is skipped, not divided by
+        c1, c2 = 1.0 - self.beta1 ** t, 1.0 - self.beta2 ** t
         for p, g, m, v, (a, b) in zip(params, grads, self.first_moment,
                                       self.second_moment, self._scratch):
             # m = b1*m + (1-b1)*g; v = b2*v + (1-b2)*g*g;
@@ -205,9 +234,7 @@ class Adam:
             v *= self.beta2
             np.multiply(g, 1.0 - self.beta2, out=a)
             v += np.multiply(a, g, out=a)
-            np.divide(m, 1.0 - self.beta1 ** t, out=a)
-            np.multiply(a, self.lr, out=a)
-            np.divide(v, 1.0 - self.beta2 ** t, out=b)
-            np.sqrt(b, out=b)
+            np.multiply(m if c1 == 1.0 else np.divide(m, c1, out=a), self.lr, out=a)
+            np.sqrt(v if c2 == 1.0 else np.divide(v, c2, out=b), out=b)
             b += self.eps
             p -= np.divide(a, b, out=a)

@@ -38,12 +38,31 @@ def fit_normalizer(arrays) -> ChannelStats:
     return ChannelStats(means, stds)
 
 
-def normalize(x, stats: ChannelStats) -> np.ndarray:
+def fit_and_normalize(x: np.ndarray) -> ChannelStats:
+    """Fits the normalizer on every sample of the C-contiguous float array
+    x [..., q] and normalizes x in place. The stats are those of
+    fit_normalizer on the samples in x's order, and x ends as normalize()
+    would return it: x - means is both normalize's first step and the
+    deviation that numpy's std squares, so it is computed once, in x."""
+    if x.dtype != np.float64 or not x.flags.c_contiguous or not x.size:
+        raise ValueError("need a non-empty C-contiguous float64 array")
+    pooled = x.reshape(-1, x.shape[-1])  # a view of x
+    means = pooled.mean(axis=0)
+    np.subtract(pooled, means, out=pooled)
+    # as ndarray.std computes it: the mean of the squared deviations, rooted
+    stds = np.maximum(np.sqrt(np.square(pooled).sum(axis=0) / len(pooled)), EPS_STD)
+    pooled /= stds
+    return ChannelStats(means, stds)
+
+
+def normalize(x, stats: ChannelStats, out=None) -> np.ndarray:
+    """(x - means) / stds per channel, into a new array or into `out`
+    (x itself included, for normalizing in place)."""
     x = np.asarray(x, dtype=float)
     if x.shape[-1] != stats.means.shape[0]:
         raise ValueError(
             f"channel count {x.shape[-1]} != fitted {stats.means.shape[0]}")
-    out = x - stats.means
+    out = np.subtract(x, stats.means, out=out)
     out /= stats.stds
     return out
 

@@ -12,7 +12,7 @@ import numpy as np
 from .dataset import DataError, check_fields
 from .model import MODELS
 from .neurocore import Adam, make_rng
-from .preprocess import ChannelStats, fit_normalizer, normalize
+from .preprocess import ChannelStats, fit_and_normalize, normalize
 
 EVAL_CHUNK = 256  # samples per batched forward in evaluate; bounds its memory
 TRAIN_BATCH = 8   # samples per Adam step in train
@@ -68,10 +68,10 @@ def train(train_segments, model_kind, train_cfg: TrainConfig, model_cfg,
         raise DataError("training set must contain at least 2 classes")
     class_weights = compute_class_weights(counts)
 
-    stats = fit_normalizer([seg.data for seg in train_segments])
-    inputs = normalize(np.stack([seg.data for seg in train_segments]), stats)
+    inputs = np.stack([seg.data for seg in train_segments])
+    stats = fit_and_normalize(inputs)
     if val_segments:
-        val_inputs = normalize(np.stack([seg.data for seg in val_segments]), stats)
+        val_inputs = _normalized_stack(val_segments, stats)
 
     rng = make_rng(train_cfg.seed)
     if model_kind not in MODELS:
@@ -97,6 +97,12 @@ def train(train_segments, model_kind, train_cfg: TrainConfig, model_cfg,
             history.val_macro_f1.append(_score(model, chunks, val_segments).macro_f1)
 
     return TrainedModel(model, stats), history
+
+
+def _normalized_stack(segments, stats: ChannelStats) -> np.ndarray:
+    """The segments' data stacked [B, n_target, q] and normalized in place."""
+    x = np.stack([seg.data for seg in segments])
+    return normalize(x, stats, out=x)
 
 
 @dataclass
@@ -154,8 +160,7 @@ def evaluate(trained: TrainedModel, val_segments) -> MetricsReport:
     """Normalizes the raw segments and predicts them EVAL_CHUNK at a time."""
     if not val_segments:
         raise DataError("empty validation set")
-    chunks = (normalize(np.stack([seg.data for seg in val_segments[i:i + EVAL_CHUNK]]),
-                        trained.stats)
+    chunks = (_normalized_stack(val_segments[i:i + EVAL_CHUNK], trained.stats)
               for i in range(0, len(val_segments), EVAL_CHUNK))
     return _score(trained.model, chunks, val_segments)
 

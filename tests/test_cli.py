@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from charm import cli, synth
+from charm import dataset as ds
 from charm.cli import _stride_for, main
 from charm.dataset import load_data_dir, map_files
 from charm.model import MAGIC, MlpConfig, MlpModel, save_checkpoint
@@ -678,6 +679,80 @@ class TestErrorLines:
         self.fails(["evaluate", "--checkpoint", str(bad), "--data", workspace["data"],
                     "--held-out-user", "u4"], tmp_path / "metrics.txt", 4,
                    f"checkpoint error: {bad}: {message}", capsys)
+
+
+class TestEvaluateReadsOnlyHeldOutUser:
+    def test_other_users_files_are_not_parsed(self, tmp_path, workspace, checkpoint):
+        # a file of another user that the loader would reject
+        data = tmp_path / "data"
+        data.mkdir()
+        first = copy_data_with(workspace, data, edit_file=put_inf_on_line_3)
+        manifest = json.loads((data / "manifest.json").read_text())
+        assert next(e["user"] for e in manifest["files"] if e["file"] == first) != "u4"
+        args = ["evaluate", "--checkpoint", checkpoint, "--held-out-user", "u4", "--quiet"]
+        assert main(args + ["--data", str(data), "--out", str(tmp_path / "copy.txt")]) == 0
+        assert main(args + ["--data", workspace["data"],
+                            "--out", str(tmp_path / "all.txt")]) == 0
+        assert (tmp_path / "copy.txt").read_bytes() == (tmp_path / "all.txt").read_bytes()
+
+    def test_unknown_user_message_as_train_gives_it(self, tmp_path, workspace, checkpoint,
+                                                    capsys):
+        out = tmp_path / "out"
+        assert main(["evaluate", "--checkpoint", checkpoint, "--data", workspace["data"],
+                     "--held-out-user", "u9", "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err == "data error: unknown user 'u9'; available users: " \
+                      "['u1', 'u2', 'u3', 'u4']\n"
+        assert main(["train", "--config", workspace["config"], "--data", workspace["data"],
+                     "--held-out-user", "u9", "--out", str(out)]) == 3
+        assert capsys.readouterr().err == err
+        assert not out.exists()
+
+    def test_malformed_manifest_exit_3(self, tmp_path, workspace, checkpoint, capsys):
+        copy_data_with(workspace, tmp_path, edit_manifest=_drop("files", 1, "user"))
+        out = tmp_path / "out"
+        assert main(["evaluate", "--checkpoint", checkpoint, "--data", str(tmp_path),
+                     "--held-out-user", "u4", "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "'files' must be a list of objects" in err and len(err.splitlines()) == 1
+        assert not out.exists()
+
+
+class TestCropLongerThanEverySegment:
+    """The crop is checked before any segment is padded to it, so these runs
+    allocate nothing of its size (at r = 4096 one padded crop alone is 6 MB,
+    and every segment would get one)."""
+
+    @pytest.fixture(autouse=True)
+    def no_padding(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("a segment was cropped or padded")
+        monkeypatch.setattr(ds, "make_fixed_length_samples", fail)
+
+    @pytest.mark.parametrize("model", ["charm", "mlp"])
+    def test_train_exit_3_one_line(self, tmp_path, workspace, capsys, model):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"charm": {"r": 4096}}))
+        out = tmp_path / "x.ckpt"
+        assert main(["train", "--config", str(cfg), "--data", workspace["data"],
+                     "--held-out-user", "u4", "--model", model, "--out", str(out)]) == 3
+        longest = max(seg.stream.n for seg in load_data_dir(workspace["data"])[0])
+        assert capsys.readouterr().err == (f"data error: crop length 131072 is longer than "
+                                           f"every segment (the longest has {longest} "
+                                           f"samples)\n")
+        assert not out.exists()
+
+    def test_evaluate_exit_3_one_line(self, tmp_path, workspace, capsys):
+        ckpt = tmp_path / "long.ckpt"
+        save_checkpoint(MlpModel.init(MlpConfig(n_target=4096, q=6, m=4, hidden=2),
+                                      make_rng(0)),
+                        ChannelStats(np.zeros(6), np.ones(6)), ckpt)
+        out = tmp_path / "metrics.txt"
+        assert main(["evaluate", "--checkpoint", str(ckpt), "--data", workspace["data"],
+                     "--held-out-user", "u4", "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error: crop length 4096 is longer than every segment")
+        assert len(err.splitlines()) == 1 and not out.exists()
 
 
 class TestHelp:

@@ -1,4 +1,5 @@
 import csv
+import io
 import tracemalloc
 
 import numpy as np
@@ -218,6 +219,109 @@ class TestLabelPureWindows:
         data = np.zeros((40, 1))
         windows, labels = label_pure_windows(data, ["x"] * 40, 16)
         assert len(labels) == 2  # offsets 0 and 16; trailing 8 ignored
+
+
+def reference_label_pure_windows(data, track, r, null_token="null"):
+    """The extraction the one-label-first count replaced: every label of
+    every window counted, the kept windows stacked from a list."""
+    windows, labels = [], []
+    for start in range(0, data.shape[0] - r + 1, r):
+        chunk = list(track[start:start + r])
+        best, count = max(((lab, chunk.count(lab)) for lab in set(chunk)),
+                          key=lambda kv: kv[1])
+        if best == null_token or count < 0.9 * r:
+            continue
+        windows.append(data[start:start + r])
+        labels.append(best)
+    if windows:
+        return np.stack(windows), labels
+    return np.empty((0, r, data.shape[1])), labels
+
+
+class TestLabelPureWindowsMatchesReference:
+    @staticmethod
+    def check(data, track, r):
+        windows, labels = label_pure_windows(data, track, r)
+        ref_windows, ref_labels = reference_label_pure_windows(data, track, r)
+        assert labels == ref_labels
+        assert windows.shape == ref_windows.shape and windows.dtype == ref_windows.dtype
+        assert windows.tobytes() == ref_windows.tobytes()
+        return labels
+
+    @pytest.mark.parametrize("track, kept", [
+        (["x"] * 18 + ["y"] * 2, ["x"]),            # first label exactly at 90%
+        (["y"] * 2 + ["x"] * 18, ["x"]),            # first label a minority, another at 90%
+        (["y"] * 3 + ["x"] * 17, []),               # nobody at 90%
+        (["x"] * 17 + ["y"] * 3, []),               # first label just under
+        (["null"] * 19 + ["x"], []),                # null majority
+        (["x"] + ["null"] * 19, []),                # null majority behind another first label
+        (["a", "b"] * 10, []),                      # a tie
+    ], ids=["first-at-90", "first-minority", "none-at-90", "first-under",
+            "null-majority", "null-majority-second", "tie"])
+    def test_boundary_windows(self, track, kept):
+        data = make_rng(1).normal(size=(20, 3))
+        assert self.check(data, track, 20) == kept
+
+    def test_shorter_than_one_window(self):
+        windows, labels = label_pure_windows(np.ones((7, 2)), ["x"] * 7, 8)
+        assert windows.shape == (0, 8, 2) and labels == []
+        self.check(np.ones((7, 2)), ["x"] * 7, 8)
+
+    def test_no_window_kept(self):
+        data = make_rng(2).normal(size=(64, 2))
+        assert self.check(data, ["null"] * 32 + ["a", "b"] * 16, 16) == []
+
+    @pytest.mark.parametrize("r", [1, 2, 5, 16])
+    def test_random_runs(self, r):
+        rng = make_rng(r)
+        # runs of a small vocabulary, null included, with noise labels sprinkled in
+        runs = [str(rng.choice(["a", "b", "c", "null"])) for _ in range(30)]
+        track = [lab for lab in runs for _ in range(int(rng.integers(1, 40)))]
+        for i in rng.integers(0, len(track), size=len(track) // 15):
+            track[i] = "b"
+        data = rng.normal(size=(len(track) + 3, 4))[:len(track)]
+        labels = self.check(data, track, r)
+        assert labels and len(labels) < len(track) // r
+
+
+def reference_export(points):
+    """The CSV bytes csv.writer gave for every row before the fast path."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(["pc1", "pc2", "low_label", "source"])
+    for p in points:
+        writer.writerow([repr(float(p.coords[0])), repr(float(p.coords[1])),
+                         p.low_label, p.source])
+    return buf.getvalue().encode("utf-8")
+
+
+class TestExportMatchesCsvWriter:
+    COORDS = make_rng(9).normal(size=(40, 2)) * np.logspace(-12, 12, 40)[:, None]
+
+    def points(self, labels, sources=None):
+        sources = sources or [f"u{i % 4}_c{i}.csv[0:768]" for i in range(len(labels))]
+        return [EmbeddingPoint((c[0], c[1]), lab, src)
+                for c, lab, src in zip(self.COORDS, labels, sources)]
+
+    def test_plain_labels(self, tmp_path):
+        pts = self.points([f"motif {i % 5}" for i in range(40)])
+        pts.append(EmbeddingPoint((np.float64(1.0), 2), "ünïcode", ""))
+        export_embedding(pts, tmp_path / "emb.csv")
+        assert (tmp_path / "emb.csv").read_bytes() == reference_export(pts)
+
+    @pytest.mark.parametrize("odd", ["a,b", 'say "hi"', "two\nlines", "cr\rhere"])
+    @pytest.mark.parametrize("where", ["label", "source"])
+    def test_labels_csv_must_quote(self, tmp_path, odd, where):
+        labels = ["x"] * 40
+        sources = [f"s{i}" for i in range(40)]
+        (labels if where == "label" else sources)[7] = odd
+        pts = self.points(labels, sources)
+        export_embedding(pts, tmp_path / "emb.csv")
+        data = (tmp_path / "emb.csv").read_bytes()
+        assert data == reference_export(pts)
+        with open(tmp_path / "emb.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[8][2 if where == "label" else 3] == odd
 
 
 class TestExport:

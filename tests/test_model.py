@@ -140,6 +140,13 @@ class TestBatchedLoss:
             model.loss_and_grads(np.zeros((3, 64, 3)), targets, np.ones(3), make_rng(0))
 
 
+    def test_non_finite_logits_rejected(self):
+        model = small_model()
+        model.params[0] = np.nan
+        with pytest.raises(ValueError, match="non-finite logits"):
+            model.loss_and_grads(np.ones((3, 64, 3)), [0, 1, 2], np.ones(3), make_rng(0))
+
+
 class ReferenceAdam:
     """The list Adam the fused one replaced: one pass per array, with the
     temporaries of each expression allocated anew."""
@@ -274,6 +281,26 @@ class TestStepParity:
         for _ in range(3):
             ref_opt.step(ref_params, negative_zeros)
             opt.step(params, grads)
+        assert flat_bytes(params) == flat_bytes(ref_params)
+        assert flat_bytes(opt.first_moment) == flat_bytes(ref_opt.first_moment)
+        assert flat_bytes(opt.second_moment) == flat_bytes(ref_opt.second_moment)
+
+    @pytest.mark.parametrize("beta2", [0.999, 0.9])
+    def test_400_adam_steps_past_the_skipped_bias_correction(self, beta2):
+        # from step 356, 1 - 0.9**t rounds to 1.0 and Adam skips that divide
+        # (with beta2 = 0.9 the second one too); the reference always divides
+        assert 1.0 - 0.9 ** 355 != 1.0 == 1.0 - 0.9 ** 356
+        rng = make_rng(11)
+        params = [rng.normal(size=(7, 5)), rng.normal(size=13)]
+        ref_params = [p.copy() for p in params]
+        opt = Adam(params, lr=2e-3, beta2=beta2)
+        ref_opt = ReferenceAdam(ref_params, lr=2e-3, beta2=beta2)
+        for t in range(400):
+            scale = 10.0 ** rng.uniform(-8, 2)
+            grads = [rng.normal(size=p.shape) * scale for p in params]
+            opt.step(params, grads)
+            ref_opt.step(ref_params, grads)
+        assert opt.step_count == 400
         assert flat_bytes(params) == flat_bytes(ref_params)
         assert flat_bytes(opt.first_moment) == flat_bytes(ref_opt.first_moment)
         assert flat_bytes(opt.second_moment) == flat_bytes(ref_opt.second_moment)

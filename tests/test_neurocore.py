@@ -273,6 +273,15 @@ class TestStackBackward:
         np.testing.assert_array_equal(grads[2], d1.T * x1)
         np.testing.assert_array_equal(grads[0], d0.T * x0)
 
+    def test_d_out_left_untouched(self):
+        # the reverse pass multiplies in place only into arrays it made
+        stack = Stack.init([6, 5, 3], make_rng(3), dropout_p=0.5, final_activation=True)
+        _, cache = stack.forward(make_rng(4).normal(size=(4, 6)), True, make_rng(5))
+        d_out = make_rng(6).normal(size=(4, 3))
+        kept = d_out.copy()
+        stack.backward(cache, d_out, new_grads(stack))
+        assert d_out.tobytes() == kept.tobytes()
+
 
 def adam_oracle(g, steps, lr=5e-4, b1=0.9, b2=0.999, eps=1e-8):
     """Independent hand-rolled Adam trajectory for one scalar parameter."""

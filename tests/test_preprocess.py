@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from charm.neurocore import EPS_STD, make_rng
-from charm.preprocess import ChannelStats, fit_normalizer, normalize, window
+from charm.preprocess import (ChannelStats, fit_and_normalize, fit_normalizer, normalize,
+                              window)
 
 
 class TestFitNormalizer:
@@ -58,6 +59,39 @@ class TestNormalize:
         out = normalize(x, fit_normalizer([x]))
         assert np.abs(out.mean(axis=0)).max() < 1e-9
         np.testing.assert_allclose(out.std(axis=0), 1.0, atol=1e-6)
+
+
+class TestFitAndNormalize:
+    """train stacks its crops, fits on the stack and normalizes it in place:
+    the bytes of a fit on the list of crops and a normalized copy, q = 1
+    (where numpy sums the one-column pool pairwise) included."""
+
+    @pytest.mark.parametrize("q", [1, 6])
+    def test_same_bytes_as_list_of_crops(self, q):
+        rng = make_rng(q)
+        segments = [rng.normal(loc=rng.normal(), scale=rng.uniform(0.5, 3.0), size=(n, q))
+                    for n in rng.integers(64, 300, size=12)]
+        # overlapping crops of 64 rows at stride 32, as fixed_length_dataset makes them
+        crops = [seg[o:o + 64] for seg in segments for o in range(0, len(seg) - 63, 32)]
+        stats = fit_normalizer(crops)
+        expected = normalize(np.stack(crops), stats)
+
+        stack = np.stack(crops)
+        fitted = fit_and_normalize(stack)
+        assert fitted.means.tobytes() == stats.means.tobytes()
+        assert fitted.stds.tobytes() == stats.stds.tobytes()
+        assert stack.tobytes() == expected.tobytes()
+
+    def test_constant_channel_clamped(self):
+        x = np.full((2, 3, 1), 4.0)
+        assert fit_and_normalize(x).stds[0] == EPS_STD
+        np.testing.assert_array_equal(x, 0.0)
+
+    @pytest.mark.parametrize("x", [np.zeros((4, 3))[::2], np.zeros((4, 3), dtype=np.float32),
+                                   np.zeros((0, 3))], ids=["strided", "float32", "empty"])
+    def test_needs_contiguous_float64(self, x):
+        with pytest.raises(ValueError):
+            fit_and_normalize(x)
 
 
 class TestWindow:
