@@ -15,8 +15,6 @@ import json
 import sys
 from dataclasses import asdict, fields, replace
 
-import numpy as np
-
 from . import dataset as ds
 from . import embed as emb
 from . import synth
@@ -24,7 +22,6 @@ from .dataset import load_data_dir
 from .features import feature_header, handcrafted_features
 from .model import (MODELS, CharmConfig, CheckpointError, MlpConfig, load_checkpoint,
                     save_checkpoint)
-from .preprocess import normalize
 from .traineval import (TrainConfig, TrainedModel, evaluate, format_report,
                         report_key_values, train)
 
@@ -242,39 +239,12 @@ def cmd_embed(args, cfg):
     if model.cfg.low_out < 2:
         raise CheckpointError("embedding extraction needs low_out >= 2 for a 2-D PCA, "
                               f"checkpoint has {model.cfg.low_out}")
+    groups = _read_grouping(args.grouping) if args.grouping else {}
     segments, classes, schema = load_data_dir(args.data)
     _check_data_fits(model, classes, schema)
-    track = args.track
-    windows = []
-    labels = []
-    sources = []
-    for seg in segments:
-        if not seg.low_label_tracks or track not in seg.low_label_tracks:
-            raise ds.DataError(f"data has no low-level label track {track!r}")
-        w, labs = emb.label_pure_windows(normalize(seg.data, stats),
-                                         seg.low_label_tracks[track], model.cfg.r,
-                                         schema.null_label_token)
-        windows.append(w)
-        labels.extend(labs)
-        sources.extend([seg.source] * len(labs))
-    allw = np.concatenate(windows, axis=0)
-    del windows  # each window once, not twice, through the analysis
-    if allw.shape[0] < 3:
-        raise ds.DataError("not enough label-pure windows for embedding analysis")
-    if args.grouping:
-        groups = _read_grouping(args.grouping)
-        labels = [groups.get(lab, lab) for lab in labels]
-    if len(set(labels)) < 2:
-        raise ds.DataError("embedding analysis needs at least 2 distinct labels, "
-                           f"got {sorted(set(labels))}")
-    feats = model.embed_windows(allw)
-    pca = emb.pca_fit(feats, 2)
-    coords = emb.pca_transform(pca, feats)
-    points = [emb.EmbeddingPoint((c[0], c[1]), lab, src)
-              for c, lab, src in zip(coords, labels, sources)]
-    emb.export_embedding(points, args.out)
-    score = emb.silhouette_score(coords, labels)
-    print(f"{allw.shape[0]} label-pure windows, {len(set(labels))} labels -> {args.out}")
+    n_windows, n_labels, score = emb.embed_segments(model, stats, segments, args.track,
+                                                    schema.null_label_token, groups, args.out)
+    print(f"{n_windows} label-pure windows, {n_labels} labels -> {args.out}")
     print(f"silhouette: {score:.4f}")
     return 0
 

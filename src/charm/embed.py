@@ -1,5 +1,5 @@
-"""PCA reduction of learned low-level embeddings, silhouette-based cluster
-scoring, label-pure window extraction, and CSV export for plotting."""
+"""The `charm embed` analysis, end to end in embed_segments: label-pure windows,
+PCA of their learned low-level embeddings, CSV export and silhouette scoring."""
 
 from __future__ import annotations
 
@@ -9,7 +9,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import atomic_write
+from .dataset import DataError, atomic_write
+from .preprocess import normalize
 
 PURITY_THRESHOLD = 0.9  # fraction of samples that must share the window label
 SILHOUETTE_BLOCK = 16   # distance-matrix rows the silhouette holds at a time
@@ -156,3 +157,34 @@ def export_embedding(points, path):
                              p.low_label, p.source])
         text = buf.getvalue()
     atomic_write(path, text)
+
+
+def embed_segments(model, stats, segments, track, null_token, groups, path):
+    """Quick-start step 4: every segment's label-pure windows, normalized with
+    `stats`, through the low-level encoder, their 2-D PCA written to `path`, then
+    the silhouette of their labels mapped through the `groups` dict. Returns
+    (window count, label count, silhouette)."""
+    windows, labels, sources = [], [], []
+    for seg in segments:
+        if not seg.low_label_tracks or track not in seg.low_label_tracks:
+            raise DataError(f"data has no low-level label track {track!r}")
+        w, labs = label_pure_windows(normalize(seg.data, stats),
+                                     seg.low_label_tracks[track], model.cfg.r, null_token)
+        windows.append(w)
+        labels.extend([groups.get(lab, lab) for lab in labs])  # a list, so extend sizes once
+        sources.extend([seg.source] * len(labs))
+    if len(labels) < 3:
+        raise DataError("not enough label-pure windows for embedding analysis")
+    if len(set(labels)) < 2:
+        raise DataError("embedding analysis needs at least 2 distinct labels, "
+                        f"got {sorted(set(labels))}")
+    windows = np.concatenate(windows, axis=0)  # frees the per-segment arrays
+    feats = model.embed_windows(windows)
+    try:
+        pca = pca_fit(feats, 2)
+    except ValueError as e:  # e.g. a model that maps every window to one point
+        raise DataError(f"embedding analysis: {e}") from e
+    coords = pca_transform(pca, feats)
+    export_embedding([EmbeddingPoint((c[0], c[1]), lab, src)
+                      for c, lab, src in zip(coords, labels, sources)], path)
+    return len(labels), len(set(labels)), silhouette_score(coords, labels)

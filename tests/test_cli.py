@@ -14,7 +14,7 @@ from charm import cli, synth
 from charm import dataset as ds
 from charm.cli import _stride_for, main
 from charm.dataset import load_data_dir, map_files
-from charm.model import MAGIC, MlpConfig, MlpModel, save_checkpoint
+from charm.model import MAGIC, CharmConfig, CharmModel, MlpConfig, MlpModel, save_checkpoint
 from charm.neurocore import make_rng
 from charm.preprocess import ChannelStats
 
@@ -607,6 +607,16 @@ class TestErrorLines:
         self.fails(["embed", "--checkpoint", str(ckpt), "--data", workspace["data"]],
                    tmp_path / "emb.csv", 4,
                    "checkpoint error: embedding extraction requires a charm checkpoint",
+                   capsys)
+
+    def test_embed_degenerate_embedding_exit_3(self, tmp_path, workspace, capsys):
+        model = CharmModel.init(CharmConfig(r=16, q=6, z=32, m=4), make_rng(0))
+        model.params[:] = 0.0  # every window embeds to the same point
+        ckpt = tmp_path / "zero.ckpt"
+        save_checkpoint(model, ChannelStats(np.zeros(6), np.ones(6)), ckpt)
+        self.fails(["embed", "--checkpoint", str(ckpt), "--data", workspace["data"]],
+                   tmp_path / "emb.csv", 3,
+                   "data error: embedding analysis: degenerate input: all rows identical",
                    capsys)
 
     @pytest.mark.parametrize("text, message", [

@@ -1,13 +1,18 @@
 import csv
 import io
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from charm.embed import (SILHOUETTE_BLOCK, EmbeddingPoint, export_embedding, label_pure_windows,
-                         pca_fit, pca_transform, silhouette_score)
+from charm import synth
+from charm.dataset import DataError, LabeledSegment, SensorStream
+from charm.embed import (SILHOUETTE_BLOCK, EmbeddingPoint, embed_segments, export_embedding,
+                         label_pure_windows, pca_fit, pca_transform, silhouette_score)
+from charm.model import CharmConfig, CharmModel
 from charm.neurocore import make_rng
+from charm.preprocess import fit_normalizer, normalize
 
 
 class TestPcaFit:
@@ -356,3 +361,79 @@ class TestExport:
     def test_empty_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             export_embedding([], tmp_path / "emb.csv")
+
+
+MOTIFS = ("swing", "reach", "twist", "tap", "lift", "shake", "glide", "press")
+TWO_GROUPS = {m: "armwork" if i < 4 else "bodywork" for i, m in enumerate(MOTIFS)}
+
+
+@pytest.fixture(scope="module")
+def motif_data():
+    """A small untrained charm model, and one synthetic segment per (class, user)."""
+    cfg = replace(synth.default_config(), samples_per_class_per_user=1)
+    segments, classes = synth.to_labeled_segments(synth.gen_dataset(cfg), cfg)
+    model = CharmModel.init(CharmConfig(r=16, q=cfg.q, z=4, low_hidden=8, low_out=4,
+                                        high_hidden=8, m=len(classes)), make_rng(0))
+    return model, fit_normalizer([seg.data for seg in segments]), segments
+
+
+def read_rows(path):
+    with open(path, newline="", encoding="utf-8") as fh:
+        return list(csv.reader(fh))[1:]
+
+
+class TestEmbedSegments:
+    @staticmethod
+    def run(motif_data, path, segments=None, track=synth.MOTIF_TRACK, groups=None):
+        model, stats, all_segments = motif_data
+        return embed_segments(model, stats, all_segments if segments is None else segments,
+                              track, "null", groups or {}, path)
+
+    def test_csv_matches_the_step_built_by_hand(self, motif_data, tmp_path):
+        # built as bench/workloads.py's `_embed` and `_embedding_points` build
+        # it: the bench keeps that copy of step 4 until it calls embed_segments
+        model, stats, segments = motif_data
+        windows, labels, sources = [], [], []
+        for seg in segments:
+            w, labs = label_pure_windows(normalize(seg.data, stats),
+                                         seg.low_label_tracks[synth.MOTIF_TRACK], model.cfg.r)
+            windows.append(w)
+            labels.extend(labs)
+            sources.extend([seg.source] * len(labs))
+        feats = model.embed_windows(np.concatenate(windows))
+        coords = pca_transform(pca_fit(feats, 2), feats)
+        export_embedding([EmbeddingPoint((c[0], c[1]), lab, src)
+                          for c, lab, src in zip(coords, labels, sources)],
+                         tmp_path / "by_hand.csv")
+        result = self.run(motif_data, tmp_path / "emb.csv")
+        assert (tmp_path / "emb.csv").read_bytes() == (tmp_path / "by_hand.csv").read_bytes()
+        assert result == (len(labels), len(MOTIFS), silhouette_score(coords, labels))
+
+    def test_missing_track(self, motif_data, tmp_path):
+        with pytest.raises(DataError, match="no low-level label track 'locomotion'"):
+            self.run(motif_data, tmp_path / "emb.csv", track="locomotion")
+        assert not (tmp_path / "emb.csv").exists()
+
+    @pytest.mark.parametrize("rows", [None, 16, 47], ids=["no-segments", "1-window", "2-windows"])
+    def test_fewer_than_3_windows(self, motif_data, tmp_path, rows):
+        seg = motif_data[2][0]
+        segments = [] if rows is None else [LabeledSegment(
+            SensorStream(seg.data[:rows]), seg.high_label, seg.user_id,
+            {synth.MOTIF_TRACK: ["swing"] * rows}, source=seg.source)]
+        with pytest.raises(DataError, match="not enough label-pure windows"):
+            self.run(motif_data, tmp_path / "emb.csv", segments=segments)
+        assert not (tmp_path / "emb.csv").exists()
+
+    def test_grouping_into_one_label(self, motif_data, tmp_path):
+        with pytest.raises(DataError, match=r"at least 2 distinct labels, got \['all'\]"):
+            self.run(motif_data, tmp_path / "emb.csv", groups=dict.fromkeys(MOTIFS, "all"))
+        assert not (tmp_path / "emb.csv").exists()
+
+    def test_grouping_into_two_labels(self, motif_data, tmp_path):
+        n, labels, _ = self.run(motif_data, tmp_path / "emb.csv")
+        assert (n, labels) == (len(read_rows(tmp_path / "emb.csv")), len(MOTIFS))
+        assert self.run(motif_data, tmp_path / "grouped.csv", groups=TWO_GROUPS)[:2] == (n, 2)
+        # the same points and sources, only each motif renamed to its group
+        assert read_rows(tmp_path / "grouped.csv") == [
+            [pc1, pc2, TWO_GROUPS[lab], src]
+            for pc1, pc2, lab, src in read_rows(tmp_path / "emb.csv")]
