@@ -132,7 +132,7 @@ def _synth_config(**section) -> synth.SynthConfig:
 def fixed_length_dataset(segments, n_target, stride):
     """The crops of every segment; a DataError, before any padding, when
     n_target is longer than every segment."""
-    longest = max((seg.stream.n for seg in segments), default=0)
+    longest = max((len(seg.data) for seg in segments), default=0)
     if segments and n_target > longest:
         raise ds.DataError(f"crop length {n_target} is longer than every segment "
                            f"(the longest has {longest} samples)")
@@ -204,8 +204,7 @@ def cmd_evaluate(args, cfg):
     segments, classes, schema = load_data_dir(args.data, user=args.held_out_user)
     _check_data_fits(model, classes, schema)
     n_target = model.cfg.n_target
-    samples = fixed_length_dataset(segments, n_target, _stride_for(cfg, n_target))
-    _, val_set = ds.loso_split(samples, args.held_out_user)
+    val_set = fixed_length_dataset(segments, n_target, _stride_for(cfg, n_target))
     report = evaluate(TrainedModel(model, stats), val_set)
     print(format_report(report, classes))
     if args.out:

@@ -46,10 +46,10 @@ class SensorStream:
 
 @dataclass
 class LabeledSegment:
-    """A stream slice with one high-level label. Low-level label tracks are
-    evaluation-only side information and never feed training."""
+    """[n, q] float64 samples with one high-level label. Low-level label
+    tracks are evaluation-only side information and never feed training."""
 
-    stream: SensorStream
+    data: np.ndarray
     high_label: int
     user_id: str
     low_label_tracks: dict | None = None
@@ -57,15 +57,10 @@ class LabeledSegment:
     source: str = ""
 
     def __post_init__(self):
-        if self.low_label_tracks is not None:
-            for name, track in self.low_label_tracks.items():
-                if len(track) != self.stream.n:
-                    raise ValueError(
-                        f"low label track '{name}' length {len(track)} != n={self.stream.n}")
-
-    @property
-    def data(self) -> np.ndarray:
-        return self.stream.samples
+        for name, track in (self.low_label_tracks or {}).items():
+            if len(track) != len(self.data):
+                raise ValueError(
+                    f"low label track '{name}' length {len(track)} != n={len(self.data)}")
 
 
 @dataclass(frozen=True)
@@ -297,16 +292,16 @@ def _fill_missing(data: np.ndarray):
     return data[keep], keep, int(n - keep.sum())
 
 
-def segment_by_high_label(stream: SensorStream, high_labels, classes: tuple,
+def segment_by_high_label(data: np.ndarray, high_labels, classes: tuple,
                           null_token: str, user_id: str = "",
                           low_labels: dict | None = None, source: str = ""):
-    """Split into contiguous runs of a single label; a run's high_label is its
-    name's index in `classes`. Runs labeled with the null token or any name
-    outside `classes` are discarded (counted).
+    """Split [n, q] samples into contiguous runs of a single label; a run's
+    high_label is its name's index in `classes`. Runs labeled with the null
+    token or any name outside `classes` are discarded (counted).
 
     Returns (segments, discarded_run_count).
     """
-    n = stream.n
+    n = len(data)
     if len(high_labels) != n:
         raise ValueError(f"label count {len(high_labels)} != n={n}")
     changed = map(ne, high_labels[1:], high_labels[:-1])
@@ -321,8 +316,7 @@ def segment_by_high_label(stream: SensorStream, high_labels, classes: tuple,
         tracks = None
         if low_labels:
             tracks = {k: list(v[start:end]) for k, v in low_labels.items()}
-        segments.append(LabeledSegment(SensorStream(stream.samples[start:end]),
-                                       classes.index(name), user_id,
+        segments.append(LabeledSegment(data[start:end], classes.index(name), user_id,
                                        low_label_tracks=tracks,
                                        source=f"{source}[{start}:{end}]"))
     return segments, discarded
@@ -335,14 +329,12 @@ def make_fixed_length_samples(segment: LabeledSegment, n_target: int, stride: in
     tracks: those are read from whole segments only."""
     if n_target < 1 or stride < 1:
         raise ValueError("n_target and stride must be >= 1")
-    n = segment.stream.n
+    n = len(segment.data)
     if n < n_target:
         data = np.vstack([np.repeat(segment.data[:1], n_target - n, axis=0), segment.data])
-        return [LabeledSegment(SensorStream(data), segment.high_label, segment.user_id,
-                               padded=True, source=f"{segment.source}|pad")]
-    return [LabeledSegment(SensorStream(segment.data[offset:offset + n_target]),
-                           segment.high_label, segment.user_id,
-                           source=f"{segment.source}|@{offset}")
+        return [LabeledSegment(data, segment.high_label, segment.user_id, padded=True)]
+    return [LabeledSegment(segment.data[offset:offset + n_target], segment.high_label,
+                           segment.user_id)
             for offset in range(0, n - n_target + 1, stride)]
 
 
@@ -432,18 +424,7 @@ def _load_entry(job):
     data_dir, entry, classes, schema = job
     loaded = load_stream(os.path.join(data_dir, entry["file"]), schema)
     segments, _ = segment_by_high_label(
-        loaded.stream, loaded.high_labels, classes, schema.null_label_token,
+        loaded.stream.samples, loaded.high_labels, classes, schema.null_label_token,
         user_id=entry["user"], low_labels=loaded.low_labels, source=entry["file"])
     return segments
 
-
-# Column map for the OPPORTUNITY .dat files: 3 IMU locations (lower-left arm,
-# lower-right arm, upper back), each with triaxial accelerometer + gyroscope,
-# 18 motion channels total. Documented in the README; column indices follow
-# the dataset's published column list and are supplied via SchemaConfig.
-OPPORTUNITY_CHANNEL_NAMES = tuple(
-    f"{loc}_{sensor}_{axis}"
-    for loc in ("lla", "lra", "back")
-    for sensor in ("acc", "gyro")
-    for axis in ("x", "y", "z")
-)

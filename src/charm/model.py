@@ -34,7 +34,7 @@ class CharmConfig:
     high_hidden: Annotated[int, "[1, inf)"] = 32
     m: Annotated[int, "[1, inf)"] = 4         # class count
     dropout_p: Annotated[float, "[0, 1)"] = 0.05
-    leaky_slope: float = 0.01
+    leaky_slope: Annotated[float, "[0, 1]"] = 0.01
     low_out_activation: bool = True
 
     def __post_init__(self):
@@ -43,6 +43,11 @@ class CharmConfig:
     @property
     def n_target(self) -> int:
         return self.r * self.z
+
+    @property
+    def n_params(self) -> int:
+        return ((self.r * self.q + 1) * self.low_hidden + (self.low_hidden + 1) * self.low_out
+                + (self.z * self.low_out + 1) * self.high_hidden + (self.high_hidden + 1) * self.m)
 
 
 @dataclass(frozen=True)
@@ -55,7 +60,7 @@ class MlpConfig:
     hidden: Annotated[int, "[1, inf)"] = 16
     layers: Annotated[int, "[2, inf)"] = 4
     dropout_p: Annotated[float, "[0, 1)"] = 0.05
-    leaky_slope: float = 0.01
+    leaky_slope: Annotated[float, "[0, 1]"] = 0.01
 
     def __post_init__(self):
         check_fields(self)
@@ -64,13 +69,22 @@ class MlpConfig:
     def input_dim(self) -> int:
         return self.n_target * self.q
 
+    @property
+    def n_params(self) -> int:
+        h = self.hidden
+        return (self.input_dim + 1) * h + (self.layers - 2) * (h + 1) * h + (h + 1) * self.m
+
 
 class _Model:
     """The rules both models share: softmax and weighted cross-entropy on
     the logits of the subclass's `_logits` hook, which maps a checked batch
     [B, n_target, q] to (logits [B, m], backward(d_logits, grads), features
-    [B, ...] or None). `params` is the one float64 vector that every array
-    of param_arrays() is a view of."""
+    [B, ...] or None). `stacks` holds the model's Stacks in parameter
+    order, and `params` is the one float64 vector that every array of
+    param_arrays() is a view of."""
+
+    def param_arrays(self):
+        return [p for stack in self.stacks for p in stack.param_arrays()]
 
     def _batch_logits(self, batch, training, rng):
         batch = np.asarray(batch, dtype=float)
@@ -125,9 +139,9 @@ class CharmModel(_Model):
 
     def __init__(self, cfg: CharmConfig, low: Stack, high: Stack):
         self.cfg = cfg
-        self.low = low
-        self.high = high
-        self.params = flatten_params([low, high])
+        self.low, self.high = low, high
+        self.stacks = (low, high)
+        self.params = flatten_params(self.stacks)
 
     @classmethod
     def init(cls, cfg: CharmConfig, rng) -> "CharmModel":
@@ -138,9 +152,6 @@ class CharmModel(_Model):
                           slope=cfg.leaky_slope, dropout_p=cfg.dropout_p,
                           final_activation=False)
         return cls(cfg, low, high)
-
-    def param_arrays(self):
-        return self.low.param_arrays() + self.high.param_arrays()
 
     def _logits(self, batch, training, rng):
         """Low encoder on [B*z, r*q], high encoder on [B, z*low_out];
@@ -178,7 +189,8 @@ class MlpModel(_Model):
     def __init__(self, cfg: MlpConfig, stack: Stack):
         self.cfg = cfg
         self.stack = stack
-        self.params = flatten_params([stack])
+        self.stacks = (stack,)
+        self.params = flatten_params(self.stacks)
 
     @classmethod
     def init(cls, cfg: MlpConfig, rng) -> "MlpModel":
@@ -186,9 +198,6 @@ class MlpModel(_Model):
         stack = Stack.init(dims, rng, slope=cfg.leaky_slope,
                            dropout_p=cfg.dropout_p, final_activation=False)
         return cls(cfg, stack)
-
-    def param_arrays(self):
-        return self.stack.param_arrays()
 
     def _logits(self, batch, training, rng):
         logits, cache = self.stack.forward(batch.reshape(batch.shape[0], -1), training, rng)
@@ -251,7 +260,14 @@ def load_checkpoint(path):
         raise CheckpointError(f"{path}: unknown model kind {kind!r}")
     cfg_cls, model_cls = MODELS[kind]
     try:
-        model = model_cls.init(cfg_cls(**header["config"]), make_rng(0))
+        cfg = cfg_cls(**header["config"])
+        # sized from the config before the model is built, so no header
+        # makes the model larger than the file
+        size, expected = len(rest) - nl - 1, cfg.n_params * 8
+        if size != expected:
+            raise CheckpointError(
+                f"{path}: truncated or corrupt payload ({size} bytes, expected {expected})")
+        model = model_cls.init(cfg, make_rng(0))
         stats = ChannelStats(np.array(header["channel_means"]),
                              np.array(header["channel_stds"]))
     except (KeyError, TypeError, ValueError) as e:
@@ -261,12 +277,9 @@ def load_checkpoint(path):
     if header.get("shapes") != shapes:
         raise CheckpointError(
             f"{path}: array shapes {header.get('shapes')} do not match config-derived {shapes}")
-    blob = rest[nl + 1:]
-    expected = model.params.size * 8
-    if len(blob) != expected:
-        raise CheckpointError(
-            f"{path}: truncated or corrupt payload ({len(blob)} bytes, expected {expected})")
-    model.params[...] = np.frombuffer(blob, dtype="<f8")
+    model.params[...] = np.frombuffer(rest[nl + 1:], dtype="<f8")
     if stats.means.shape[0] != model.cfg.q:
         raise CheckpointError(f"{path}: channel stats do not match model input channels")
+    if not np.isfinite(model.params).all():
+        raise CheckpointError(f"{path}: non-finite parameter values")
     return model, stats

@@ -21,29 +21,23 @@ class ChannelStats:
         object.__setattr__(self, "stds", np.asarray(self.stds, dtype=float))
         if self.means.shape != self.stds.shape or self.means.ndim != 1:
             raise ValueError("means/stds must be 1-D and the same length")
+        if not (np.isfinite(self.means).all() and np.isfinite(self.stds).all()):
+            raise ValueError("means and stds must be finite")
         if np.any(self.stds < EPS_STD):
             raise ValueError(f"stds must be clamped to >= {EPS_STD}")
 
 
 def fit_normalizer(arrays) -> ChannelStats:
-    """Pool all training samples and compute per-channel mean and
-    population std, with stds clamped to EPS_STD."""
-    arrays = [np.asarray(a, dtype=float) for a in arrays]
-    arrays = [a for a in arrays if a.size]
-    if not arrays:
-        raise ValueError("cannot fit normalizer on empty input")
-    pooled = np.concatenate(arrays, axis=0)
-    means = pooled.mean(axis=0)
-    stds = np.maximum(pooled.std(axis=0), EPS_STD)
-    return ChannelStats(means, stds)
+    """fit_and_normalize's stats of the samples of `arrays`, [n_i, q] each,
+    pooled in order into a new array."""
+    return fit_and_normalize(np.concatenate(arrays, axis=0, dtype=float))
 
 
 def fit_and_normalize(x: np.ndarray) -> ChannelStats:
-    """Fits the normalizer on every sample of the C-contiguous float array
-    x [..., q] and normalizes x in place. The stats are those of
-    fit_normalizer on the samples in x's order, and x ends as normalize()
-    would return it: x - means is both normalize's first step and the
-    deviation that numpy's std squares, so it is computed once, in x."""
+    """Fits the per-channel mean and population std, clamped to EPS_STD, on
+    every sample of the C-contiguous float64 array x [..., q] and normalizes
+    x in place, as normalize() would. x - means is both normalize's first
+    step and the deviation the std squares, so it is computed once, in x."""
     if x.dtype != np.float64 or not x.flags.c_contiguous or not x.size:
         raise ValueError("need a non-empty C-contiguous float64 array")
     pooled = x.reshape(-1, x.shape[-1])  # a view of x

@@ -12,8 +12,8 @@ from typing import Annotated
 
 import numpy as np
 
-from .dataset import (LabeledSegment, SchemaConfig, SensorStream, atomic_write, check_fields,
-                      check_value, map_files)
+from .dataset import (LabeledSegment, SchemaConfig, atomic_write, check_fields, check_value,
+                      map_files)
 
 MOTIF_TRACK = "motif"
 
@@ -177,7 +177,7 @@ def to_labeled_segments(segments, config: SynthConfig):
     """In-memory bridge to the dataset layer (equivalent to writing the files
     and loading them back). Returns (LabeledSegments, class names)."""
     classes = tuple(config.class_names)
-    return [LabeledSegment(SensorStream(seg.data), classes.index(seg.class_name), seg.user_id,
+    return [LabeledSegment(seg.data, classes.index(seg.class_name), seg.user_id,
                            low_label_tracks={MOTIF_TRACK: list(seg.motif_track)},
                            source=f"u{seg.user_id}/{seg.class_name}/{seg.index}")
             for seg in segments], classes

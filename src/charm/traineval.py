@@ -69,7 +69,11 @@ def train(train_segments, model_kind, train_cfg: TrainConfig, model_cfg,
     class_weights = compute_class_weights(counts)
 
     inputs = np.stack([seg.data for seg in train_segments])
-    stats = fit_and_normalize(inputs)
+    try:
+        with np.errstate(all="ignore"):  # values near the float limit overflow the std
+            stats = fit_and_normalize(inputs)
+    except ValueError as e:
+        raise DataError(f"training data cannot be normalized: {e}") from e
     if val_segments:
         val_inputs = _normalized_stack(val_segments, stats)
 

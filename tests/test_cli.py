@@ -4,6 +4,7 @@ import json
 import multiprocessing
 import os
 import signal
+import struct
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
@@ -197,6 +198,7 @@ class TestEvaluate:
     @pytest.mark.parametrize("old, new, key", [
         (b'"r": 16,', b'"r": 16.5,', "r"),
         (b'"low_out_activation": true', b'"low_out_activation": "no"', "low_out_activation"),
+        (b'"leaky_slope": 0.01,', b'"leaky_slope": 5.0,', "leaky_slope"),
     ])
     def test_bad_header_config_exit_4(self, workspace, checkpoint, tmp_path, capsys,
                                       old, new, key):
@@ -501,6 +503,8 @@ class TestBadConfigValue:
         pytest.param("train", "seed", None, ["--seed", "-1"], id="seed-flag-negative"),
         pytest.param("charm", "r", 16.5, [], id="charm-r-float"),
         pytest.param("charm", "leaky_slope", "x", [], id="charm-slope-string"),
+        pytest.param("charm", "leaky_slope", 1.5, [], id="charm-slope-above-1"),
+        pytest.param("mlp", "leaky_slope", -0.5, ["--model", "mlp"], id="mlp-slope-negative"),
         pytest.param("charm", "z", 0, [], id="charm-z-zero"),
         pytest.param("mlp", "hidden", 8.5, ["--model", "mlp"], id="mlp-hidden-float"),
         pytest.param("mlp", "dropout_p", 1.5, ["--model", "mlp"], id="mlp-dropout-above-1"),
@@ -582,12 +586,41 @@ def _null_high_labels(text):
     return "".join(",".join(row[:6] + ["null"] + row[7:]) + "\n" for row in rows)
 
 
-def _short_channel_stats(blob):
-    header, payload = blob[len(MAGIC):].split(b"\n", 1)
-    header = json.loads(header)
+def _edited(edit):
+    """A checkpoint corruption that calls edit(header, payload) on the parsed
+    header and a mutable copy of the payload, and writes both back."""
+    def corrupt(blob):
+        header, payload = blob[len(MAGIC):].split(b"\n", 1)
+        header, payload = json.loads(header), bytearray(payload)
+        edit(header, payload)
+        return MAGIC + json.dumps(header).encode() + b"\n" + bytes(payload)
+    return corrupt
+
+
+def _short_channel_stats(header, payload):
     header["channel_means"] = header["channel_means"][:5]
     header["channel_stds"] = header["channel_stds"][:5]
-    return MAGIC + json.dumps(header).encode() + b"\n" + payload
+
+
+def _nan_channel_std(header, payload):
+    header["channel_stds"][0] = float("nan")
+
+
+def _inf_channel_mean(header, payload):
+    header["channel_means"][0] = float("inf")
+
+
+def _nan_weight(header, payload):
+    payload[8:16] = struct.pack("<d", float("nan"))
+
+
+def _huge_z(header, payload):
+    header["config"]["z"] = 10**9
+
+
+def _huge_z_and_shapes(header, payload):
+    _huge_z(header, payload)
+    header["shapes"][4][1] = 10**9 * header["config"]["low_out"]
 
 
 class TestErrorLines:
@@ -680,8 +713,12 @@ class TestErrorLines:
         (lambda blob: MAGIC + b'{"version": 1}', "missing header"),
         (lambda blob: MAGIC + b"not json\n", "corrupt header: "),
         (lambda blob: MAGIC + b"[1]\n", "corrupt header: not a JSON object"),
-        (_short_channel_stats, "channel stats do not match model input channels"),
-    ], ids=["no-header-newline", "header-not-json", "header-list", "short-channel-stats"])
+        (_edited(_short_channel_stats), "channel stats do not match model input channels"),
+        (_edited(_nan_channel_std), "malformed header: means and stds must be finite"),
+        (_edited(_inf_channel_mean), "malformed header: means and stds must be finite"),
+        (_edited(_nan_weight), "non-finite parameter values"),
+    ], ids=["no-header-newline", "header-not-json", "header-list", "short-channel-stats",
+            "nan-channel-std", "inf-channel-mean", "nan-weight"])
     def test_bad_checkpoint_header_exit_4(self, tmp_path, workspace, checkpoint, capsys,
                                           corrupt, message):
         bad = tmp_path / "bad.ckpt"
@@ -689,6 +726,30 @@ class TestErrorLines:
         self.fails(["evaluate", "--checkpoint", str(bad), "--data", workspace["data"],
                     "--held-out-user", "u4"], tmp_path / "metrics.txt", 4,
                    f"checkpoint error: {bad}: {message}", capsys)
+
+    @pytest.mark.parametrize("edit", [_huge_z, _huge_z_and_shapes],
+                             ids=["huge-z", "huge-z-and-shapes"])
+    def test_payload_sized_before_the_model_is_built_exit_4(
+            self, tmp_path, workspace, checkpoint, capsys, monkeypatch, edit):
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(_edited(edit)(Path(checkpoint).read_bytes()))
+
+        def build(cls, cfg, rng):  # a z of 10**9 would ask for 7.45 TiB here
+            raise AssertionError("the model was built")
+
+        monkeypatch.setattr(CharmModel, "init", classmethod(build))
+        self.fails(["evaluate", "--checkpoint", str(bad), "--data", workspace["data"],
+                    "--held-out-user", "u4"], tmp_path / "metrics.txt", 4,
+                   f"checkpoint error: {bad}: truncated or corrupt payload "
+                   f"(296736 bytes, expected 8192000034592)", capsys)
+
+    def test_embed_refuses_non_finite_weights_exit_4(self, tmp_path, workspace, checkpoint,
+                                                     capsys):
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(_edited(_nan_weight)(Path(checkpoint).read_bytes()))
+        self.fails(["embed", "--checkpoint", str(bad), "--data", workspace["data"]],
+                   tmp_path / "emb.csv", 4,
+                   f"checkpoint error: {bad}: non-finite parameter values", capsys)
 
 
 class TestEvaluateReadsOnlyHeldOutUser:
@@ -746,7 +807,7 @@ class TestCropLongerThanEverySegment:
         out = tmp_path / "x.ckpt"
         assert main(["train", "--config", str(cfg), "--data", workspace["data"],
                      "--held-out-user", "u4", "--model", model, "--out", str(out)]) == 3
-        longest = max(seg.stream.n for seg in load_data_dir(workspace["data"])[0])
+        longest = max(len(seg.data) for seg in load_data_dir(workspace["data"])[0])
         assert capsys.readouterr().err == (f"data error: crop length 131072 is longer than "
                                            f"every segment (the longest has {longest} "
                                            f"samples)\n")

@@ -267,57 +267,57 @@ class TestFillMissing:
 LABELS = ("A", "B")
 
 
-def stream_of(n, q=1):
-    return SensorStream(np.arange(float(n * q)).reshape(n, q))
+def samples_of(n, q=1):
+    return np.arange(float(n * q)).reshape(n, q)
 
 
 class TestSegmentByHighLabel:
     def test_run_length_split(self):
         segs, discarded = segment_by_high_label(
-            stream_of(6), ["A", "A", "null", "B", "B", "B"], LABELS, "null")
-        assert [s.stream.n for s in segs] == [2, 3]
+            samples_of(6), ["A", "A", "null", "B", "B", "B"], LABELS, "null")
+        assert [len(s.data) for s in segs] == [2, 3]
         assert [s.high_label for s in segs] == [0, 1]
         assert discarded == 1
 
     def test_all_null(self):
         segs, discarded = segment_by_high_label(
-            stream_of(3), ["null"] * 3, LABELS, "null")
+            samples_of(3), ["null"] * 3, LABELS, "null")
         assert segs == [] and discarded == 1
 
     def test_unknown_label_discarded(self):
         segs, discarded = segment_by_high_label(
-            stream_of(4), ["A", "relax", "relax", "A"], LABELS, "null")
-        assert [s.stream.n for s in segs] == [1, 1]
+            samples_of(4), ["A", "relax", "relax", "A"], LABELS, "null")
+        assert [len(s.data) for s in segs] == [1, 1]
         assert discarded == 1
 
     def test_kept_plus_discarded_cover_input(self):
         labels = ["A", "A", "x", "B", "null", "null", "B", "B"]
-        segs, discarded = segment_by_high_label(stream_of(8), labels, LABELS, "null")
-        kept = sum(s.stream.n for s in segs)
+        segs, discarded = segment_by_high_label(samples_of(8), labels, LABELS, "null")
+        kept = sum(len(s.data) for s in segs)
         assert kept == 5 and discarded == 2
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            segment_by_high_label(stream_of(3), ["A"], LABELS, "null")
+            segment_by_high_label(samples_of(3), ["A"], LABELS, "null")
 
     def test_single_row_runs(self):
         segs, discarded = segment_by_high_label(
-            stream_of(4), ["A", "B", "A", "A"], LABELS, "null")
-        assert [(s.high_label, s.stream.n) for s in segs] == [(0, 1), (1, 1), (0, 2)]
+            samples_of(4), ["A", "B", "A", "A"], LABELS, "null")
+        assert [(s.high_label, len(s.data)) for s in segs] == [(0, 1), (1, 1), (0, 2)]
         assert [s.source for s in segs] == ["[0:1]", "[1:2]", "[2:4]"]
         assert discarded == 0
 
     def test_file_is_one_run(self):
-        stream = stream_of(5, q=2)
-        segs, discarded = segment_by_high_label(stream, ["B"] * 5, LABELS, "null",
+        data = samples_of(5, q=2)
+        segs, discarded = segment_by_high_label(data, ["B"] * 5, LABELS, "null",
                                                 source="f.csv")
         assert len(segs) == 1 and discarded == 0
         assert segs[0].source == "f.csv[0:5]" and segs[0].high_label == 1
-        np.testing.assert_array_equal(segs[0].data, stream.samples)
+        np.testing.assert_array_equal(segs[0].data, data)
 
     def test_low_tracks_sliced(self):
         segs, _ = segment_by_high_label(
-            stream_of(4), ["A", "A", "B", "B"], LABELS, "null",
+            samples_of(4), ["A", "A", "B", "B"], LABELS, "null",
             low_labels={"m": ["w", "x", "y", "z"]})
         assert segs[0].low_label_tracks["m"] == ["w", "x"]
         assert segs[1].low_label_tracks["m"] == ["y", "z"]
@@ -352,14 +352,13 @@ class TestAtomicWrite:
 
 
 def segment_of(n, q=2, **kw):
-    return LabeledSegment(SensorStream(np.arange(float(n * q)).reshape(n, q)),
-                          0, "u1", **kw)
+    return LabeledSegment(samples_of(n, q), 0, "u1", **kw)
 
 
 class TestMakeFixedLengthSamples:
     def test_exact_length_single_crop(self):
         out = make_fixed_length_samples(segment_of(2560), 2560, 1280)
-        assert len(out) == 1 and out[0].stream.n == 2560
+        assert len(out) == 1 and len(out[0].data) == 2560
         assert not out[0].padded
 
     def test_strided_crops(self):
@@ -379,7 +378,7 @@ class TestMakeFixedLengthSamples:
     def test_short_segment_padded(self):
         out = make_fixed_length_samples(segment_of(100), 2560, 1280)
         assert len(out) == 1 and out[0].padded
-        assert out[0].stream.n == 2560
+        assert len(out[0].data) == 2560
         np.testing.assert_array_equal(
             out[0].data[:2460], np.tile(segment_of(100).data[0], (2460, 1)))
         np.testing.assert_array_equal(out[0].data[2460:], segment_of(100).data)
@@ -394,7 +393,7 @@ class TestMakeFixedLengthSamples:
     def test_every_sample_has_target_length(self):
         for n in (10, 128, 301):
             for seg in make_fixed_length_samples(segment_of(n), 128, 64):
-                assert seg.stream.n == 128
+                assert len(seg.data) == 128
 
     def test_bad_args(self):
         with pytest.raises(ValueError):
@@ -403,7 +402,7 @@ class TestMakeFixedLengthSamples:
 
 class TestLosoSplit:
     def make_dataset(self):
-        return [LabeledSegment(stream_of(4), 0, u)
+        return [LabeledSegment(samples_of(4), 0, u)
                 for u in ("1", "2", "3", "4", "2", "3")]
 
     def test_holds_out_one_user(self):
@@ -419,7 +418,7 @@ class TestLosoSplit:
         assert not set(map(id, train)) & set(map(id, val))
 
     def test_single_user_empty_train(self):
-        data = [LabeledSegment(stream_of(4), 0, "1")]
+        data = [LabeledSegment(samples_of(4), 0, "1")]
         train, val = loso_split(data, "1")
         assert train == [] and len(val) == 1
 
@@ -435,7 +434,7 @@ class TestTypes:
 
     def test_low_track_length_checked(self):
         with pytest.raises(ValueError):
-            LabeledSegment(stream_of(3), 0, "u", low_label_tracks={"m": ["a"]})
+            LabeledSegment(samples_of(3), 0, "u", low_label_tracks={"m": ["a"]})
 
     def test_schema_distinct_columns(self):
         with pytest.raises(ValueError):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from charm import synth
-from charm.dataset import DataError, LabeledSegment, SensorStream
+from charm.dataset import DataError, LabeledSegment
 from charm.embed import (SILHOUETTE_BLOCK, EmbeddingPoint, embed_segments, export_embedding,
                          label_pure_windows, pca_fit, pca_transform, silhouette_score)
 from charm.model import CharmConfig, CharmModel
@@ -418,7 +418,7 @@ class TestEmbedSegments:
     def test_fewer_than_3_windows(self, motif_data, tmp_path, rows):
         seg = motif_data[2][0]
         segments = [] if rows is None else [LabeledSegment(
-            SensorStream(seg.data[:rows]), seg.high_label, seg.user_id,
+            seg.data[:rows], seg.high_label, seg.user_id,
             {synth.MOTIF_TRACK: ["swing"] * rows}, source=seg.source)]
         with pytest.raises(DataError, match="not enough label-pure windows"):
             self.run(motif_data, tmp_path / "emb.csv", segments=segments)

@@ -428,6 +428,15 @@ class TestCheckpoint:
         for a, b in zip(model.param_arrays(), loaded.param_arrays()):
             np.testing.assert_array_equal(a, b)
 
+    @pytest.mark.parametrize("model_cls, cfg", [
+        (CharmModel, PARITY_CHARM), (CharmModel, SMALL),
+        (MlpModel, PARITY_MLP), (MlpModel, MlpConfig(n_target=8, q=3, m=4, hidden=5, layers=2)),
+        (MlpModel, MlpConfig(n_target=8, q=3, m=2, hidden=3, layers=7))],
+        ids=["charm-parity", "charm-small", "mlp-parity", "mlp-2-layers", "mlp-7-layers"])
+    def test_config_counts_the_params_it_builds(self, model_cls, cfg):
+        # load_checkpoint sizes the payload from this count before building
+        assert cfg.n_params == model_cls.init(cfg, make_rng(0)).params.size
+
     def test_truncated_file(self, tmp_path):
         model = small_model(16)
         path = tmp_path / "model.ckpt"

@@ -30,6 +30,14 @@ class TestFitNormalizer:
             fit_normalizer([])
 
 
+class TestChannelStats:
+    @pytest.mark.parametrize("means, stds", [([np.nan], [1.0]), ([-np.inf], [1.0]),
+                                             ([0.0], [np.nan]), ([0.0], [np.inf])])
+    def test_non_finite_rejected(self, means, stds):
+        with pytest.raises(ValueError, match="finite"):
+            ChannelStats(np.array(means), np.array(stds))
+
+
 class TestNormalize:
     def test_arithmetic(self):
         stats = ChannelStats(np.array([1.0]), np.array([1.0]))
@@ -63,8 +71,8 @@ class TestNormalize:
 
 class TestFitAndNormalize:
     """train stacks its crops, fits on the stack and normalizes it in place:
-    the bytes of a fit on the list of crops and a normalized copy, q = 1
-    (where numpy sums the one-column pool pairwise) included."""
+    the bytes of numpy's mean and std of the pooled crops and a normalized
+    copy, q = 1 (where numpy sums the one-column pool pairwise) included."""
 
     @pytest.mark.parametrize("q", [1, 6])
     def test_same_bytes_as_list_of_crops(self, q):
@@ -73,14 +81,19 @@ class TestFitAndNormalize:
                     for n in rng.integers(64, 300, size=12)]
         # overlapping crops of 64 rows at stride 32, as fixed_length_dataset makes them
         crops = [seg[o:o + 64] for seg in segments for o in range(0, len(seg) - 63, 32)]
-        stats = fit_normalizer(crops)
-        expected = normalize(np.stack(crops), stats)
+        pooled = np.concatenate(crops)
+        means = pooled.mean(axis=0)
+        stds = np.maximum(pooled.std(axis=0), EPS_STD)
+        expected = (np.stack(crops) - means) / stds
 
         stack = np.stack(crops)
         fitted = fit_and_normalize(stack)
-        assert fitted.means.tobytes() == stats.means.tobytes()
-        assert fitted.stds.tobytes() == stats.stds.tobytes()
+        assert fitted.means.tobytes() == means.tobytes()
+        assert fitted.stds.tobytes() == stds.tobytes()
         assert stack.tobytes() == expected.tobytes()
+        stats = fit_normalizer(crops)
+        assert stats.means.tobytes() == means.tobytes()
+        assert stats.stds.tobytes() == stds.tobytes()
 
     def test_constant_channel_clamped(self):
         x = np.full((2, 3, 1), 4.0)

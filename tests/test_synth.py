@@ -342,7 +342,7 @@ class TestGenDataset:
         labeled, labels = to_labeled_segments(segs, cfg)
         assert len(labeled) == len(segs)
         assert labels == ("routine", "brew", "meal", "tidy")
-        assert len(labeled[0].low_label_tracks["motif"]) == labeled[0].stream.n
+        assert len(labeled[0].low_label_tracks["motif"]) == len(labeled[0].data)
 
 
 class TestDefaultConfig:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from charm import traineval
-from charm.dataset import DataError, LabeledSegment, SensorStream, loso_split
+from charm.dataset import DataError, LabeledSegment, loso_split
 from charm.model import CharmConfig, CharmModel, MlpConfig, MlpModel
 from charm.neurocore import Adam, make_rng
 from charm.preprocess import fit_normalizer, normalize
@@ -23,7 +23,7 @@ def toy_dataset(n_per_class=8, users=("a", "b")):
             for _ in range(n_per_class):
                 base = 2.0 if cls else -2.0
                 data = base + rng.normal(scale=0.3, size=(32, 2))
-                segs.append(LabeledSegment(SensorStream(data), cls, user))
+                segs.append(LabeledSegment(data, cls, user))
     return segs
 
 
@@ -66,6 +66,16 @@ class TestTrain:
         with pytest.raises(DataError, match="^training set must contain at least 2 classes$"):
             train(segs, "charm", TrainConfig(), CFG)
 
+    @pytest.mark.parametrize("value", [1e200, 1e307], ids=["std-overflows", "mean-overflows"])
+    def test_unnormalizable_data_is_a_data_error(self, value):
+        # the loader takes any finite value; its square or sum may not be one
+        segs = toy_dataset()
+        for seg in segs:
+            seg.data[0, 0] = value
+        with pytest.raises(DataError, match="^training data cannot be normalized: "
+                                            "means and stds must be finite$"):
+            train(segs, "charm", TrainConfig(), CFG)
+
     def test_val_history_recorded(self):
         tr, va = loso_split(toy_dataset(), "b")
         _, hist = train(tr, "charm", TrainConfig(epochs=3, seed=1), CFG,
@@ -89,8 +99,8 @@ class TestTrain:
         # samples than EVAL_CHUNK cover the chunked prediction
         rng = make_rng(12)
         tr = toy_dataset()
-        va = [LabeledSegment(SensorStream(rng.normal(scale=2.0, size=(32, 2))),
-                             int(rng.integers(2)), "c") for _ in range(EVAL_CHUNK + 30)]
+        va = [LabeledSegment(rng.normal(scale=2.0, size=(32, 2)), int(rng.integers(2)), "c")
+              for _ in range(EVAL_CHUNK + 30)]
         trained, hist = train(tr, "charm", TrainConfig(epochs=2, seed=5), CFG, val_segments=va)
         assert 0.0 < hist.val_macro_f1[-1] < 1.0
         assert hist.val_macro_f1[-1] == evaluate(trained, va).macro_f1
@@ -182,7 +192,7 @@ class TestPredict:
         stats = fit_normalizer(list(data))
         labels = [int(np.argmax(model.forward(normalize(x, stats))[0])) for x in data]
         assert len(set(labels)) > 1
-        segs = [LabeledSegment(SensorStream(x), lab, "a") for x, lab in zip(data, labels)]
+        segs = [LabeledSegment(x, lab, "a") for x, lab in zip(data, labels)]
         report = evaluate(TrainedModel(model, stats), segs)
         assert report.accuracy == 1.0
         assert report.confusion.sum() == len(segs)
@@ -190,7 +200,7 @@ class TestPredict:
 
     def test_tie_breaks_to_lowest_index(self):
         x = make_rng(3).normal(size=(5, 32, 2))
-        segs = [LabeledSegment(SensorStream(d), 0, "a") for d in x]
+        segs = [LabeledSegment(d, 0, "a") for d in x]
         for kind in ("charm", "mlp"):
             model = untrained(kind)
             model.params[...] = 0.0  # uniform probabilities everywhere
