@@ -3,8 +3,6 @@ PCA of their learned low-level embeddings, CSV export and silhouette scoring."""
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -136,27 +134,20 @@ _CSV_SPECIAL = frozenset(',"\r\n')  # characters csv.writer would quote
 
 
 def export_embedding(points, path):
-    """CSV rows pc1, pc2, low_label, source with a header and csv.writer's
-    \\r\\n line ends; full float precision; labels containing a comma are
-    quoted."""
+    """CSV rows pc1, pc2, low_label, source with a header and \\r\\n line
+    ends, the bytes csv.writer writes: full float precision, and a label or
+    source holding a comma, a quote or a line break quoted with its quotes
+    doubled."""
     points = list(points)
     if not points:
         raise ValueError("nothing to export")
-    texts = {t for p in points for t in (p.low_label, p.source)}
-    if all(type(t) is str for t in texts) and _CSV_SPECIAL.isdisjoint("".join(texts)):
-        # nothing to quote: the bytes csv.writer writes, without its per-row cost
-        text = "".join(["pc1,pc2,low_label,source\r\n"] + [
-            f"{float(p.coords[0])!r},{float(p.coords[1])!r},{p.low_label},{p.source}\r\n"
-            for p in points])
-    else:
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["pc1", "pc2", "low_label", "source"])
-        for p in points:
-            writer.writerow([repr(float(p.coords[0])), repr(float(p.coords[1])),
-                             p.low_label, p.source])
-        text = buf.getvalue()
-    atomic_write(path, text)
+    fields = {}  # each distinct text as a CSV field, quoted once
+    for t in {t for p in points for t in (p.low_label, p.source)}:
+        s = str(t)
+        fields[t] = s if _CSV_SPECIAL.isdisjoint(s) else '"' + s.replace('"', '""') + '"'
+    atomic_write(path, "".join(["pc1,pc2,low_label,source\r\n"] + [
+        f"{float(p.coords[0])!r},{float(p.coords[1])!r},{fields[p.low_label]},"
+        f"{fields[p.source]}\r\n" for p in points]))
 
 
 def embed_segments(model, stats, segments, track, null_token, groups, path):

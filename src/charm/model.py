@@ -5,15 +5,14 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass
-from functools import cached_property
 from typing import Annotated
 
 import numpy as np
 
 from .dataset import atomic_write, check_fields
 from .neurocore import (Stack, ce_losses, check_ce_inputs, flatten_params, make_rng,
-                        softmax, softmax_ce_grad, view_arrays, view_spans)
-from .preprocess import ChannelStats, window
+                        softmax, softmax_ce_grad, view_arrays)
+from .preprocess import ChannelStats
 
 EMBED_CHUNK = 4096  # at most this many windows per low-encoder forward in embed_windows
 
@@ -22,8 +21,22 @@ class CheckpointError(Exception):
     pass
 
 
+class _Config:
+    """What both model configs share: every field checked, and a parameter
+    count from `stack_dims`, the (layer widths, final activation) of each
+    stack in parameter order."""
+
+    def __post_init__(self):
+        check_fields(self)
+
+    @property
+    def n_params(self) -> int:
+        return sum((d_in + 1) * d_out for dims, _ in self.stack_dims
+                   for d_in, d_out in zip(dims, dims[1:]))
+
+
 @dataclass(frozen=True)
-class CharmConfig:
+class CharmConfig(_Config):
     """Shapes and regularization of the two-stage model. n_target = r * z."""
 
     r: Annotated[int, "[1, inf)"] = 16        # low-level window length in samples
@@ -37,21 +50,20 @@ class CharmConfig:
     leaky_slope: Annotated[float, "[0, 1]"] = 0.01
     low_out_activation: bool = True
 
-    def __post_init__(self):
-        check_fields(self)
-
     @property
     def n_target(self) -> int:
         return self.r * self.z
 
     @property
-    def n_params(self) -> int:
-        return ((self.r * self.q + 1) * self.low_hidden + (self.low_hidden + 1) * self.low_out
-                + (self.z * self.low_out + 1) * self.high_hidden + (self.high_hidden + 1) * self.m)
+    def stack_dims(self):
+        """The low encoder over one window, then the high encoder over the
+        concatenated window features."""
+        return (([self.r * self.q, self.low_hidden, self.low_out], self.low_out_activation),
+                ([self.z * self.low_out, self.high_hidden, self.m], False))
 
 
 @dataclass(frozen=True)
-class MlpConfig:
+class MlpConfig(_Config):
     """Flat baseline: 4 dense layers over the flattened normalized input."""
 
     n_target: Annotated[int, "[1, inf)"] = 2560
@@ -62,17 +74,10 @@ class MlpConfig:
     dropout_p: Annotated[float, "[0, 1)"] = 0.05
     leaky_slope: Annotated[float, "[0, 1]"] = 0.01
 
-    def __post_init__(self):
-        check_fields(self)
-
     @property
-    def input_dim(self) -> int:
-        return self.n_target * self.q
-
-    @property
-    def n_params(self) -> int:
-        h = self.hidden
-        return (self.input_dim + 1) * h + (self.layers - 2) * (h + 1) * h + (h + 1) * self.m
+    def stack_dims(self):
+        return (([self.n_target * self.q] + [self.hidden] * (self.layers - 1) + [self.m],
+                 False),)
 
 
 class _Model:
@@ -82,6 +87,17 @@ class _Model:
     [B, ...] or None). `stacks` holds the model's Stacks in parameter
     order, and `params` is the one float64 vector that every array of
     param_arrays() is a view of."""
+
+    def __init__(self, cfg, stacks):
+        self.cfg, self.stacks = cfg, tuple(stacks)
+        self.params, self._spans = flatten_params(self.stacks)
+
+    @classmethod
+    def init(cls, cfg, rng):
+        """A model of fresh Stack.init stacks, one per cfg.stack_dims entry,
+        drawn in order from `rng`."""
+        return cls(cfg, [Stack.init(dims, rng, slope=cfg.leaky_slope, dropout_p=cfg.dropout_p,
+                                    final_activation=final) for dims, final in cfg.stack_dims])
 
     def param_arrays(self):
         return [p for stack in self.stacks for p in stack.param_arrays()]
@@ -126,39 +142,20 @@ class _Model:
         backward(d_logits, grads)
         return float(losses.sum()) / n, grads, grad
 
-    @cached_property
-    def _spans(self):
-        return view_spans([p.shape for p in self.param_arrays()])
-
 
 class CharmModel(_Model):
     """Shared low-level encoder applied per window, high-level encoder over
     the concatenated window features."""
 
     kind = "charm"
-
-    def __init__(self, cfg: CharmConfig, low: Stack, high: Stack):
-        self.cfg = cfg
-        self.low, self.high = low, high
-        self.stacks = (low, high)
-        self.params = flatten_params(self.stacks)
-
-    @classmethod
-    def init(cls, cfg: CharmConfig, rng) -> "CharmModel":
-        low = Stack.init([cfg.r * cfg.q, cfg.low_hidden, cfg.low_out], rng,
-                         slope=cfg.leaky_slope, dropout_p=cfg.dropout_p,
-                         final_activation=cfg.low_out_activation)
-        high = Stack.init([cfg.z * cfg.low_out, cfg.high_hidden, cfg.m], rng,
-                          slope=cfg.leaky_slope, dropout_p=cfg.dropout_p,
-                          final_activation=False)
-        return cls(cfg, low, high)
+    low = property(lambda self: self.stacks[0])
+    high = property(lambda self: self.stacks[1])
 
     def _logits(self, batch, training, rng):
         """Low encoder on [B*z, r*q], high encoder on [B, z*low_out];
         features are the window features [B, z, low_out]."""
         n, z = batch.shape[0], self.cfg.z
-        windows = window(batch.reshape(n * self.cfg.n_target, -1), self.cfg.r)
-        low_feats, low_cache = self.low.forward(windows.reshape(n * z, -1), training, rng)
+        low_feats, low_cache = self.low.forward(batch.reshape(n * z, -1), training, rng)
         logits, high_cache = self.high.forward(low_feats.reshape(n, -1), training, rng)
 
         def backward(d_logits, grads):
@@ -185,19 +182,7 @@ class CharmModel(_Model):
 
 class MlpModel(_Model):
     kind = "mlp"
-
-    def __init__(self, cfg: MlpConfig, stack: Stack):
-        self.cfg = cfg
-        self.stack = stack
-        self.stacks = (stack,)
-        self.params = flatten_params(self.stacks)
-
-    @classmethod
-    def init(cls, cfg: MlpConfig, rng) -> "MlpModel":
-        dims = [cfg.input_dim] + [cfg.hidden] * (cfg.layers - 1) + [cfg.m]
-        stack = Stack.init(dims, rng, slope=cfg.leaky_slope,
-                           dropout_p=cfg.dropout_p, final_activation=False)
-        return cls(cfg, stack)
+    stack = property(lambda self: self.stacks[0])
 
     def _logits(self, batch, training, rng):
         logits, cache = self.stack.forward(batch.reshape(batch.shape[0], -1), training, rng)

@@ -107,17 +107,16 @@ class Stack:
     final_activation: bool = False
 
     @classmethod
-    def init(cls, dims, rng, slope=0.01, dropout_p=0.05, final_activation=False):
+    def init(cls, dims, rng, **options):
         """Glorot-uniform weights in +-sqrt(6/(in+out)), drawn layer by
-        layer, and zero biases."""
+        layer, and zero biases; `options` are Stack's other fields."""
         if min(dims) < 1:
             raise ValueError(f"bad layer dims {dims}")
         layers = []
         for in_dim, out_dim in zip(dims[:-1], dims[1:]):
             lim = np.sqrt(6.0 / (in_dim + out_dim))
             layers.append((rng.uniform(-lim, lim, size=(out_dim, in_dim)), np.zeros(out_dim)))
-        return cls(layers, slope=slope, dropout_p=dropout_p,
-                   final_activation=final_activation)
+        return cls(layers, **options)
 
     def param_arrays(self):
         return [p for layer in self.layers for p in layer]
@@ -184,15 +183,17 @@ def view_arrays(flat, spans):
     return [flat[start:stop].reshape(shape) for start, stop, shape in spans]
 
 
-def flatten_params(stacks) -> np.ndarray:
+def flatten_params(stacks):
     """Copies the parameters of `stacks` into one float64 vector, in
-    param_arrays() order, and rebinds every layer's (w, b) to views of it."""
+    param_arrays() order, and rebinds every layer's (w, b) to views of it.
+    Returns (the vector, its view_spans)."""
     arrays = [p for stack in stacks for p in stack.param_arrays()]
     flat = np.concatenate([p.ravel() for p in arrays])
-    views = iter(view_arrays(flat, view_spans([p.shape for p in arrays])))
+    spans = view_spans([p.shape for p in arrays])
+    views = iter(view_arrays(flat, spans))
     for stack in stacks:
         stack.layers = [(next(views), next(views)) for _ in stack.layers]
-    return flat
+    return flat, spans
 
 
 class Adam:

@@ -16,6 +16,7 @@ from .dataset import (LabeledSegment, SchemaConfig, atomic_write, check_fields, 
                       map_files)
 
 MOTIF_TRACK = "motif"
+NULL_TOKEN = "null"  # the null label of the files write_dataset writes
 
 
 @dataclass(frozen=True)
@@ -82,6 +83,16 @@ class SynthConfig:
 
     def __post_init__(self):
         check_fields(self)
+        # names that write_dataset's files carry and load_stream reads back unchanged
+        for name in [*self.class_names, *self.motifs]:
+            if set(name) & set(",\r\n") or name != name.strip() or name == NULL_TOKEN:
+                raise ValueError("class and motif names must hold no ',' or line break, no "
+                                 f"leading or trailing space, and not be {NULL_TOKEN!r}; "
+                                 f"got {name!r}")
+        for name in [*self.class_names, *(u.user_id for u in self.users)]:
+            if "/" in name or "\0" in name:  # a file name holds both
+                raise ValueError("class names and user ids must hold no '/' or NUL, "
+                                 f"got {name!r}")
         if len(self.grammars) < 2:
             raise ValueError("need at least 2 classes")
         if len(set(self.class_names)) != len(self.grammars):
@@ -191,7 +202,7 @@ def dataset_schema(config: SynthConfig) -> SchemaConfig:
         channel_columns=tuple(range(q)),
         high_label_column=q,
         low_label_columns={MOTIF_TRACK: q + 1},
-        null_label_token="null",
+        null_label_token=NULL_TOKEN,
     )
 
 
@@ -229,31 +240,6 @@ def _write_segment(job):
     atomic_write(path, "".join(
         ",".join(map(repr, row)) + labels + motif + "\n"
         for row, motif in zip(seg.data.tolist(), seg.motif_track)))
-
-
-def motif_histogram_oracle(train_segments, val_segments, motif_names):
-    """Nearest-centroid classifier on ground-truth motif histograms; an
-    upper-bound separability check that never sees the model. Returns
-    validation accuracy."""
-    index = {name: i for i, name in enumerate(motif_names)}
-
-    def hist(seg):
-        h = np.zeros(len(index))
-        for lab in seg.motif_track:
-            h[index[lab]] += 1
-        return h / h.sum()
-
-    classes = sorted({s.class_name for s in train_segments})
-    centroids = {}
-    for cls in classes:
-        rows = [hist(s) for s in train_segments if s.class_name == cls]
-        centroids[cls] = np.mean(rows, axis=0)
-    correct = 0
-    for seg in val_segments:
-        h = hist(seg)
-        pred = min(classes, key=lambda c: np.linalg.norm(h - centroids[c]))
-        correct += pred == seg.class_name
-    return correct / len(val_segments)
 
 
 def default_config() -> SynthConfig:

@@ -492,6 +492,13 @@ class TestCheckpointDataMismatch:
 _BAD_MOTIFS = {"sway": {"channels": [["x", 2.0, 0.0, 0.1]], "duration": [4, 8]}}
 
 
+def _synth_named(classes=("a", "b"), motif="swing", users=("u1", "u2")):
+    """A synth section whose only fault can be one of the names given."""
+    return {"motifs": {motif: {"channels": [[1.0, 2.0, 0.0, 0.1]], "duration": [4, 8]}},
+            "grammars": {c: {"probs": {motif: 1.0}, "target_len": 64} for c in classes},
+            "users": [{"id": u, "amp_scale": 1.0, "noise_sigma": 0.1} for u in users]}
+
+
 class TestBadConfigValue:
     """One wrong-type and one out-of-range value per config section."""
 
@@ -532,6 +539,36 @@ class TestBadConfigValue:
         named = {"users": "noise_sigma", "motifs": "amplitude"}.get(key, key)
         assert f"{named} must be" in err and len(err.splitlines()) == 1
         assert os.listdir(tmp_path) == ["config.json"]
+
+    @pytest.mark.parametrize("section, bad", [
+        pytest.param(_synth_named(classes=("rou,tine", "b")), "rou,tine", id="synth-class-comma"),
+        pytest.param(_synth_named(classes=(" routine", "b")), " routine", id="synth-class-space"),
+        pytest.param(_synth_named(classes=("null", "b")), "null", id="synth-class-null"),
+        pytest.param(_synth_named(classes=("a\nb", "b")), "a\nb", id="synth-class-newline"),
+        pytest.param(_synth_named(classes=("a/b", "b")), "a/b", id="synth-class-slash"),
+        pytest.param(_synth_named(motif="a,b"), "a,b", id="synth-motif-comma"),
+        pytest.param(_synth_named(motif="null"), "null", id="synth-motif-null"),
+        pytest.param(_synth_named(motif="a\rb"), "a\rb", id="synth-motif-cr"),
+        pytest.param(_synth_named(motif="a "), "a ", id="synth-motif-trailing-space"),
+        pytest.param(_synth_named(users=("a/b", "b")), "a/b", id="synth-user-slash"),
+        pytest.param(_synth_named(users=("a\0b", "b")), "a\x00b", id="synth-user-nul"),
+    ])
+    def test_name_the_files_cannot_carry_exit_2(self, tmp_path, capsys, section, bad):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"synth": section}))
+        assert main(["gen-synth", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "must hold no" in err and repr(bad) in err and len(err.splitlines()) == 1
+        assert os.listdir(tmp_path) == ["config.json"]
+
+    def test_names_the_files_carry_load_back(self, tmp_path):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"synth": _synth_named(classes=("a b", "c-d"), motif="e.f")}))
+        assert main(["gen-synth", "--config", str(cfg), "--out", str(tmp_path / "out"),
+                     "--quiet"]) == 0
+        segments, classes, _ = load_data_dir(tmp_path / "out")
+        assert classes == ("a b", "c-d") and len(segments) == 2 * 2 * 20
+        assert {lab for seg in segments for lab in seg.low_label_tracks["motif"]} == {"e.f"}
 
     @pytest.mark.parametrize("cmd", ["evaluate", "embed", "features"])
     def test_every_command_checks_every_section(self, tmp_path, workspace, checkpoint,

@@ -314,7 +314,8 @@ class TestExportMatchesCsvWriter:
         export_embedding(pts, tmp_path / "emb.csv")
         assert (tmp_path / "emb.csv").read_bytes() == reference_export(pts)
 
-    @pytest.mark.parametrize("odd", ["a,b", 'say "hi"', "two\nlines", "cr\rhere"])
+    @pytest.mark.parametrize("odd", ["a,b", 'say "hi"', "two\nlines", "cr\rhere",
+                                     'say "hi", twice', 7, ""])
     @pytest.mark.parametrize("where", ["label", "source"])
     def test_labels_csv_must_quote(self, tmp_path, odd, where):
         labels = ["x"] * 40
@@ -326,7 +327,7 @@ class TestExportMatchesCsvWriter:
         assert data == reference_export(pts)
         with open(tmp_path / "emb.csv", newline="") as fh:
             rows = list(csv.reader(fh))
-        assert rows[8][2 if where == "label" else 3] == odd
+        assert rows[8][2 if where == "label" else 3] == str(odd)
 
 
 class TestExport:

@@ -9,7 +9,7 @@ from charm.dataset import load_stream
 from charm.neurocore import make_rng
 from charm.synth import (ActivityGrammar, ChannelWave, MotifSpec, SynthConfig,
                          SynthSegment, UserProfile, dataset_schema, default_config,
-                         gen_dataset, gen_segment, motif_histogram_oracle, motif_wave,
+                         gen_dataset, gen_segment, motif_wave,
                          to_labeled_segments, write_dataset)
 
 USER = UserProfile("u", 1.0, 0.0)
@@ -328,13 +328,6 @@ class TestGenDataset:
                                     users=base.users, samples_per_class_per_user=1,
                                     seed=124))
         assert not np.array_equal(a[0].data, b[0].data)
-
-    def test_histogram_oracle_separates_held_out_user(self):
-        segs = gen_dataset(self.small_config(10))
-        train = [s for s in segs if s.user_id != "u4"]
-        val = [s for s in segs if s.user_id == "u4"]
-        acc = motif_histogram_oracle(train, val, sorted(default_config().motifs))
-        assert acc >= 0.99
 
     def test_to_labeled_segments(self):
         cfg = self.small_config(1)
