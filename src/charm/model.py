@@ -34,6 +34,10 @@ class _Config:
         return sum((d_in + 1) * d_out for dims, _ in self.stack_dims
                    for d_in, d_out in zip(dims, dims[1:]))
 
+    @property
+    def n_layers(self) -> int:
+        return sum(len(dims) - 1 for dims, _ in self.stack_dims)
+
 
 @dataclass(frozen=True)
 class CharmConfig(_Config):
@@ -78,6 +82,8 @@ class MlpConfig(_Config):
     def stack_dims(self):
         return (([self.n_target * self.q] + [self.hidden] * (self.layers - 1) + [self.m],
                  False),)
+
+    n_layers = property(lambda self: self.layers)  # stack_dims' count, without listing it
 
 
 class _Model:
@@ -246,8 +252,12 @@ def load_checkpoint(path):
     cfg_cls, model_cls = MODELS[kind]
     try:
         cfg = cfg_cls(**header["config"])
-        # sized from the config before the model is built, so no header
-        # makes the model larger than the file
+        # sized from the config before the model is built, so no header makes
+        # the model larger than the file, nor n_params list more layers than
+        # the header's `shapes` (two arrays a layer) hold
+        if len(header["shapes"]) != 2 * cfg.n_layers:
+            raise CheckpointError(f"{path}: {len(header['shapes'])} array shapes for "
+                                  f"{cfg.n_layers} layers")
         size, expected = len(rest) - nl - 1, cfg.n_params * 8
         if size != expected:
             raise CheckpointError(

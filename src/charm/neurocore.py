@@ -9,7 +9,6 @@ fixed seed gives bit-identical parameter trajectories.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -167,29 +166,20 @@ class Stack:
         return d if input_grad else None
 
 
-def view_spans(shapes):
-    """(start, stop, shape) of consecutive arrays of these shapes laid out
-    in one 1-D array; computed once, they make view_arrays cheap."""
-    out, offset = [], 0
-    for shape in shapes:
-        size = math.prod(shape)
-        out.append((offset, offset + size, shape))
-        offset += size
-    return out
-
-
 def view_arrays(flat, spans):
-    """Views of the 1-D array `flat`, one per view_spans() entry."""
+    """Views of the 1-D array `flat`, one per (start, stop, shape) span."""
     return [flat[start:stop].reshape(shape) for start, stop, shape in spans]
 
 
 def flatten_params(stacks):
     """Copies the parameters of `stacks` into one float64 vector, in
     param_arrays() order, and rebinds every layer's (w, b) to views of it.
-    Returns (the vector, its view_spans)."""
+    Returns (the vector, the (start, stop, shape) span of each array in it),
+    the spans that make view_arrays cheap."""
     arrays = [p for stack in stacks for p in stack.param_arrays()]
     flat = np.concatenate([p.ravel() for p in arrays])
-    spans = view_spans([p.shape for p in arrays])
+    stops = np.cumsum([p.size for p in arrays]).tolist()
+    spans = [(stop - p.size, stop, p.shape) for p, stop in zip(arrays, stops)]
     views = iter(view_arrays(flat, spans))
     for stack in stacks:
         stack.layers = [(next(views), next(views)) for _ in stack.layers]

@@ -89,10 +89,14 @@ class SynthConfig:
                 raise ValueError("class and motif names must hold no ',' or line break, no "
                                  f"leading or trailing space, and not be {NULL_TOKEN!r}; "
                                  f"got {name!r}")
-        for name in [*self.class_names, *(u.user_id for u in self.users)]:
+        users = [u.user_id for u in self.users]
+        for name in [*self.class_names, *users]:
             if "/" in name or "\0" in name:  # a file name holds both
                 raise ValueError("class names and user ids must hold no '/' or NUL, "
                                  f"got {name!r}")
+        if any("_" in u for u in users) or len(set(users)) != len(users):
+            # the first '_' of u<user>_<class>_<index>.csv ends the user id
+            raise ValueError(f"user ids must hold no '_' and be distinct, got {users}")
         if len(self.grammars) < 2:
             raise ValueError("need at least 2 classes")
         if len(set(self.class_names)) != len(self.grammars):

@@ -552,6 +552,8 @@ class TestBadConfigValue:
         pytest.param(_synth_named(motif="a "), "a ", id="synth-motif-trailing-space"),
         pytest.param(_synth_named(users=("a/b", "b")), "a/b", id="synth-user-slash"),
         pytest.param(_synth_named(users=("a\0b", "b")), "a\x00b", id="synth-user-nul"),
+        pytest.param(_synth_named(users=("1_a", "1")), "1_a", id="synth-user-underscore"),
+        pytest.param(_synth_named(users=("u1", "u2", "u1")), "u1", id="synth-user-repeated"),
     ])
     def test_name_the_files_cannot_carry_exit_2(self, tmp_path, capsys, section, bad):
         cfg = tmp_path / "config.json"
@@ -660,6 +662,10 @@ def _huge_z_and_shapes(header, payload):
     header["shapes"][4][1] = 10**9 * header["config"]["low_out"]
 
 
+def _billion_mlp_layers(header, payload):
+    header["kind"], header["config"] = "mlp", {"layers": 10**9}
+
+
 class TestErrorLines:
     """User-facing failures: the exit code, one stderr line and no output."""
 
@@ -764,21 +770,29 @@ class TestErrorLines:
                     "--held-out-user", "u4"], tmp_path / "metrics.txt", 4,
                    f"checkpoint error: {bad}: {message}", capsys)
 
-    @pytest.mark.parametrize("edit", [_huge_z, _huge_z_and_shapes],
-                             ids=["huge-z", "huge-z-and-shapes"])
+    @pytest.mark.parametrize("edit, message", [
+        (_huge_z, "truncated or corrupt payload (296736 bytes, expected 8192000034592)"),
+        (_huge_z_and_shapes,
+         "truncated or corrupt payload (296736 bytes, expected 8192000034592)"),
+        (_billion_mlp_layers, "8 array shapes for 1000000000 layers"),
+    ], ids=["huge-z", "huge-z-and-shapes", "billion-mlp-layers"])
     def test_payload_sized_before_the_model_is_built_exit_4(
-            self, tmp_path, workspace, checkpoint, capsys, monkeypatch, edit):
+            self, tmp_path, workspace, checkpoint, capsys, monkeypatch, edit, message):
         bad = tmp_path / "bad.ckpt"
         bad.write_bytes(_edited(edit)(Path(checkpoint).read_bytes()))
 
         def build(cls, cfg, rng):  # a z of 10**9 would ask for 7.45 TiB here
             raise AssertionError("the model was built")
 
+        def list_layers(cfg):  # 10**9 MLP layers would ask for an 8 GB list here
+            raise AssertionError("the layers were listed")
+
         monkeypatch.setattr(CharmModel, "init", classmethod(build))
+        monkeypatch.setattr(MlpModel, "init", classmethod(build))
+        monkeypatch.setattr(MlpConfig, "stack_dims", property(list_layers))
         self.fails(["evaluate", "--checkpoint", str(bad), "--data", workspace["data"],
                     "--held-out-user", "u4"], tmp_path / "metrics.txt", 4,
-                   f"checkpoint error: {bad}: truncated or corrupt payload "
-                   f"(296736 bytes, expected 8192000034592)", capsys)
+                   f"checkpoint error: {bad}: {message}", capsys)
 
     def test_embed_refuses_non_finite_weights_exit_4(self, tmp_path, workspace, checkpoint,
                                                      capsys):

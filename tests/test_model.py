@@ -434,8 +434,10 @@ class TestCheckpoint:
         (MlpModel, MlpConfig(n_target=8, q=3, m=2, hidden=3, layers=7))],
         ids=["charm-parity", "charm-small", "mlp-parity", "mlp-2-layers", "mlp-7-layers"])
     def test_config_counts_the_params_it_builds(self, model_cls, cfg):
-        # load_checkpoint sizes the payload from this count before building
-        assert cfg.n_params == model_cls.init(cfg, make_rng(0)).params.size
+        # load_checkpoint sizes the payload from these counts before building
+        model = model_cls.init(cfg, make_rng(0))
+        assert cfg.n_params == model.params.size
+        assert 2 * cfg.n_layers == len(model.param_arrays())
 
     def test_truncated_file(self, tmp_path):
         model = small_model(16)
