@@ -1,8 +1,8 @@
 """Command-line pipeline: gen-synth, train, evaluate, embed, features.
 
-Exit codes: 0 ok, 1 I/O error, 2 config error, 3 data error, 4 checkpoint
-error, 130 interrupted. All randomness flows from one run seed (--seed
-overrides the config).
+Exit codes: 0 ok, 1 I/O error or out of memory, 2 config error, 3 data
+error, 4 checkpoint error, 130 interrupted. All randomness flows from one
+run seed (--seed overrides the config).
 """
 
 from __future__ import annotations
@@ -343,6 +343,9 @@ def main(argv=None) -> int:
         return 4
     except OSError as e:
         print(f"i/o error: {e}", file=sys.stderr)
+        return 1
+    except MemoryError as e:
+        print(f"out of memory: {str(e) or 'an allocation failed'}", file=sys.stderr)
         return 1
     except KeyboardInterrupt:
         print("interrupted", file=sys.stderr)

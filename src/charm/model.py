@@ -89,10 +89,10 @@ class MlpConfig(_Config):
 class _Model:
     """The rules both models share: softmax and weighted cross-entropy on
     the logits of the subclass's `_logits` hook, which maps a checked batch
-    [B, n_target, q] to (logits [B, m], backward(d_logits, grads), features
-    [B, ...] or None). `stacks` holds the model's Stacks in parameter
-    order, and `params` is the one float64 vector that every array of
-    param_arrays() is a view of."""
+    [B, n_target, q] and an rng, None for inference, to (logits [B, m],
+    backward(d_logits, grads), features [B, ...] or None). `stacks` holds
+    the model's Stacks in parameter order, and `params` is the one float64
+    vector that every array of param_arrays() is a view of."""
 
     def __init__(self, cfg, stacks):
         self.cfg, self.stacks = cfg, tuple(stacks)
@@ -108,24 +108,24 @@ class _Model:
     def param_arrays(self):
         return [p for stack in self.stacks for p in stack.param_arrays()]
 
-    def _batch_logits(self, batch, training, rng):
+    def _batch_logits(self, batch, rng=None):
         batch = np.asarray(batch, dtype=float)
         expected = (self.cfg.n_target, self.cfg.q)
         if batch.ndim != 3 or batch.shape[1:] != expected:
             raise ValueError(f"expected [batch, {expected[0]}, {expected[1]}] input, "
                              f"got shape {batch.shape}")
-        return self._logits(batch, training, rng)
+        return self._logits(batch, rng)
 
     def forward(self, sample):
         """One sample [n_target, q], inference mode. Returns (class
         probabilities [m], features or None)."""
-        logits, _, features = self._batch_logits(np.asarray(sample)[None], False, None)
+        logits, _, features = self._batch_logits(np.asarray(sample)[None])
         return softmax(logits[0]), None if features is None else features[0]
 
     def predict(self, batch):
         """Class indices [B] of a normalized batch [B, n_target, q], inference
         mode; ties break to the lowest class index."""
-        logits, _, _ = self._batch_logits(batch, False, None)
+        logits, _, _ = self._batch_logits(batch)
         return np.argmax(softmax(logits), axis=-1)
 
     def loss_and_grads(self, batch, targets, class_weights, rng):
@@ -138,7 +138,7 @@ class _Model:
         batch = np.asarray(batch)
         if batch.ndim == 2:
             batch, targets = batch[None], [targets]
-        logits, backward, _ = self._batch_logits(batch, True, rng)
+        logits, backward, _ = self._batch_logits(batch, rng)
         logits, targets, class_weights = check_ce_inputs(logits, targets, class_weights)
         n = logits.shape[0]
         losses = ce_losses(logits, targets, class_weights)
@@ -157,12 +157,12 @@ class CharmModel(_Model):
     low = property(lambda self: self.stacks[0])
     high = property(lambda self: self.stacks[1])
 
-    def _logits(self, batch, training, rng):
+    def _logits(self, batch, rng):
         """Low encoder on [B*z, r*q], high encoder on [B, z*low_out];
         features are the window features [B, z, low_out]."""
         n, z = batch.shape[0], self.cfg.z
-        low_feats, low_cache = self.low.forward(batch.reshape(n * z, -1), training, rng)
-        logits, high_cache = self.high.forward(low_feats.reshape(n, -1), training, rng)
+        low_feats, low_cache = self.low.forward(batch.reshape(n * z, -1), rng)
+        logits, high_cache = self.high.forward(low_feats.reshape(n, -1), rng)
 
         def backward(d_logits, grads):
             n_low = 2 * len(self.low.layers)
@@ -183,15 +183,15 @@ class CharmModel(_Model):
         # near-equal parts, so no part is a short tail that BLAS would round
         # differently from one forward over all windows
         parts = np.array_split(flat, max(1, -(-len(flat) // EMBED_CHUNK)))
-        return np.concatenate([self.low.forward(p, training=False)[0] for p in parts])
+        return np.concatenate([self.low.forward(p)[0] for p in parts])
 
 
 class MlpModel(_Model):
     kind = "mlp"
     stack = property(lambda self: self.stacks[0])
 
-    def _logits(self, batch, training, rng):
-        logits, cache = self.stack.forward(batch.reshape(batch.shape[0], -1), training, rng)
+    def _logits(self, batch, rng):
+        logits, cache = self.stack.forward(batch.reshape(batch.shape[0], -1), rng)
         return (logits, lambda d, grads: self.stack.backward(cache, d, grads, input_grad=False),
                 None)
 

@@ -21,12 +21,16 @@ def make_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed))
 
 
+class NonFiniteError(ValueError):
+    """NaN or infinite logits, loss or parameters, as a diverging run makes."""
+
+
 def softmax(logits):
     logits = np.asarray(logits, dtype=float)
     if logits.size == 0:
         raise ValueError("softmax: empty input")
     if not np.isfinite(logits).all():
-        raise ValueError("softmax: non-finite logits")
+        raise NonFiniteError("softmax: non-finite logits")
     return _softmax(logits)
 
 
@@ -59,7 +63,7 @@ def check_ce_inputs(logits, target, class_weights):
     if class_weights.shape != (m,) or (class_weights <= 0).any():
         raise ValueError("class_weights must be positive, one per class")
     if not np.isfinite(logits).all():
-        raise ValueError("non-finite logits")
+        raise NonFiniteError("non-finite logits")
     return logits, target, class_weights
 
 
@@ -89,8 +93,6 @@ def dropout_mask(shape, p: float, rng: np.random.Generator):
     """Inverted-dropout mask: zeros with probability p, survivors 1/(1-p)."""
     if not 0.0 <= p < 1.0:
         raise ValueError(f"dropout probability {p} not in [0, 1)")
-    if p == 0.0:
-        return np.ones(shape)
     return (rng.random(shape) >= p) / (1.0 - p)
 
 
@@ -120,41 +122,46 @@ class Stack:
     def param_arrays(self):
         return [p for layer in self.layers for p in layer]
 
-    def forward(self, x, training: bool = False, rng: np.random.Generator | None = None):
-        """x: [batch, in_dim]. Returns (output, cache) where cache feeds
-        backward(): per layer (x_in, slopes, mask), slopes the leaky-ReLU
-        derivative at the pre-activation (None for an unactivated layer)."""
+    def forward(self, x, rng: np.random.Generator | None = None):
+        """x: [batch, in_dim]. No rng: inference, (output, None). An rng:
+        training, a dropout mask after every layer but the last, and
+        (output, cache), the per-layer (x_in, up, mask) that backward() reads,
+        up the bool a >= 0 at the pre-activation (None if not activated)."""
         x = np.asarray(x, dtype=float)
         if x.ndim != 2:
             raise ValueError(f"expected [batch, dim] input, got shape {x.shape}")
-        cache = []
+        cache = None if rng is None else []
         for i, (w, b) in enumerate(self.layers):
             last = i == len(self.layers) - 1
             a = x @ w.T
             a += b
-            slopes = None
+            up = mask = None
             if not last or self.final_activation:
-                # 1 where a >= 0, else the leak (NaN too); no per-element branch
-                up = a >= 0.0
-                slopes = np.multiply(~up, self.slope)
-                slopes += up
-                a *= slopes
-            mask = None
-            if training and not last and self.dropout_p > 0.0:
-                mask = dropout_mask(a.shape, self.dropout_p, rng)
-                a *= mask
-            cache.append((x, slopes, mask))
+                if cache is not None:
+                    up = a >= 0.0
+                # leaky ReLU for the slopes in [0, 1] configs accept (0 maps +inf to NaN)
+                np.maximum(a, a * self.slope, out=a)
+            if cache is not None:
+                if not last and self.dropout_p > 0.0:
+                    mask = dropout_mask(a.shape, self.dropout_p, rng)
+                    a *= mask
+                cache.append((x, up, mask))
             x = a
         return x, cache
 
     def backward(self, cache, d_out, grads, input_grad=True):
-        """Reverse pass of a scalar loss given d_loss/d_output. Writes the
-        parameter gradients into `grads`, arrays aligned with param_arrays(),
-        and returns d_loss/d_input; with input_grad=False, for a stack that
-        reads the data, it skips that product and returns None."""
+        """Reverse pass of a scalar loss given a training forward's cache and
+        d_loss/d_output. Writes the parameter gradients into `grads`, arrays
+        aligned with param_arrays(), and returns d_loss/d_input; with
+        input_grad=False (a stack that reads the data) it returns None."""
         d, owned = np.asarray(d_out, dtype=float), False  # owned: d is not d_out
         for i in range(len(self.layers) - 1, -1, -1):
-            x_in, slopes, mask = cache[i]
+            x_in, up, mask = cache[i]
+            slopes = None
+            if up is not None:
+                # 1 where a >= 0, else the leak (NaN too); faster here than np.where
+                slopes = np.multiply(~up, self.slope)
+                slopes += up
             for factor in (mask, slopes):
                 if factor is not None:
                     d = np.multiply(d, factor, out=d if owned else None)
@@ -187,9 +194,9 @@ def flatten_params(stacks):
 
 
 class Adam:
-    """Adam with bias correction; updates parameter arrays in place. Each
-    array has two preallocated temporaries, so a step allocates nothing;
-    a model passes its one flat parameter vector."""
+    """Adam with bias correction over one parameter array, updated in place.
+    Two preallocated temporaries mean a step allocates nothing; a model
+    passes its one flat parameter vector."""
 
     def __init__(self, params, lr: float, beta1: float = 0.9,
                  beta2: float = 0.999, eps: float = 1e-8):
@@ -200,32 +207,27 @@ class Adam:
         self.beta2 = beta2
         self.eps = eps
         self.step_count = 0
-        self._shapes = [p.shape for p in params]
-        self.first_moment = [np.zeros_like(p) for p in params]
-        self.second_moment = [np.zeros_like(p) for p in params]
-        self._scratch = [(np.empty_like(p), np.empty_like(p)) for p in params]
+        self.first_moment = np.zeros_like(params)
+        self.second_moment = np.zeros_like(params)
+        self._scratch = np.empty_like(params), np.empty_like(params)
 
-    def step(self, params, grads):
-        if len(params) != len(self._shapes):
-            raise ValueError("parameter list length changed")
-        for p, g, shape in zip(params, grads, self._shapes):
-            if p.shape != shape or g.shape != shape:
-                raise ValueError(f"shape mismatch: {p.shape} vs {g.shape} vs {shape}")
+    def step(self, p, g):
+        if not p.shape == g.shape == self.first_moment.shape:
+            raise ValueError(f"shape mismatch: {p.shape}, {g.shape}, {self.first_moment.shape}")
         self.step_count += 1
         t = self.step_count
         # x / 1.0 == x bit for bit, so a bias correction that has rounded to
         # 1.0 (1 - b1**t from t = 356 at b1 = 0.9) is skipped, not divided by
         c1, c2 = 1.0 - self.beta1 ** t, 1.0 - self.beta2 ** t
-        for p, g, m, v, (a, b) in zip(params, grads, self.first_moment,
-                                      self.second_moment, self._scratch):
-            # m = b1*m + (1-b1)*g; v = b2*v + (1-b2)*g*g;
-            # p -= lr * m_hat / (sqrt(v_hat) + eps), rounded as written
-            m *= self.beta1
-            m += np.multiply(g, 1.0 - self.beta1, out=a)
-            v *= self.beta2
-            np.multiply(g, 1.0 - self.beta2, out=a)
-            v += np.multiply(a, g, out=a)
-            np.multiply(m if c1 == 1.0 else np.divide(m, c1, out=a), self.lr, out=a)
-            np.sqrt(v if c2 == 1.0 else np.divide(v, c2, out=b), out=b)
-            b += self.eps
-            p -= np.divide(a, b, out=a)
+        m, v, (a, b) = self.first_moment, self.second_moment, self._scratch
+        # m = b1*m + (1-b1)*g; v = b2*v + (1-b2)*g*g;
+        # p -= lr * m_hat / (sqrt(v_hat) + eps), rounded as written
+        m *= self.beta1
+        m += np.multiply(g, 1.0 - self.beta1, out=a)
+        v *= self.beta2
+        np.multiply(g, 1.0 - self.beta2, out=a)
+        v += np.multiply(a, g, out=a)
+        np.multiply(m if c1 == 1.0 else np.divide(m, c1, out=a), self.lr, out=a)
+        np.sqrt(v if c2 == 1.0 else np.divide(v, c2, out=b), out=b)
+        b += self.eps
+        p -= np.divide(a, b, out=a)

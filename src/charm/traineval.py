@@ -11,7 +11,7 @@ import numpy as np
 
 from .dataset import DataError, check_fields
 from .model import MODELS
-from .neurocore import Adam, make_rng
+from .neurocore import Adam, NonFiniteError, make_rng
 from .preprocess import ChannelStats, fit_and_normalize, normalize
 
 EVAL_CHUNK = 256  # samples per batched forward in evaluate; bounds its memory
@@ -59,7 +59,8 @@ def train(train_segments, model_kind, train_cfg: TrainConfig, model_cfg,
     """Fit the normalizer on the train split, then take one Adam step per
     shuffled batch of TRAIN_BATCH samples (the last batch of an epoch holds
     the rest); with val_segments, score them after every epoch as evaluate
-    does. Returns (TrainedModel, TrainHistory)."""
+    does. Returns (TrainedModel, TrainHistory); a run whose logits, loss or
+    parameters turn non-finite is a DataError."""
     if not train_segments:
         raise DataError("empty training set")
     labels = np.array([seg.high_label for seg in train_segments])
@@ -81,24 +82,32 @@ def train(train_segments, model_kind, train_cfg: TrainConfig, model_cfg,
     if model_kind not in MODELS:
         raise ValueError(f"unknown model kind {model_kind!r}")
     model = MODELS[model_kind][1].init(model_cfg, rng)
-    params = [model.params]
-    opt = Adam(params, lr=train_cfg.lr)
+    opt = Adam(model.params, lr=train_cfg.lr)
     history = TrainHistory()
 
     n = len(inputs)
-    for _ in range(train_cfg.epochs):
-        order = rng.permutation(n)
-        losses = []  # each batch's summed loss
-        for start in range(0, n, TRAIN_BATCH):
-            idx = order[start:start + TRAIN_BATCH]
-            loss, _, grad = model.loss_and_grads(inputs[idx], labels[idx], class_weights, rng)
-            opt.step(params, [grad])
-            losses.append(loss * len(idx))
-        history.train_loss.append(float(np.sum(losses) / n))
-        if val_segments:
-            chunks = (val_inputs[i:i + EVAL_CHUNK]
-                      for i in range(0, len(val_inputs), EVAL_CHUNK))
-            history.val_macro_f1.append(_score(model, chunks, val_segments).macro_f1)
+    try:
+        # a diverging run ends in the one DataError below, not numpy's overflow warnings
+        with np.errstate(over="ignore", invalid="ignore"):
+            for epoch in range(1, train_cfg.epochs + 1):
+                order = rng.permutation(n)
+                losses = []  # each batch's summed loss
+                for start in range(0, n, TRAIN_BATCH):
+                    idx = order[start:start + TRAIN_BATCH]
+                    loss, _, grad = model.loss_and_grads(inputs[idx], labels[idx],
+                                                         class_weights, rng)
+                    opt.step(model.params, grad)
+                    losses.append(loss * len(idx))
+                history.train_loss.append(float(np.sum(losses) / n))
+                if not (np.isfinite(history.train_loss[-1]) and np.isfinite(model.params).all()):
+                    raise NonFiniteError("non-finite loss or parameters")
+                if val_segments:
+                    chunks = (val_inputs[i:i + EVAL_CHUNK]
+                              for i in range(0, len(val_inputs), EVAL_CHUNK))
+                    history.val_macro_f1.append(_score(model, chunks, val_segments).macro_f1)
+    except NonFiniteError as e:
+        raise DataError(f"training diverged in epoch {epoch}: {e}; "
+                        f"try a smaller train.lr") from e
 
     return TrainedModel(model, stats), history
 

@@ -139,10 +139,10 @@ class TestCriterion2Adam:
             return p
 
         p = p0.copy()
-        opt = Adam([p], lr=lr, beta1=b1, beta2=b2, eps=eps)
-        opt.step([p], [g])
+        opt = Adam(p, lr=lr, beta1=b1, beta2=b2, eps=eps)
+        opt.step(p, g)
         err1 = np.max(np.abs(p - oracle(p0, 1)))
-        opt.step([p], [g])
+        opt.step(p, g)
         err2 = np.max(np.abs(p - oracle(p0, 2)))
         worst = max(err1, err2)
         print(f"\ncriterion 2 ({'PASS' if worst < 1e-10 else 'FAIL'}): "

@@ -16,7 +16,7 @@ from charm import dataset as ds
 from charm.cli import _stride_for, main
 from charm.dataset import load_data_dir, map_files
 from charm.model import MAGIC, CharmConfig, CharmModel, MlpConfig, MlpModel, save_checkpoint
-from charm.neurocore import make_rng
+from charm.neurocore import Stack, make_rng
 from charm.preprocess import ChannelStats
 
 SMALL_CONFIG = {
@@ -793,6 +793,30 @@ class TestErrorLines:
         self.fails(["evaluate", "--checkpoint", str(bad), "--data", workspace["data"],
                     "--held-out-user", "u4"], tmp_path / "metrics.txt", 4,
                    f"checkpoint error: {bad}: {message}", capsys)
+
+    def test_diverging_training_exit_3(self, tmp_path, workspace, capsys):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"train": {"lr": 1e100, "epochs": 1}}))
+        self.fails(["train", "--config", str(cfg), "--data", workspace["data"],
+                    "--held-out-user", "u4"], tmp_path / "x.ckpt", 3,
+                   "data error: training diverged in epoch 1: non-finite logits; "
+                   "try a smaller train.lr", capsys)
+        assert not (tmp_path / "x.ckpt.history.json").exists()
+
+    @pytest.mark.parametrize("error, message", [
+        (MemoryError("Unable to allocate 2.24 TiB for an array"),
+         "out of memory: Unable to allocate 2.24 TiB for an array"),
+        (MemoryError(), "out of memory: an allocation failed"),
+    ], ids=["numpy-message", "no-message"])
+    def test_out_of_memory_exit_1(self, tmp_path, workspace, capsys, monkeypatch,
+                                  error, message):
+        def no_memory(*args, **kwargs):  # stands in for a layer too large to allocate
+            raise error
+
+        monkeypatch.setattr(Stack, "init", no_memory)
+        self.fails(["train", "--data", workspace["data"], "--held-out-user", "u4",
+                    "--model", "mlp"], tmp_path / "x.ckpt", 1, message, capsys)
+        assert not (tmp_path / "x.ckpt.history.json").exists()
 
     def test_embed_refuses_non_finite_weights_exit_4(self, tmp_path, workspace, checkpoint,
                                                      capsys):

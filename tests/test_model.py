@@ -193,7 +193,7 @@ def reference_grads(stacks, x, target, weights, rng):
     row for the next, concatenated as lists in param_arrays() order."""
     caches, out_shapes = [], []
     for stack in stacks:
-        x, cache = stack.forward(x, True, rng)
+        x, cache = stack.forward(x, rng)
         caches.append(cache)
         out_shapes.append(x.shape)
         x = x.reshape(1, -1)
@@ -212,8 +212,12 @@ def separate_copy(stack):
                  final_activation=stack.final_activation)
 
 
+def flat(arrays):
+    return np.concatenate([a.ravel() for a in arrays])
+
+
 def flat_bytes(arrays):
-    return np.concatenate([a.ravel() for a in arrays]).tobytes()
+    return flat(arrays).tobytes()
 
 
 PARITY_CHARM = CharmConfig(r=4, q=3, z=5, low_hidden=6, low_out=5, high_hidden=7, m=3,
@@ -223,7 +227,7 @@ PARITY_MLP = MlpConfig(n_target=20, q=3, m=3, hidden=6, dropout_p=0.3)
 
 class TestStepParity:
     """The training step on the flat vector against the step it replaced:
-    separate arrays, new gradient arrays per call and the list Adam."""
+    separate arrays, new gradient arrays per call and a per-array Adam."""
 
     @pytest.mark.parametrize("kind", ["charm", "mlp"])
     def test_50_steps_byte_identical(self, kind):
@@ -242,7 +246,7 @@ class TestStepParity:
                 return sample.reshape(1, -1)
         ref_params = [p for stack in stacks for p in stack.param_arrays()]
         ref_opt = ReferenceAdam(ref_params)
-        opt = Adam([model.params], lr=5e-4)
+        opt = Adam(model.params, lr=5e-4)
         data, ref_rng, rng = make_rng(4), make_rng(5), make_rng(5)
         for _ in range(50):
             sample = data.normal(size=(20, 3))
@@ -250,10 +254,10 @@ class TestStepParity:
             ref_opt.step(ref_params,
                          reference_grads(stacks, first_input(sample), target, weights, ref_rng))
             _, _, grad = model.loss_and_grads(sample, target, weights, rng)
-            opt.step([model.params], [grad])
+            opt.step(model.params, grad)
         assert model.params.tobytes() == flat_bytes(ref_params)
-        assert opt.first_moment[0].tobytes() == flat_bytes(ref_opt.first_moment)
-        assert opt.second_moment[0].tobytes() == flat_bytes(ref_opt.second_moment)
+        assert opt.first_moment.tobytes() == flat_bytes(ref_opt.first_moment)
+        assert opt.second_moment.tobytes() == flat_bytes(ref_opt.second_moment)
 
     def test_one_row_zeros_and_negative_inputs(self):
         # dropped and leaky units give exact zeros in d, times negative
@@ -263,7 +267,7 @@ class TestStepParity:
         stack = Stack.init([6, 5, 4, 3], make_rng(6), dropout_p=0.5)
         x = -np.abs(make_rng(7).normal(size=(1, 6)))
         x[0, 2] = 0.0
-        out, cache = stack.forward(x, True, make_rng(8))
+        out, cache = stack.forward(x, make_rng(8))
         d = softmax_ce_grad(out, [1], [1.0])
         assert any((c[2] == 0).any() for c in cache[:-1])
         expected, expected_d_in = reference_backward(stack, cache, d)
@@ -275,15 +279,15 @@ class TestStepParity:
         assert (grads[0] == 0).any() and (grads[2] == 0).any()
         negative_zeros = [np.where(g == 0, -0.0, g) for g in grads]
         assert flat_bytes(negative_zeros) != flat_bytes(grads)
-        params = [p.copy() for p in stack.param_arrays()]
-        ref_params = [p.copy() for p in params]
+        params = flat(stack.param_arrays())
+        ref_params = [p.copy() for p in stack.param_arrays()]
         ref_opt, opt = ReferenceAdam(ref_params), Adam(params, lr=5e-4)
         for _ in range(3):
             ref_opt.step(ref_params, negative_zeros)
-            opt.step(params, grads)
-        assert flat_bytes(params) == flat_bytes(ref_params)
-        assert flat_bytes(opt.first_moment) == flat_bytes(ref_opt.first_moment)
-        assert flat_bytes(opt.second_moment) == flat_bytes(ref_opt.second_moment)
+            opt.step(params, flat(grads))
+        assert params.tobytes() == flat_bytes(ref_params)
+        assert opt.first_moment.tobytes() == flat_bytes(ref_opt.first_moment)
+        assert opt.second_moment.tobytes() == flat_bytes(ref_opt.second_moment)
 
     @pytest.mark.parametrize("beta2", [0.999, 0.9])
     def test_400_adam_steps_past_the_skipped_bias_correction(self, beta2):
@@ -291,19 +295,19 @@ class TestStepParity:
         # (with beta2 = 0.9 the second one too); the reference always divides
         assert 1.0 - 0.9 ** 355 != 1.0 == 1.0 - 0.9 ** 356
         rng = make_rng(11)
-        params = [rng.normal(size=(7, 5)), rng.normal(size=13)]
-        ref_params = [p.copy() for p in params]
+        ref_params = [rng.normal(size=(7, 5)), rng.normal(size=13)]
+        params = flat(ref_params)
         opt = Adam(params, lr=2e-3, beta2=beta2)
         ref_opt = ReferenceAdam(ref_params, lr=2e-3, beta2=beta2)
         for t in range(400):
             scale = 10.0 ** rng.uniform(-8, 2)
-            grads = [rng.normal(size=p.shape) * scale for p in params]
-            opt.step(params, grads)
+            grads = [rng.normal(size=p.shape) * scale for p in ref_params]
+            opt.step(params, flat(grads))
             ref_opt.step(ref_params, grads)
         assert opt.step_count == 400
-        assert flat_bytes(params) == flat_bytes(ref_params)
-        assert flat_bytes(opt.first_moment) == flat_bytes(ref_opt.first_moment)
-        assert flat_bytes(opt.second_moment) == flat_bytes(ref_opt.second_moment)
+        assert params.tobytes() == flat_bytes(ref_params)
+        assert opt.first_moment.tobytes() == flat_bytes(ref_opt.first_moment)
+        assert opt.second_moment.tobytes() == flat_bytes(ref_opt.second_moment)
 
     @pytest.mark.parametrize("model_cls, cfg", [(CharmModel, PARITY_CHARM),
                                                 (MlpModel, PARITY_MLP)], ids=["charm", "mlp"])

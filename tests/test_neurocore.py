@@ -31,7 +31,7 @@ class TestStackActivation:
         np.testing.assert_array_equal(
             self.activate([-2.0, 0.0, 3.0], final_activation=False), [-2.0, 0.0, 3.0])
 
-    @pytest.mark.parametrize("slope", [0.0, 0.01, 0.3, 2.0, -0.5])
+    @pytest.mark.parametrize("slope", [0.0, 0.01, 0.3, 1.0])
     def test_slopes_are_where_bytes(self, slope):
         # a 1x1 layer passes each value through; the bias -0.0 adds nothing.
         # A matmul sum starts at +0.0, so the -0.0 input reaches the
@@ -40,14 +40,21 @@ class TestStackActivation:
                    1e-310, -1e-310, 2.2250738585072014e-308, -1.0, 1.0]
         x = np.concatenate([special, make_rng(3).normal(size=64)])[:, None]
         w, b = np.ones((1, 1)), np.full(1, -0.0)
-        stack = Stack([(w, b)], slope=slope, final_activation=True)
+        stack = Stack([(w, b)], slope=slope, dropout_p=0.5, final_activation=True)
         with np.errstate(invalid="ignore"):
-            out, [(_, slopes, _)] = stack.forward(x)
             pre = x @ w.T + b
-            expected = np.where(pre >= 0.0, 1.0, slope)
-            np.testing.assert_array_equal(pre[2:], x[2:])
-            assert slopes.tobytes() == expected.tobytes()
-            assert out.tobytes() == (pre * expected).tobytes()
+            slopes = np.where(pre >= 0.0, 1.0, slope)
+            expected = pre * slopes
+            if slope == 0.0:  # inf * 0 is NaN: +inf leaks to NaN at slope 0, as -inf does
+                expected[pre == np.inf] = np.inf * slope
+            out, cache = stack.forward(x)
+            train_out, train_cache = stack.forward(x, make_rng(0))
+            # the backward factor: a unit d_out comes back through w = 1 as the slopes
+            d_in = stack.backward(train_cache, np.ones_like(x), new_grads(stack))
+        np.testing.assert_array_equal(pre[2:], x[2:])
+        assert cache is None
+        assert out.tobytes() == train_out.tobytes() == expected.tobytes()
+        assert d_in.tobytes() == slopes.tobytes()
 
 
 class TestSoftmax:
@@ -120,13 +127,13 @@ class TestDropout:
                                       np.ones((4, 25)))
 
     def test_inference_identity(self):
-        # training=False applies no mask, whatever dropout_p is
+        # with no rng, forward applies no mask, whatever dropout_p is, and keeps no cache
         stack = Stack.init([6, 5, 4, 2], make_rng(0), dropout_p=0.5)
         x = make_rng(1).normal(size=(3, 6))
-        out, cache = stack.forward(x, training=False, rng=make_rng(2))
-        assert all(mask is None for _, _, mask in cache)
+        out, cache = stack.forward(x)
+        assert cache is None
         no_dropout = Stack(stack.layers, slope=stack.slope, dropout_p=0.0)
-        np.testing.assert_array_equal(out, no_dropout.forward(x, training=True)[0])
+        np.testing.assert_array_equal(out, no_dropout.forward(x, make_rng(2))[0])
 
     def test_inverted_scaling_preserves_mean(self):
         # each element is 0 w.p. p else 1/(1-p); var = p/(1-p)
@@ -225,7 +232,7 @@ class TestStackBackward:
             out, _ = stack.forward(x)
             return weighted_cross_entropy(out, [1, 2], weights).sum()
 
-        out, cache = stack.forward(x)
+        out, cache = stack.forward(x, make_rng(1))
         d = np.vstack([
             weights[1] * (softmax(out[0]) - np.eye(3)[1]),
             weights[2] * (softmax(out[1]) - np.eye(3)[2]),
@@ -240,7 +247,7 @@ class TestStackBackward:
     def test_output_bias_grad_closed_form(self):
         # zero-weight net: logits are 0, so d_logits = softmax(0) - one_hot
         stack = Stack([(np.zeros((3, 4)), np.zeros(3))], dropout_p=0.0)
-        out, cache = stack.forward(np.zeros((1, 4)))
+        out, cache = stack.forward(np.zeros((1, 4)), make_rng(1))
         d = softmax(out[0]) - np.eye(3)[1]
         grads = new_grads(stack)
         stack.backward(cache, d[None, :], grads)
@@ -250,7 +257,7 @@ class TestStackBackward:
         rng = make_rng(4)
         stack = Stack.init([6, 5, 2], rng, dropout_p=0.5, final_activation=False)
         x = rng.normal(size=(1, 6))
-        out, cache = stack.forward(x, training=True, rng=make_rng(9))
+        out, cache = stack.forward(x, make_rng(9))
         mask = cache[0][2]
         assert (mask == 0).any() and (mask != 0).any()  # seed gives a mixed mask
         d = softmax(out[0]) - np.eye(2)[0]
@@ -263,20 +270,20 @@ class TestStackBackward:
     def test_one_row_weight_grad_is_outer_product(self):
         stack = Stack.init([6, 5, 3], make_rng(3), dropout_p=0.0, final_activation=True)
         x = make_rng(4).normal(size=(1, 6))
-        _, cache = stack.forward(x)
+        _, cache = stack.forward(x, make_rng(1))
         d_out = make_rng(5).normal(size=(1, 3))
         grads = new_grads(stack)
         stack.backward(cache, d_out, grads)
-        (x0, slopes0, _), (x1, slopes1, _) = cache
-        d1 = d_out * slopes1
-        d0 = (d1 @ stack.layers[1][0]) * slopes0
+        (x0, up0, _), (x1, up1, _) = cache
+        d1 = d_out * np.where(up1, 1.0, stack.slope)
+        d0 = (d1 @ stack.layers[1][0]) * np.where(up0, 1.0, stack.slope)
         np.testing.assert_array_equal(grads[2], d1.T * x1)
         np.testing.assert_array_equal(grads[0], d0.T * x0)
 
     def test_d_out_left_untouched(self):
         # the reverse pass multiplies in place only into arrays it made
         stack = Stack.init([6, 5, 3], make_rng(3), dropout_p=0.5, final_activation=True)
-        _, cache = stack.forward(make_rng(4).normal(size=(4, 6)), True, make_rng(5))
+        _, cache = stack.forward(make_rng(4).normal(size=(4, 6)), make_rng(5))
         d_out = make_rng(6).normal(size=(4, 3))
         kept = d_out.copy()
         stack.backward(cache, d_out, new_grads(stack))
@@ -300,24 +307,24 @@ def adam_oracle(g, steps, lr=5e-4, b1=0.9, b2=0.999, eps=1e-8):
 class TestAdam:
     def test_zero_grad_is_noop(self):
         p = np.array([1.0, -2.0])
-        opt = Adam([p], lr=5e-4)
-        opt.step([p], [np.zeros(2)])
+        opt = Adam(p, lr=5e-4)
+        opt.step(p, np.zeros(2))
         np.testing.assert_array_equal(p, [1.0, -2.0])
-        assert np.all(opt.first_moment[0] == 0) and np.all(opt.second_moment[0] == 0)
+        assert np.all(opt.first_moment == 0) and np.all(opt.second_moment == 0)
 
     def test_first_step_matches_oracle(self):
         p = np.array([0.0])
-        opt = Adam([p], lr=5e-4)
-        opt.step([p], [np.array([0.5])])
+        opt = Adam(p, lr=5e-4)
+        opt.step(p, np.array([0.5]))
         assert p[0] == pytest.approx(adam_oracle(0.5, 1)[0], abs=1e-15)
         assert abs(p[0] - (-4.99999e-4)) < 1e-8
 
     def test_constant_grad_two_steps(self):
         p = np.array([0.0])
-        opt = Adam([p], lr=5e-4)
-        opt.step([p], [np.array([1.0])])
+        opt = Adam(p, lr=5e-4)
+        opt.step(p, np.array([1.0]))
         first = p[0]
-        opt.step([p], [np.array([1.0])])
+        opt.step(p, np.array([1.0]))
         oracle = adam_oracle(1.0, 2)
         assert first == pytest.approx(oracle[0], abs=1e-12)
         assert p[0] == pytest.approx(oracle[1], abs=1e-12)
@@ -327,12 +334,14 @@ class TestAdam:
 
     def test_shape_mismatch(self):
         p = np.array([0.0, 1.0])
-        opt = Adam([p], lr=5e-4)
+        opt = Adam(p, lr=5e-4)
         with pytest.raises(ValueError):
-            opt.step([p], [np.zeros(3)])
+            opt.step(p, np.zeros(3))
+        with pytest.raises(ValueError):  # one that numpy would broadcast
+            opt.step(p, np.zeros(1))
 
     def test_bad_hyperparameters(self):
         with pytest.raises(ValueError):
-            Adam([np.zeros(1)], lr=0.0)
+            Adam(np.zeros(1), lr=0.0)
         with pytest.raises(ValueError):
-            Adam([np.zeros(1)], lr=5e-4, beta1=1.0)
+            Adam(np.zeros(1), lr=5e-4, beta1=1.0)

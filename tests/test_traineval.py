@@ -145,17 +145,31 @@ class TestTrain:
         inputs = [normalize(seg.data, stats) for seg in segs]
         rng = make_rng(cfg.seed)
         model = (CharmModel if kind == "charm" else MlpModel).init(model_cfg, rng)
-        opt = Adam([model.params], lr=cfg.lr)
+        opt = Adam(model.params, lr=cfg.lr)
         train_loss = []
         for _ in range(cfg.epochs):
             losses = []
             for idx in rng.permutation(len(inputs)):
                 loss, _, grad = model.loss_and_grads(inputs[idx], labels[idx], weights, rng)
-                opt.step([model.params], [grad])
+                opt.step(model.params, grad)
                 losses.append(loss)
             train_loss.append(float(np.mean(losses)))
         assert trained.model.params.tobytes() == model.params.tobytes()
         assert hist.train_loss == train_loss
+
+    def test_non_finite_parameters_after_an_epoch_refused(self, monkeypatch):
+        # one step an epoch, so no later forward meets the parameters first
+        monkeypatch.setattr(traineval, "TRAIN_BATCH", 64)
+
+        class Diverging(Adam):
+            def step(self, p, g):
+                super().step(p, g)
+                p[0] = np.inf
+
+        monkeypatch.setattr(traineval, "Adam", Diverging)
+        with pytest.raises(DataError, match=r"^training diverged in epoch 1: non-finite loss "
+                                            r"or parameters; try a smaller train\.lr$"):
+            train(toy_dataset(), "charm", TrainConfig(epochs=2, seed=1), CFG)
 
     def test_mlp_kind(self):
         from charm.model import MlpConfig
