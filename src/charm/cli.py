@@ -244,7 +244,9 @@ def cmd_embed(args, cfg):
     n_windows, n_labels, score = emb.embed_segments(model, stats, segments, args.track,
                                                     schema.null_label_token, groups, args.out)
     print(f"{n_windows} label-pure windows, {n_labels} labels -> {args.out}")
-    print(f"silhouette: {score:.4f}")
+    scored = f"{min(n_windows, emb.SILHOUETTE_SAMPLE)} of {n_windows} windows"
+    print(f"silhouette: {score:.4f} ({scored})" if score is not None
+          else f"silhouette: undefined ({scored}, all one label)")
     return 0
 
 

@@ -105,13 +105,18 @@ class LoadedFile:
 
 
 def atomic_write(path, data):
-    """Write bytes or str (as UTF-8) to path through a temporary file in the
-    same directory, so the path holds the old content or the new, never a
-    partial write. The file gets the mode open() would give it."""
+    """Write bytes, or str or an iterable of str as UTF-8, to path through a
+    temporary file in the same directory, so the path holds the old content
+    or the new, never a partial write. The file gets the mode open() would
+    give it."""
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), prefix=".tmp-")
     try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(data.encode("utf-8") if isinstance(data, str) else data)
+        if isinstance(data, (bytes, str)):
+            with os.fdopen(fd, "wb") as fh:
+                fh.write(data.encode("utf-8") if isinstance(data, str) else data)
+        else:  # each str through the text layer's write buffer
+            with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
+                fh.writelines(data)
         umask = os.umask(0)  # mkstemp made the file 0600; read the umask to undo that
         os.umask(umask)
         os.chmod(tmp, 0o666 & ~umask)

@@ -3,6 +3,8 @@ PCA of their learned low-level embeddings, CSV export and silhouette scoring."""
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -12,6 +14,7 @@ from .preprocess import normalize
 
 PURITY_THRESHOLD = 0.9  # fraction of samples that must share the window label
 SILHOUETTE_BLOCK = 16   # distance-matrix rows the silhouette holds at a time
+SILHOUETTE_SAMPLE = 4096  # points the silhouette scores at most, evenly spaced
 
 
 @dataclass(frozen=True)
@@ -60,16 +63,19 @@ def pca_transform(model: PcaModel, X) -> np.ndarray:
 
 
 def silhouette_score(points, labels) -> float:
-    """Mean silhouette with Euclidean distance. Singleton-cluster points and
+    """Mean silhouette with Euclidean distance of S = min(n, SILHOUETTE_SAMPLE)
+    points, np.linspace(0, n - 1, S, dtype=int). Singleton-cluster points and
     zero-spread points contribute 0. Distances are formed SILHOUETTE_BLOCK rows
     at a time against the rows from the block on (the matrix is symmetric), so
-    memory is 16 * (SILHOUETTE_BLOCK + labels) * N bytes: 21 MB at N = 54,700, 8 labels."""
+    memory is 16 * (SILHOUETTE_BLOCK + labels) * S bytes: 1.6 MB at S = 4,096, 8 labels."""
     X = np.asarray(points, dtype=float)
     labels = np.asarray(labels)
     if X.shape[0] != labels.shape[0]:
         raise ValueError("points and labels length differ")
     if X.shape[0] < 3:
         raise ValueError("need at least 3 points")
+    at = np.linspace(0, X.shape[0] - 1, min(X.shape[0], SILHOUETTE_SAMPLE), dtype=int)
+    X, labels = X[at], labels[at]  # every point, in order, when there are no more
     uniq, codes = np.unique(labels, return_inverse=True)
     if uniq.size < 2:
         raise ValueError("need at least 2 distinct labels")
@@ -134,34 +140,41 @@ _CSV_SPECIAL = frozenset(',"\r\n')  # characters csv.writer would quote
 
 
 def export_embedding(points, path):
-    """CSV rows pc1, pc2, low_label, source with a header and \\r\\n line
-    ends, the bytes csv.writer writes: full float precision, and a label or
-    source holding a comma, a quote or a line break quoted with its quotes
-    doubled."""
-    points = list(points)
-    if not points:
+    """CSV rows pc1, pc2, low_label, source of an iterable of points, with a
+    header and \\r\\n line ends, the bytes csv.writer writes: full float
+    precision, and a label or source holding a comma, a quote or a line break
+    quoted with its quotes doubled. Rows are formatted one at a time."""
+    points = iter(points)
+    first = next(points, None)
+    if first is None:
         raise ValueError("nothing to export")
-    fields = {}  # each distinct text as a CSV field, quoted once
-    for t in {t for p in points for t in (p.low_label, p.source)}:
-        s = str(t)
-        fields[t] = s if _CSV_SPECIAL.isdisjoint(s) else '"' + s.replace('"', '""') + '"'
-    atomic_write(path, "".join(["pc1,pc2,low_label,source\r\n"] + [
-        f"{float(p.coords[0])!r},{float(p.coords[1])!r},{fields[p.low_label]},"
-        f"{fields[p.source]}\r\n" for p in points]))
+
+    @functools.cache  # each distinct label or source quoted once, when first met
+    def field(text):
+        s = str(text)
+        return s if _CSV_SPECIAL.isdisjoint(s) else '"' + s.replace('"', '""') + '"'
+
+    atomic_write(path, itertools.chain(["pc1,pc2,low_label,source\r\n"], (
+        f"{float(p.coords[0])!r},{float(p.coords[1])!r},{field(p.low_label)},{field(p.source)}\r\n"
+        for p in itertools.chain([first], points))))
 
 
 def embed_segments(model, stats, segments, track, null_token, groups, path):
     """Quick-start step 4: every segment's label-pure windows, normalized with
     `stats`, through the low-level encoder, their 2-D PCA written to `path`, then
     the silhouette of their labels mapped through the `groups` dict. Returns
-    (window count, label count, silhouette)."""
-    windows, labels, sources = [], [], []
+    (window count, label count, silhouette), the silhouette None when the
+    points it scores hold a single label."""
+    r = model.cfg.r
+    # one buffer for the kept windows, sized by the windows seen
+    windows = np.empty((sum(len(seg.data) // r for seg in segments), r, model.cfg.q))
+    labels, sources = [], []
     for seg in segments:
         if not seg.low_label_tracks or track not in seg.low_label_tracks:
             raise DataError(f"data has no low-level label track {track!r}")
         w, labs = label_pure_windows(normalize(seg.data, stats),
-                                     seg.low_label_tracks[track], model.cfg.r, null_token)
-        windows.append(w)
+                                     seg.low_label_tracks[track], r, null_token)
+        windows[len(labels):len(labels) + len(w)] = w
         labels.extend([groups.get(lab, lab) for lab in labs])  # a list, so extend sizes once
         sources.extend([seg.source] * len(labs))
     if len(labels) < 3:
@@ -169,13 +182,17 @@ def embed_segments(model, stats, segments, track, null_token, groups, path):
     if len(set(labels)) < 2:
         raise DataError("embedding analysis needs at least 2 distinct labels, "
                         f"got {sorted(set(labels))}")
-    windows = np.concatenate(windows, axis=0)  # frees the per-segment arrays
-    feats = model.embed_windows(windows)
+    feats = model.embed_windows(windows[:len(labels)])
+    del windows  # freed before the PCA, the CSV and the silhouette
     try:
         pca = pca_fit(feats, 2)
     except ValueError as e:  # e.g. a model that maps every window to one point
         raise DataError(f"embedding analysis: {e}") from e
     coords = pca_transform(pca, feats)
-    export_embedding([EmbeddingPoint((c[0], c[1]), lab, src)
-                      for c, lab, src in zip(coords, labels, sources)], path)
-    return len(labels), len(set(labels)), silhouette_score(coords, labels)
+    export_embedding((EmbeddingPoint((c[0], c[1]), lab, src)
+                      for c, lab, src in zip(coords, labels, sources)), path)
+    try:
+        score = silhouette_score(coords, labels)
+    except ValueError:  # the evenly spaced points it scores hold one label
+        score = None
+    return len(labels), len(set(labels)), score

@@ -180,10 +180,13 @@ class CharmModel(_Model):
             raise ValueError(
                 f"expected [k, {self.cfg.r}, {self.cfg.q}] windows, got {w.shape}")
         flat = w.reshape(w.shape[0], self.cfg.r * self.cfg.q)
+        out = np.empty((len(flat), self.cfg.low_out))
         # near-equal parts, so no part is a short tail that BLAS would round
         # differently from one forward over all windows
-        parts = np.array_split(flat, max(1, -(-len(flat) // EMBED_CHUNK)))
-        return np.concatenate([self.low.forward(p)[0] for p in parts])
+        n = max(1, -(-len(flat) // EMBED_CHUNK))
+        for part, dst in zip(np.array_split(flat, n), np.array_split(out, n)):
+            dst[...] = self.low.forward(part)[0]
+        return out
 
 
 class MlpModel(_Model):

@@ -8,6 +8,8 @@ import numpy as np
 
 from .neurocore import EPS_STD
 
+FIT_BLOCK = 4096  # rows whose squared deviations the fit holds at a time
+
 
 @dataclass(frozen=True)
 class ChannelStats:
@@ -41,10 +43,19 @@ def fit_and_normalize(x: np.ndarray) -> ChannelStats:
     if x.dtype != np.float64 or not x.flags.c_contiguous or not x.size:
         raise ValueError("need a non-empty C-contiguous float64 array")
     pooled = x.reshape(-1, x.shape[-1])  # a view of x
+    n, q = pooled.shape
     means = pooled.mean(axis=0)
     np.subtract(pooled, means, out=pooled)
-    # as ndarray.std computes it: the mean of the squared deviations, rooted
-    stds = np.maximum(np.sqrt(np.square(pooled).sum(axis=0) / len(pooled)), EPS_STD)
+    # as ndarray.std computes it: the mean of the squared deviations, rooted;
+    # numpy adds q > 1 columns row by row, so row 0 of `sq` carries the sum
+    # from block to block, but one column pairwise, so that is one block
+    block = n if q == 1 else FIT_BLOCK
+    sq = np.empty((min(n, block) + 1, q))
+    for start in range(0, n, block):
+        rows = min(block, n - start)
+        np.square(pooled[start:start + rows], out=sq[1:rows + 1])
+        sq[0] = np.add.reduce(sq[0 if start else 1:rows + 1], axis=0)
+    stds = np.maximum(np.sqrt(sq[0] / n), EPS_STD)
     pooled /= stds
     return ChannelStats(means, stds)
 

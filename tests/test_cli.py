@@ -3,6 +3,7 @@ import hashlib
 import json
 import multiprocessing
 import os
+import re
 import signal
 import struct
 from concurrent.futures.process import BrokenProcessPool
@@ -11,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from charm import cli, synth
+from charm import cli, embed, synth
 from charm import dataset as ds
 from charm.cli import _stride_for, main
 from charm.dataset import load_data_dir, map_files
@@ -222,6 +223,44 @@ class TestEmbed:
         labels = {line.split(",")[2] for line in lines[1:]}
         assert labels == {"swing", "reach", "twist", "tap", "lift", "shake",
                           "glide", "press"}
+
+    def embed_lines(self, workspace, checkpoint, out, capsys):
+        assert main(["embed", "--checkpoint", checkpoint, "--data", workspace["data"],
+                     "--out", str(out)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 2
+        n = int(lines[0].split()[0])
+        assert lines[0] == f"{n} label-pure windows, 8 labels -> {out}"
+        assert len(out.read_text().splitlines()) == n + 1
+        return n, lines[1]
+
+    def test_silhouette_line_names_the_sample(self, workspace, checkpoint, tmp_path, capsys,
+                                              monkeypatch):
+        n, line = self.embed_lines(workspace, checkpoint, tmp_path / "emb.csv", capsys)
+        assert n < embed.SILHOUETTE_SAMPLE
+        assert re.fullmatch(rf"silhouette: -?[01]\.\d{{4}} \({n} of {n} windows\)", line)
+        monkeypatch.setattr(embed, "SILHOUETTE_SAMPLE", 100)
+        _, line = self.embed_lines(workspace, checkpoint, tmp_path / "emb.csv", capsys)
+        assert re.fullmatch(rf"silhouette: -?[01]\.\d{{4}} \(100 of {n} windows\)", line)
+
+    def test_sample_of_one_label_prints_undefined(self, workspace, checkpoint, tmp_path,
+                                                  capsys, monkeypatch):
+        out = tmp_path / "emb.csv"
+        n, _ = self.embed_lines(workspace, checkpoint, out, capsys)
+        with open(out, newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        monkeypatch.setattr(embed, "SILHOUETTE_SAMPLE", 3)
+        grouping = tmp_path / "groups.txt"
+        # the motifs of the 3 scored windows become one label; the others stay
+        grouping.write_text("".join(f"{rows[i][2]}=scored\n"
+                                    for i in np.linspace(0, n - 1, 3, dtype=int)))
+        assert main(["embed", "--checkpoint", checkpoint, "--data", workspace["data"],
+                     "--grouping", str(grouping), "--out", str(out)]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.splitlines()[1] == (f"silhouette: undefined (3 of {n} windows, "
+                                                "all one label)")
+        assert captured.err == ""
+        assert len(out.read_text().splitlines()) == n + 1
 
     def test_grouping_file_merges_labels(self, workspace, checkpoint, tmp_path):
         grouping = tmp_path / "groups.txt"

@@ -337,6 +337,27 @@ class TestAtomicWrite:
         (tmp_path / "plain.txt").write_text("x")
         assert os.stat(path).st_mode == os.stat(tmp_path / "plain.txt").st_mode
 
+    def test_str_iterable_same_bytes_as_joined(self, tmp_path):
+        parts = ["caf\u00e9,", "a\r\n", "", "x" * 20_000, "\u00fc\n"]
+        path = tmp_path / "out.txt"
+        atomic_write(path, (p for p in parts))
+        assert path.read_bytes() == "".join(parts).encode("utf-8")
+        (tmp_path / "plain.txt").write_text("x")
+        assert os.stat(path).st_mode == os.stat(tmp_path / "plain.txt").st_mode
+
+    def test_failing_iterable_keeps_old_file(self, tmp_path):
+        path = tmp_path / "out.txt"
+        path.write_text("old")
+
+        def chunks():
+            yield "new"
+            raise RuntimeError("source failed")
+
+        with pytest.raises(RuntimeError, match="source failed"):
+            atomic_write(path, chunks())
+        assert path.read_text() == "old"
+        assert os.listdir(tmp_path) == ["out.txt"]
+
     def test_failed_replace_keeps_old_file(self, tmp_path, monkeypatch):
         path = tmp_path / "out.txt"
         path.write_text("old")

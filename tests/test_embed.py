@@ -1,12 +1,13 @@
 import csv
 import io
+import os
 import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from charm import synth
+from charm import embed, synth
 from charm.dataset import DataError, LabeledSegment
 from charm.embed import (SILHOUETTE_BLOCK, EmbeddingPoint, embed_segments, export_embedding,
                          label_pure_windows, pca_fit, pca_transform, silhouette_score)
@@ -138,10 +139,11 @@ class TestSilhouette:
         ref = reference_silhouette(X, labels)
         assert abs(silhouette_score(X, labels) - ref) < 1e-12
 
-    def test_large_n_memory_bounded(self):
-        # the [N, N] form needs several GiB here
-        rng = make_rng(11)
+    def test_large_n_memory_bounded(self, monkeypatch):
+        # the [N, N] form needs several GiB here; every point is scored
         n = 20_000
+        monkeypatch.setattr(embed, "SILHOUETTE_SAMPLE", n)
+        rng = make_rng(11)
         X = rng.normal(size=(n, 2))
         labels = rng.integers(0, 4, size=n)
         tracemalloc.start()
@@ -152,6 +154,23 @@ class TestSilhouette:
             tracemalloc.stop()
         assert peak < 64 * 2 ** 20
         assert -1.0 <= score <= 1.0
+
+    @pytest.mark.parametrize("n", [51, 52, 173])
+    def test_more_points_than_the_sample_score_the_sample(self, monkeypatch, n):
+        monkeypatch.setattr(embed, "SILHOUETTE_SAMPLE", 50)
+        rng = make_rng(300 + n)
+        X = rng.normal(size=(n, 2))
+        labels = rng.integers(0, 4, size=n).astype(str)
+        at = np.linspace(0, n - 1, 50, dtype=int)
+        assert silhouette_score(X, labels) == silhouette_score(X[at], labels[at])
+        assert abs(silhouette_score(X, labels) - reference_silhouette(X[at], labels[at])) < 1e-12
+
+    def test_sample_of_one_label_rejected(self, monkeypatch):
+        # every other point is "b": the points at 0, 4 and 8 are all "a"
+        monkeypatch.setattr(embed, "SILHOUETTE_SAMPLE", 3)
+        labels = ["a", "b"] * 4 + ["a"]
+        with pytest.raises(ValueError, match="2 distinct labels"):
+            silhouette_score(make_rng(12).normal(size=(9, 2)), labels)
 
     def test_well_separated_clusters(self):
         rng = make_rng(9)
@@ -330,6 +349,40 @@ class TestExportMatchesCsvWriter:
         assert rows[8][2 if where == "label" else 3] == str(odd)
 
 
+class TestExportStreams:
+    """export_embedding takes any iterable and formats a row at a time."""
+
+    @staticmethod
+    def gen_points(n):
+        rng = make_rng(n)
+        labels = ["a,b", 'say "hi"', "plain", "two\nlines"]
+        for i in range(n):
+            # a source per 40 windows, as a segment file holds them
+            yield EmbeddingPoint((rng.normal(), rng.normal() * 1e-9),
+                                 labels[i % 4], f"u{i % 3}_s{i // 40}.csv")
+
+    @pytest.mark.parametrize("n", [1, 2, 300, 5_000])
+    def test_generator_same_bytes_as_csv_writer(self, tmp_path, n):
+        path = tmp_path / "emb.csv"
+        export_embedding(self.gen_points(n), path)
+        assert path.read_bytes() == reference_export(list(self.gen_points(n)))
+
+    def test_empty_generator_leaves_no_file(self, tmp_path):
+        with pytest.raises(ValueError, match="nothing to export"):
+            export_embedding(iter([]), tmp_path / "emb.csv")
+        assert os.listdir(tmp_path) == []
+
+    def test_memory_bounded(self, tmp_path):
+        path = tmp_path / "emb.csv"
+        tracemalloc.start()
+        try:
+            export_embedding(self.gen_points(20_000), path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < path.stat().st_size / 2
+
+
 class TestExport:
     def points(self, n=3, label="walk"):
         return [EmbeddingPoint((float(i), -float(i)), label, f"seg{i}")
@@ -409,6 +462,31 @@ class TestEmbedSegments:
         result = self.run(motif_data, tmp_path / "emb.csv")
         assert (tmp_path / "emb.csv").read_bytes() == (tmp_path / "by_hand.csv").read_bytes()
         assert result == (len(labels), len(MOTIFS), silhouette_score(coords, labels))
+
+    def test_holds_one_window_buffer(self, motif_data, tmp_path):
+        model, _, segments = motif_data
+        seen = sum(len(seg.data) // model.cfg.r for seg in segments)
+        buffer_bytes = seen * model.cfg.r * model.cfg.q * 8
+        tracemalloc.start()
+        try:
+            self.run(motif_data, tmp_path / "emb.csv")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # per-segment window arrays and their concatenation would be two
+        assert peak < 1.5 * buffer_bytes
+
+    def test_sample_of_one_label_scores_none(self, motif_data, tmp_path, monkeypatch):
+        monkeypatch.setattr(embed, "SILHOUETTE_SAMPLE", 3)
+        n, _, score = self.run(motif_data, tmp_path / "all.csv")
+        assert score is not None
+        rows = read_rows(tmp_path / "all.csv")
+        sampled = {rows[i][2] for i in np.linspace(0, n - 1, 3, dtype=int)}
+        # the motifs of the 3 scored windows become one label; the others stay
+        result = self.run(motif_data, tmp_path / "emb.csv",
+                          groups={m: "scored" for m in sampled})
+        assert result == (n, len(MOTIFS) - len(sampled) + 1, None)
+        assert len(read_rows(tmp_path / "emb.csv")) == n
 
     def test_missing_track(self, motif_data, tmp_path):
         with pytest.raises(DataError, match="no low-level label track 'locomotion'"):

@@ -400,6 +400,18 @@ class TestEmbeddings:
         one, _ = model.low.forward(windows.reshape(k, -1))
         assert model.embed_windows(windows).tobytes() == one.tobytes()
 
+    @pytest.mark.parametrize("k", [0, 1, EMBED_CHUNK, EMBED_CHUNK + 1])
+    def test_same_bytes_as_concatenated_parts(self, k):
+        # each part's forward is written into one [k, low_out] array
+        model = small_model(23)
+        windows = make_rng(24).normal(size=(k, SMALL.r, SMALL.q))
+        flat = windows.reshape(k, SMALL.r * SMALL.q)
+        parts = np.array_split(flat, max(1, -(-k // EMBED_CHUNK)))
+        expected = np.concatenate([model.low.forward(p)[0] for p in parts])
+        emb = model.embed_windows(windows)
+        assert emb.shape == expected.shape == (k, SMALL.low_out)
+        assert emb.tobytes() == expected.tobytes()
+
 
 def stats_for(q):
     return ChannelStats(np.arange(float(q)), np.ones(q))

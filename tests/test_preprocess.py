@@ -1,9 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from charm.neurocore import EPS_STD, make_rng
-from charm.preprocess import (ChannelStats, fit_and_normalize, fit_normalizer, normalize,
-                              window)
+from charm.preprocess import (FIT_BLOCK, ChannelStats, fit_and_normalize, fit_normalizer,
+                              normalize, window)
 
 
 class TestFitNormalizer:
@@ -94,6 +96,35 @@ class TestFitAndNormalize:
         stats = fit_normalizer(crops)
         assert stats.means.tobytes() == means.tobytes()
         assert stats.stds.tobytes() == stds.tobytes()
+
+    @pytest.mark.parametrize("q", [1, 2, 6])
+    @pytest.mark.parametrize("rows", [1, FIT_BLOCK - 1, FIT_BLOCK, FIT_BLOCK + 1,
+                                      3 * FIT_BLOCK + 5])
+    def test_blocks_same_bytes_as_one_shot(self, q, rows):
+        # the squared deviations are summed FIT_BLOCK rows at a time; several
+        # draws, since a sum in another order often still rounds the same
+        rng = make_rng(rows * 7 + q)
+        for _ in range(8):
+            x = rng.normal(loc=rng.normal(size=q), scale=rng.uniform(0.1, 1e3, size=q),
+                           size=(rows, q))
+            means = x.mean(axis=0)
+            stds = np.maximum(x.std(axis=0), EPS_STD)
+            expected = (x - means) / stds
+
+            fitted = fit_and_normalize(x)
+            assert fitted.means.tobytes() == means.tobytes()
+            assert fitted.stds.tobytes() == stds.tobytes()
+            assert x.tobytes() == expected.tobytes()
+
+    def test_holds_a_block_not_a_copy(self):
+        x = make_rng(3).normal(size=(8 * FIT_BLOCK, 6))
+        tracemalloc.start()
+        try:
+            fit_and_normalize(x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < x.nbytes / 4
 
     def test_constant_channel_clamped(self):
         x = np.full((2, 3, 1), 4.0)
