@@ -141,7 +141,7 @@ _CSV_SPECIAL = frozenset(',"\r\n')  # characters csv.writer would quote
 
 def export_embedding(points, path):
     """CSV rows pc1, pc2, low_label, source of an iterable of points, with a
-    header and \\r\\n line ends, the bytes csv.writer writes: full float
+    header and \\n line ends, quoted as csv.writer quotes: full float
     precision, and a label or source holding a comma, a quote or a line break
     quoted with its quotes doubled. Rows are formatted one at a time."""
     points = iter(points)
@@ -154,8 +154,8 @@ def export_embedding(points, path):
         s = str(text)
         return s if _CSV_SPECIAL.isdisjoint(s) else '"' + s.replace('"', '""') + '"'
 
-    atomic_write(path, itertools.chain(["pc1,pc2,low_label,source\r\n"], (
-        f"{float(p.coords[0])!r},{float(p.coords[1])!r},{field(p.low_label)},{field(p.source)}\r\n"
+    atomic_write(path, itertools.chain(["pc1,pc2,low_label,source\n"], (
+        f"{float(p.coords[0])!r},{float(p.coords[1])!r},{field(p.low_label)},{field(p.source)}\n"
         for p in itertools.chain([first], points))))
 
 

@@ -194,9 +194,10 @@ def flatten_params(stacks):
 
 
 class Adam:
-    """Adam with bias correction over one parameter array, updated in place.
-    Two preallocated temporaries mean a step allocates nothing; a model
-    passes its one flat parameter vector."""
+    """Adam over one parameter array (a model's flat vector), updated in place.
+    first_moment and second_moment hold m / (1 - beta1) and v / (1 - beta2),
+    so both bias corrections fold into a per-step rate and epsilon (Kingma &
+    Ba 2015, section 2); one scratch vector: a step allocates nothing, g stays."""
 
     def __init__(self, params, lr: float, beta1: float = 0.9,
                  beta2: float = 0.999, eps: float = 1e-8):
@@ -209,25 +210,24 @@ class Adam:
         self.step_count = 0
         self.first_moment = np.zeros_like(params)
         self.second_moment = np.zeros_like(params)
-        self._scratch = np.empty_like(params), np.empty_like(params)
+        self._scratch = np.empty_like(params)
 
     def step(self, p, g):
         if not p.shape == g.shape == self.first_moment.shape:
             raise ValueError(f"shape mismatch: {p.shape}, {g.shape}, {self.first_moment.shape}")
         self.step_count += 1
         t = self.step_count
-        # x / 1.0 == x bit for bit, so a bias correction that has rounded to
-        # 1.0 (1 - b1**t from t = 356 at b1 = 0.9) is skipped, not divided by
-        c1, c2 = 1.0 - self.beta1 ** t, 1.0 - self.beta2 ** t
-        m, v, (a, b) = self.first_moment, self.second_moment, self._scratch
-        # m = b1*m + (1-b1)*g; v = b2*v + (1-b2)*g*g;
-        # p -= lr * m_hat / (sqrt(v_hat) + eps), rounded as written
+        # m_hat = (1 - b1) / (1 - b1**t) * m and sqrt(v_hat) = sqrt(u) / k, so
+        # lr * m_hat / (sqrt(v_hat) + eps) == lr_t * m / (sqrt(u) + eps * k)
+        k = ((1.0 - self.beta2 ** t) / (1.0 - self.beta2)) ** 0.5
+        lr_t = self.lr * (1.0 - self.beta1) / (1.0 - self.beta1 ** t) * k
+        m, u, s = self.first_moment, self.second_moment, self._scratch
         m *= self.beta1
-        m += np.multiply(g, 1.0 - self.beta1, out=a)
-        v *= self.beta2
-        np.multiply(g, 1.0 - self.beta2, out=a)
-        v += np.multiply(a, g, out=a)
-        np.multiply(m if c1 == 1.0 else np.divide(m, c1, out=a), self.lr, out=a)
-        np.sqrt(v if c2 == 1.0 else np.divide(v, c2, out=b), out=b)
-        b += self.eps
-        p -= np.divide(a, b, out=a)
+        m += g
+        u *= self.beta2
+        u += np.multiply(g, g, out=s)
+        np.sqrt(u, out=s)
+        s += self.eps * k
+        np.divide(m, s, out=s)
+        s *= lr_t
+        p -= s

@@ -309,14 +309,18 @@ class TestLabelPureWindowsMatchesReference:
 
 
 def reference_export(points):
-    """The CSV bytes csv.writer gave for every row before the fast path."""
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["pc1", "pc2", "low_label", "source"])
-    for p in points:
-        writer.writerow([repr(float(p.coords[0])), repr(float(p.coords[1])),
-                         p.low_label, p.source])
-    return buf.getvalue().encode("utf-8")
+    """The CSV bytes csv.writer gives for every row, each row's \\r\\n end
+    replaced by \\n. csv.writer(lineterminator="\\n") is not used: Python
+    3.11's leaves a lone \\r unquoted, and csv.reader splits a row there."""
+    rows = [["pc1", "pc2", "low_label", "source"]]
+    rows += [[repr(float(p.coords[0])), repr(float(p.coords[1])), p.low_label, p.source]
+             for p in points]
+    lines = []
+    for row in rows:
+        buf = io.StringIO()
+        csv.writer(buf).writerow(row)
+        lines.append(buf.getvalue().removesuffix("\r\n") + "\n")
+    return "".join(lines).encode("utf-8")
 
 
 class TestExportMatchesCsvWriter:
