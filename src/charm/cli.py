@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import io
+import itertools
 import json
 import sys
 from dataclasses import asdict, fields, replace
@@ -253,15 +253,11 @@ def cmd_embed(args, cfg):
 def cmd_features(args, cfg):
     segments, classes, schema = load_data_dir(args.data)
     q = len(schema.channel_columns)
-    names = [f"ch{i}" for i in range(q)]
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["segment_id", "label"] + feature_header(names))
-    for seg in segments:
-        feats = handcrafted_features(seg.data)
-        writer.writerow([seg.source, classes[seg.high_label]]
-                        + [repr(float(v)) for v in feats])
-    ds.atomic_write(args.out, buf.getvalue())
+    header = ["segment_id", "label", *feature_header([f"ch{i}" for i in range(q)])]
+    rows = ([seg.source, classes[seg.high_label],
+             *map(repr, map(float, handcrafted_features(seg.data)))] for seg in segments)
+    ds.atomic_write(args.out, (",".join(map(ds.csv_field, row)) + "\n"
+                               for row in itertools.chain([header], rows)))
     print(f"wrote {len(segments)} feature rows ({5 * q} columns) to {args.out}")
     return 0
 

@@ -126,6 +126,18 @@ def atomic_write(path, data):
         raise
 
 
+_CSV_SPECIAL = frozenset(',"\r\n')
+
+
+def csv_field(value):
+    """str(value) as one field of the CSV files the CLI writes: in quotes,
+    its quotes doubled, when it holds a comma, a quote, \\r or \\n, and as
+    it is otherwise. This is csv.writer's minimal quoting, with a lone \\r
+    quoted too, so csv.reader reads every row back whole."""
+    s = str(value)
+    return s if _CSV_SPECIAL.isdisjoint(s) else '"' + s.replace('"', '""') + '"'
+
+
 def map_files(fn, items):
     """[fn(x) for x in items], run on one forked process per CPU this process
     may use, at most one per item. fn must be a module-level function, and
@@ -345,13 +357,16 @@ def make_fixed_length_samples(segment: LabeledSegment, n_target: int, stride: in
 
 def loso_split(dataset, held_out_user):
     """Leave-one-subject-out: validation = all segments of held_out_user."""
-    users = sorted({seg.user_id for seg in dataset})
-    if held_out_user not in users:
-        raise DataError(
-            f"unknown user {held_out_user!r}; available users: {users}")
+    _check_user(held_out_user, {seg.user_id for seg in dataset})
     train = [seg for seg in dataset if seg.user_id != held_out_user]
     val = [seg for seg in dataset if seg.user_id == held_out_user]
     return train, val
+
+
+def _check_user(user, users):
+    """A DataError that lists the users there are, unless `user` is one."""
+    if user not in users:
+        raise DataError(f"unknown user {user!r}; available users: {sorted(users)}")
 
 
 # ---------------------------------------------------------------------------
@@ -413,9 +428,7 @@ def load_data_dir(data_dir, user=None):
     not name is a DataError that lists the users it names."""
     files, classes, schema = read_manifest(data_dir)
     if user is not None:
-        users = sorted({entry["user"] for entry in files})
-        if user not in users:
-            raise DataError(f"unknown user {user!r}; available users: {users}")
+        _check_user(user, {entry["user"] for entry in files})
         files = [entry for entry in files if entry["user"] == user]
     jobs = [(data_dir, entry, classes, schema) for entry in files]
     segments = [seg for segs in map_files(_load_entry, jobs) for seg in segs]

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import DataError, atomic_write
+from .dataset import DataError, atomic_write, csv_field
 from .preprocess import normalize
 
 PURITY_THRESHOLD = 0.9  # fraction of samples that must share the window label
@@ -19,9 +19,8 @@ SILHOUETTE_SAMPLE = 4096  # points the silhouette scores at most, evenly spaced
 
 @dataclass(frozen=True)
 class PcaModel:
-    mean: np.ndarray                # [D]
-    components: np.ndarray          # [k, D], orthonormal rows
-    explained_variance: np.ndarray  # [k], descending
+    mean: np.ndarray        # [D]
+    components: np.ndarray  # [k, D], orthonormal rows, descending variance
 
 
 @dataclass(frozen=True)
@@ -51,7 +50,7 @@ def pca_fit(X, k: int) -> PcaModel:
     for row in components:
         if row[np.argmax(np.abs(row))] < 0:
             row *= -1.0
-    return PcaModel(mean, components, np.maximum(evals[order], 0.0))
+    return PcaModel(mean, components)
 
 
 def pca_transform(model: PcaModel, X) -> np.ndarray:
@@ -136,24 +135,15 @@ def label_pure_windows(data, track, r: int, null_token: str = "null"):
     return windows[np.array(kept, dtype=np.intp)], labels
 
 
-_CSV_SPECIAL = frozenset(',"\r\n')  # characters csv.writer would quote
-
-
 def export_embedding(points, path):
     """CSV rows pc1, pc2, low_label, source of an iterable of points, with a
-    header and \\n line ends, quoted as csv.writer quotes: full float
-    precision, and a label or source holding a comma, a quote or a line break
-    quoted with its quotes doubled. Rows are formatted one at a time."""
+    header and \\n line ends: full float precision, and each label and source
+    quoted by csv_field. Rows are formatted one at a time."""
     points = iter(points)
     first = next(points, None)
     if first is None:
         raise ValueError("nothing to export")
-
-    @functools.cache  # each distinct label or source quoted once, when first met
-    def field(text):
-        s = str(text)
-        return s if _CSV_SPECIAL.isdisjoint(s) else '"' + s.replace('"', '""') + '"'
-
+    field = functools.cache(csv_field)  # each distinct label or source quoted once
     atomic_write(path, itertools.chain(["pc1,pc2,low_label,source\n"], (
         f"{float(p.coords[0])!r},{float(p.coords[1])!r},{field(p.low_label)},{field(p.source)}\n"
         for p in itertools.chain([first], points))))

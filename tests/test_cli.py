@@ -335,19 +335,23 @@ class TestFeatures:
         assert len(header) == 2 + 5 * 6  # id, label, 5 features x 6 channels
         assert len(lines) == 1 + 4 * 4 * 2
 
-    def test_comma_in_file_name_is_quoted(self, workspace, tmp_path):
+    def test_cr_comma_and_quote_in_file_names_read_back_whole(self, tmp_path):
         data = tmp_path / "data"
-        data.mkdir()
-        first = copy_data_with(workspace, data,
-                               edit_manifest=_set("files", 0, "file", "a,b.csv"))
-        (data / first).rename(data / "a,b.csv")
+        assert main(["gen-synth", "--seed", "42", "--out", str(data), "--quiet"]) == 0
+        manifest = json.loads((data / "manifest.json").read_text())
+        renamed = {0: "lone\rcr.csv", 1: 'a,b "c".csv'}  # manifest position -> new name
+        for i, name in renamed.items():
+            (data / manifest["files"][i]["file"]).rename(data / name)
+            manifest["files"][i]["file"] = name
+        (data / "manifest.json").write_text(json.dumps(manifest))
         out = tmp_path / "features.csv"
         assert main(["features", "--data", str(data), "--out", str(out), "--quiet"]) == 0
-        with open(out, newline="") as fh:
+        with open(out, newline="", encoding="utf-8") as fh:
             header, *rows = csv.reader(fh)
-        assert len(rows) == 4 * 4 * 2
+        assert len(rows) == 320
         assert all(len(row) == len(header) == 2 + 5 * 6 for row in rows)
-        assert [row[0] for row in rows if row[0].startswith("a,b.csv[")] == ["a,b.csv[0:768]"]
+        for i, name in renamed.items():  # one segment per file, in manifest order
+            assert re.fullmatch(re.escape(name) + r"\[0:\d+\]", rows[i][0]), rows[i][0]
 
     def test_missing_data_dir_exit_3(self, tmp_path):
         assert main(["features", "--data", str(tmp_path / "nowhere"),
