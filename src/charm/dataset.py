@@ -13,7 +13,7 @@ import re
 import sys
 import tempfile
 from dataclasses import MISSING, dataclass, fields
-from itertools import compress
+from itertools import compress, repeat
 from operator import ne
 from typing import Annotated, get_args, get_origin, get_type_hints
 
@@ -213,16 +213,17 @@ def load_stream(path, schema: SchemaConfig) -> LoadedFile:
             lines = fh.read().split("\n")
     except UnicodeDecodeError as e:
         raise DataError(f"{path}: not UTF-8 text: {e}") from e
-    rows = [line.split(schema.delimiter) for line in lines if line and not line.isspace()]
-    if not rows:
-        raise DataError(f"{path}: no usable rows")
-
-    columns = list(zip(*rows))  # as many as the shortest row has fields
+    columns = _uniform_columns(lines, schema.delimiter)
+    if columns is None:
+        rows = [line.split(schema.delimiter) for line in lines if line and not line.isspace()]
+        if not rows:
+            raise DataError(f"{path}: no usable rows")
+        columns = list(zip(*rows))  # as many as the shortest row has fields
     data = None
     if len(columns) >= schema.width:
         data = _parse_channels(columns, schema.channel_columns)
     if data is None or np.isinf(data).any():
-        raise _first_bad_row(path, lines, rows, schema)
+        raise _first_bad_row(path, lines, schema)
     # Labels come from a small vocabulary: one shared string per name keeps
     # a file's worth of duplicates from outliving the parse.
     highs = list(map(sys.intern, map(str.strip, columns[schema.high_label_column])))
@@ -239,31 +240,55 @@ def load_stream(path, schema: SchemaConfig) -> LoadedFile:
     return LoadedFile(SensorStream(data), highs, lows, dropped_rows=n_dropped)
 
 
+def _uniform_columns(lines, delimiter):
+    """The columns of a file whose lines, but for an empty last one, all hold
+    the same number (>= 1) of delimiters and none is whitespace-only, sliced
+    from one split of the joined lines; None for any other file, which the
+    per-line split reads."""
+    if lines[-1] == "":
+        lines = lines[:-1]
+    counts = set(map(str.count, lines, repeat(delimiter)))
+    if len(counts) != 1 or 0 in counts or any(map(str.isspace, lines)):
+        return None
+    width = counts.pop() + 1
+    flat = delimiter.join(lines).split(delimiter)
+    return [flat[col::width] for col in range(width)]
+
+
 def _parse_channels(columns, channel_columns):
     """[n, q] float64 from the channel columns in one numpy call, which reads
-    each token as float() would; None when a token is not a number. Tokens
-    are stripped first, and empty ones become NaN."""
-    tokens = []
-    for col in channel_columns:
-        column = list(map(str.strip, columns[col]))
-        if "" in column:
-            column = [tok or "nan" for tok in column]
-        tokens += column
+    each token as float() would, surrounding whitespace included; None when a
+    token is not a number. Empty tokens become NaN. Only when a token is not
+    read as it stands (whitespace-only, or edged by a character float() does
+    not strip) is every token stripped and the call made again."""
     try:
-        flat = np.array(tokens, dtype=float)
+        flat = _floats(columns[col] for col in channel_columns)
     except ValueError:
-        return None
+        try:
+            flat = _floats(list(map(str.strip, columns[col])) for col in channel_columns)
+        except ValueError:
+            return None
     return flat.reshape(len(channel_columns), -1).T
 
 
-def _first_bad_row(path, lines, rows, schema: SchemaConfig) -> DataError:
+def _floats(columns):
+    """One float64 array of the columns' tokens end to end, "" read as NaN."""
+    tokens = []
+    for column in columns:
+        if "" in column:
+            column = [tok or "nan" for tok in column]
+        tokens += column
+    return np.array(tokens, dtype=float)
+
+
+def _first_bad_row(path, lines, schema: SchemaConfig) -> DataError:
     """The `path:line: message` DataError for the first row the columnar
     parse rejects."""
-    line_nos = (no for no, line in enumerate(lines, start=1) if line and not line.isspace())
-    for line_no, fields in zip(line_nos, rows):
-        message = _row_fault(fields, schema)
-        if message:
-            return DataError(f"{path}:{line_no}: {message}")
+    for line_no, line in enumerate(lines, start=1):
+        if line and not line.isspace():
+            message = _row_fault(line.split(schema.delimiter), schema)
+            if message:
+                return DataError(f"{path}:{line_no}: {message}")
     raise RuntimeError(f"{path}: the columnar parse rejected rows the per-row check accepts")
 
 
@@ -289,8 +314,11 @@ def _fill_missing(data: np.ndarray):
     """Interpolate short interior NaN runs per channel; rows still carrying
     NaN afterwards are dropped. Returns (kept rows, keep mask, dropped count)."""
     n = data.shape[0]
+    isnan = np.isnan(data)
+    if not isnan.any():  # C order, as data[keep] below gives: training needs it
+        return np.ascontiguousarray(data), np.ones(n, dtype=bool), 0
     missing = np.zeros((data.shape[1], n + 2), dtype=np.int8)  # [q, n] padded with 0
-    missing[:, 1:-1] = np.isnan(data.T)
+    missing[:, 1:-1] = isnan.T
     step = np.diff(missing, axis=1)
     chan, start = np.nonzero(step == 1)  # runs are [start, end) per channel,
     _, end = np.nonzero(step == -1)      # both in channel-then-row order

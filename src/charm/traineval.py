@@ -16,6 +16,9 @@ from .preprocess import ChannelStats, fit_and_normalize, normalize
 
 EVAL_CHUNK = 256  # samples per batched forward in evaluate; bounds its memory
 TRAIN_BATCH = 8   # samples per Adam step in train
+# train refuses an epoch whose mean loss exceeds this many times the loss of
+# its first batch, taken before any Adam step
+DIVERGED_LOSS_RATIO = 100
 
 
 @dataclass(frozen=True)
@@ -60,7 +63,8 @@ def train(train_segments, model_kind, train_cfg: TrainConfig, model_cfg,
     shuffled batch of TRAIN_BATCH samples (the last batch of an epoch holds
     the rest); with val_segments, score them after every epoch as evaluate
     does. Returns (TrainedModel, TrainHistory); a run whose logits, loss or
-    parameters turn non-finite is a DataError."""
+    parameters turn non-finite, or whose epoch loss exceeds
+    DIVERGED_LOSS_RATIO times its first batch's, is a DataError."""
     if not train_segments:
         raise DataError("empty training set")
     labels = np.array([seg.high_label for seg in train_segments])
@@ -86,6 +90,7 @@ def train(train_segments, model_kind, train_cfg: TrainConfig, model_cfg,
     history = TrainHistory()
 
     n = len(inputs)
+    first_loss = None
     try:
         # a diverging run ends in the one DataError below, not numpy's overflow warnings
         with np.errstate(over="ignore", invalid="ignore"):
@@ -96,20 +101,29 @@ def train(train_segments, model_kind, train_cfg: TrainConfig, model_cfg,
                     idx = order[start:start + TRAIN_BATCH]
                     loss, _, grad = model.loss_and_grads(inputs[idx], labels[idx],
                                                          class_weights, rng)
+                    if first_loss is None:
+                        first_loss = loss
                     opt.step(model.params, grad)
                     losses.append(loss * len(idx))
                 history.train_loss.append(float(np.sum(losses) / n))
                 if not (np.isfinite(history.train_loss[-1]) and np.isfinite(model.params).all()):
                     raise NonFiniteError("non-finite loss or parameters")
+                if history.train_loss[-1] > DIVERGED_LOSS_RATIO * first_loss:
+                    raise _diverged(epoch, f"mean loss {history.train_loss[-1]:.4g} is over "
+                                           f"{DIVERGED_LOSS_RATIO} times the first batch's "
+                                           f"{first_loss:.4g}")
                 if val_segments:
                     chunks = (val_inputs[i:i + EVAL_CHUNK]
                               for i in range(0, len(val_inputs), EVAL_CHUNK))
                     history.val_macro_f1.append(_score(model, chunks, val_segments).macro_f1)
     except NonFiniteError as e:
-        raise DataError(f"training diverged in epoch {epoch}: {e}; "
-                        f"try a smaller train.lr") from e
+        raise _diverged(epoch, e) from e
 
     return TrainedModel(model, stats), history
+
+
+def _diverged(epoch, reason) -> DataError:
+    return DataError(f"training diverged in epoch {epoch}: {reason}; try a smaller train.lr")
 
 
 def _normalized_stack(segments, stats: ChannelStats) -> np.ndarray:

@@ -663,6 +663,77 @@ def _keep_first_file(manifest):
     manifest["files"] = manifest["files"][:1]
 
 
+def _field_1_on_line_3(token):
+    def edit(text):
+        lines = text.split(b"\n")
+        fields = lines[2].split(b",")
+        fields[1] = token
+        lines[2] = b",".join(fields)
+        return b"\n".join(lines)
+    return edit
+
+
+def _line_3_short(text):
+    lines = text.split(b"\n")
+    lines[2] = b",".join(lines[2].split(b",")[:3])
+    return b"\n".join(lines)
+
+
+def _every_line_short(text):
+    return b"".join(line.rsplit(b",", 1)[0] + b"\n" for line in text.splitlines())
+
+
+# id: (edit of a uniform sensor file's bytes, whether the edited file still
+# takes the one-split parse, the message after the file's path or None when
+# the file loads)
+LOADER_MUTATIONS = {
+    "non-numeric": (_field_1_on_line_3(b"oops"), True, ":3: bad numeric value 'oops' in column 1"),
+    "short-row": (_line_3_short, False, ":3: expected >= 8 fields, got 3"),
+    "every-row-short": (_every_line_short, True, ":1: expected >= 8 fields, got 7"),
+    "inf": (_field_1_on_line_3(b"inf"), True, ":3: non-finite value 'inf' in column 1"),
+    "1e500": (_field_1_on_line_3(b"1e500"), True, ":3: non-finite value '1e500' in column 1"),
+    "not-utf-8": (_field_1_on_line_3(b"\xff"), None, ": not UTF-8 text: 'utf-8' codec can't "
+                                                    "decode byte 0xff in position "),
+    "empty": (lambda text: b"", False, ": no usable rows"),
+    "whitespace-only": (lambda text: b" \t \n  \n", False, ": no usable rows"),
+    "whitespace-channel-field": (_field_1_on_line_3(b"  "), True, None),
+}
+
+
+class TestLoaderRefusals:
+    """Each edit of a sensor file, made to a uniform file and to the same file
+    with a blank line appended (which the per-line split reads), ends the same
+    through `charm features`: one stderr line, exit 3 and no output file, or
+    the same output when the file loads."""
+
+    @pytest.mark.parametrize("mutation", LOADER_MUTATIONS)
+    def test_same_on_both_parse_paths(self, tmp_path, workspace, capsys, mutation):
+        edit, one_split, message = LOADER_MUTATIONS[mutation]
+        data = tmp_path / "data"
+        data.mkdir()
+        path = data / copy_data_with(workspace, data, edit_manifest=_keep_first_file)
+        text = edit(path.read_bytes())
+        results = []
+        for variant, uniform in ((text, one_split), (text + b"\n", False)):
+            if one_split is not None:  # None: the file is not text
+                assert (ds._uniform_columns(variant.decode().split("\n"), ",")
+                        is not None) == uniform
+            path.write_bytes(variant)
+            out = tmp_path / "features.csv"
+            code = main(["features", "--data", str(data), "--out", str(out), "--quiet"])
+            results.append((code, capsys.readouterr().err,
+                            out.read_bytes() if out.exists() else None))
+            out.unlink(missing_ok=True)
+        assert results[0] == results[1]
+        code, err, written = results[0]
+        if message is None:
+            assert (code, err) == (0, "") and written
+        else:
+            assert code == 3 and written is None
+            assert err.startswith(f"data error: {path}{message}")
+            assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+
 def _null_high_labels(text):
     rows = [line.split(",") for line in text.split("\n") if line]
     return "".join(",".join(row[:6] + ["null"] + row[7:]) + "\n" for row in rows)
@@ -845,6 +916,18 @@ class TestErrorLines:
                    "data error: training diverged in epoch 1: non-finite logits; "
                    "try a smaller train.lr", capsys)
         assert not (tmp_path / "x.ckpt.history.json").exists()
+
+    @pytest.mark.parametrize("model", ["charm", "mlp"])
+    def test_finite_but_absurd_training_exit_3(self, tmp_path, workspace, capsys, model):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"train": {"lr": 1e10, "epochs": 2}}))
+        assert main(["train", "--config", str(cfg), "--data", workspace["data"],
+                     "--held-out-user", "u4", "--model", model,
+                     "--out", str(tmp_path / "big.ckpt")]) == 3
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"data error: training diverged in epoch 1: mean loss \S+ is over "
+                            r"100 times the first batch's \S+; try a smaller train\.lr\n", err)
+        assert os.listdir(tmp_path) == ["config.json"]
 
     @pytest.mark.parametrize("error, message", [
         (MemoryError("Unable to allocate 2.24 TiB for an array"),

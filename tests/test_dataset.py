@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from charm.dataset import (MAX_INTERP_GAP, DataError, LabeledSegment, SchemaConfig,
-                           SensorStream, _fill_missing, atomic_write, check_fields,
-                           load_stream, loso_split, make_fixed_length_samples,
+                           SensorStream, _fill_missing, _uniform_columns, atomic_write,
+                           check_fields, load_stream, loso_split, make_fixed_length_samples,
                            segment_by_high_label)
 
 SCHEMA = SchemaConfig(delimiter=",", channel_columns=(0, 1),
@@ -124,6 +124,18 @@ def reference_load(path, schema):
     return data, highs, lows, int((~keep).sum())
 
 
+def assert_matches_reference(path, schema):
+    """load_stream(path, schema), checked against reference_load."""
+    data, highs, lows, dropped = reference_load(path, schema)
+    loaded = load_stream(path, schema)
+    assert loaded.stream.samples.tobytes() == data.tobytes()
+    assert loaded.stream.samples.shape == data.shape
+    assert loaded.high_labels == highs
+    assert loaded.low_labels == lows
+    assert loaded.dropped_rows == dropped
+    return loaded
+
+
 PARITY_SCHEMA = SchemaConfig(delimiter=",", channel_columns=(0, 1, 2),
                              high_label_column=3, low_label_columns={"motif": 4})
 MISSING_TOKENS = ("", " ", "nan", "NaN", "NAN")
@@ -159,6 +171,33 @@ def messy_file(seed, crlf, final_newline):
     return text + ("\r\n" if crlf else "\n") * final_newline
 
 
+READ_AS_THEY_STAND = ("", "nan", "NaN", "NAN")  # float() reads these unstripped
+
+
+def uniform_file(seed, crlf, final_newline, missing):
+    """Text of a sensor file whose every line holds the same five fields:
+    spaces around tokens, each token of `missing` in short and long runs,
+    1_000 and -0.0, and no blank or whitespace-only line."""
+    rng = np.random.default_rng(seed)
+    n = 120
+    values = rng.normal(0.0, 3.0, size=(n, 3))
+    tokens = [[repr(float(v)) for v in row] for row in values]
+    tokens[5][0], tokens[6][1], tokens[7][2] = "1_000", "-0.0", " 1_000 "
+    for i in range(8):
+        col = int(rng.integers(0, 3))
+        length = int(rng.integers(1, 2 * MAX_INTERP_GAP))
+        start = int(rng.integers(10, n - length + 1))
+        for row in range(start, start + length):
+            tokens[row][col] = missing[(i + row) % len(missing)]
+    lines = []
+    for i, row in enumerate(tokens):
+        fields = [" " * int(rng.integers(0, 3)) + t + " " * int(rng.integers(0, 3))
+                  for t in row]
+        lines.append(",".join(fields + [" " + "AB"[i // 40 % 2], "m%d " % (i // 7)]))
+    newline = "\r\n" if crlf else "\n"
+    return newline.join(lines) + newline * final_newline
+
+
 class TestParserParity:
     @pytest.mark.parametrize("seed", range(6))
     @pytest.mark.parametrize("crlf", [False, True])
@@ -166,13 +205,31 @@ class TestParserParity:
     def test_matches_reference(self, tmp_path, seed, crlf, final_newline):
         path = tmp_path / "messy.csv"
         path.write_bytes(messy_file(seed, crlf, final_newline).encode("utf-8"))
-        data, highs, lows, dropped = reference_load(path, PARITY_SCHEMA)
-        loaded = load_stream(path, PARITY_SCHEMA)
-        assert loaded.stream.samples.tobytes() == data.tobytes()
-        assert loaded.stream.samples.shape == data.shape
-        assert loaded.high_labels == highs
-        assert loaded.low_labels == lows
-        assert loaded.dropped_rows == dropped
+        assert_matches_reference(path, PARITY_SCHEMA)
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("crlf", [False, True])
+    @pytest.mark.parametrize("final_newline", [False, True])
+    @pytest.mark.parametrize("missing", [MISSING_TOKENS, READ_AS_THEY_STAND],
+                             ids=["every-missing-form", "no-whitespace-only-token"])
+    def test_uniform_file_matches_reference(self, tmp_path, seed, crlf, final_newline,
+                                            missing):
+        path = tmp_path / "uniform.csv"
+        path.write_bytes(uniform_file(seed, crlf, final_newline, missing).encode("utf-8"))
+        with open(path, encoding="utf-8") as fh:  # the one-split path reads this file
+            assert _uniform_columns(fh.read().split("\n"), ",") is not None
+        assert_matches_reference(path, PARITY_SCHEMA)
+
+    def test_tab_line_of_only_delimiters_is_skipped(self, tmp_path):
+        schema = SchemaConfig(delimiter="\t", channel_columns=(0, 1, 2),
+                              high_label_column=3, low_label_columns={"motif": 4})
+        lines = uniform_file(0, False, True, READ_AS_THEY_STAND).replace(",", "\t").split("\n")
+        lines.insert(50, "\t" * 4)  # as many delimiters as every other line
+        path = tmp_path / "tabs.tsv"
+        path.write_text("\n".join(lines))
+        assert _uniform_columns(lines, "\t") is None
+        loaded = assert_matches_reference(path, schema)
+        assert len(loaded.high_labels) + loaded.dropped_rows == 120
 
     @pytest.mark.parametrize("seed", range(20))
     def test_fill_matches_reference(self, seed):
@@ -231,6 +288,16 @@ def test_errors_survive_pickle(error):
     back = pickle.loads(pickle.dumps(error))
     assert type(back) is type(error) and str(back) == str(error)
     assert vars(back) == vars(error)
+
+
+class TestContiguousSamples:
+    @pytest.mark.parametrize("text", ["1.0,2.0,A\n3.0,4.0,A\n5.0,6.0,B\n",
+                                      "1.0,2.0,A\n,4.0,A\n5.0,6.0,B\n,1.0,B\n"],
+                             ids=["clean", "gappy"])
+    def test_c_contiguous_float64(self, tmp_path, text):
+        # training hands the samples to code that needs C order
+        samples = load_stream(write(tmp_path, text), SCHEMA).stream.samples
+        assert samples.flags.c_contiguous and samples.dtype == np.float64
 
 
 class TestFillMissing:

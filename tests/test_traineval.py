@@ -171,6 +171,13 @@ class TestTrain:
                                             r"or parameters; try a smaller train\.lr$"):
             train(toy_dataset(), "charm", TrainConfig(epochs=2, seed=1), CFG)
 
+    def test_loss_far_above_the_first_batch_refused(self):
+        assert traineval.DIVERGED_LOSS_RATIO == 100
+        with pytest.raises(DataError, match=r"^training diverged in epoch 1: mean loss \S+ is "
+                                            r"over 100 times the first batch's \S+; try a "
+                                            r"smaller train\.lr$"):
+            train(toy_dataset(), "charm", TrainConfig(epochs=2, lr=1e10, seed=1), CFG)
+
     def test_mlp_kind(self):
         from charm.model import MlpConfig
         segs = toy_dataset()
