@@ -6,6 +6,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,8 +24,7 @@ class PcaModel:
     components: np.ndarray  # [k, D], orthonormal rows, descending variance
 
 
-@dataclass(frozen=True)
-class EmbeddingPoint:
+class EmbeddingPoint(NamedTuple):
     coords: tuple
     low_label: str
     source: str

@@ -10,8 +10,8 @@ from typing import Annotated
 import numpy as np
 
 from .dataset import atomic_write, check_fields
-from .neurocore import (Stack, ce_losses, check_ce_inputs, flatten_params, make_rng,
-                        softmax, softmax_ce_grad, view_arrays)
+from .neurocore import (Stack, check_ce_inputs, flatten_params, make_rng, softmax,
+                        softmax_ce_grad, view_arrays)
 from .preprocess import ChannelStats
 
 EMBED_CHUNK = 4096  # at most this many windows per low-encoder forward in embed_windows
@@ -139,14 +139,11 @@ class _Model:
         if batch.ndim == 2:
             batch, targets = batch[None], [targets]
         logits, backward, _ = self._batch_logits(batch, rng)
-        logits, targets, class_weights = check_ce_inputs(logits, targets, class_weights)
-        n = logits.shape[0]
-        losses = ce_losses(logits, targets, class_weights)
-        d_logits = softmax_ce_grad(logits, targets, class_weights[targets] / n)
+        losses, d_logits = softmax_ce_grad(*check_ce_inputs(logits, targets, class_weights))
         grad = np.empty_like(self.params)
         grads = view_arrays(grad, self._spans)
         backward(d_logits, grads)
-        return float(losses.sum()) / n, grads, grad
+        return float(losses.sum()) / len(losses), grads, grad
 
 
 class CharmModel(_Model):

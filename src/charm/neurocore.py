@@ -31,18 +31,14 @@ def softmax(logits):
         raise ValueError("softmax: empty input")
     if not np.isfinite(logits).all():
         raise NonFiniteError("softmax: non-finite logits")
-    return _softmax(logits)
-
-
-def _softmax(logits):
     e = np.exp(logits - logits.max(axis=-1, keepdims=True))
     e /= e.sum(axis=-1, keepdims=True)
     return e
 
 
 def log_softmax(logits):
-    """Row-wise log-softmax of a float array. It does not check its input:
-    ce_losses passes logits that check_ce_inputs has checked."""
+    """Row-wise log-softmax of a float array, the terms softmax_ce_grad
+    takes its losses from. It does not check its input."""
     shifted = logits - logits.max(axis=-1, keepdims=True)
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
@@ -70,30 +66,32 @@ def check_ce_inputs(logits, target, class_weights):
 def weighted_cross_entropy(logits, target, class_weights):
     """-w[target] * log p[target], computed in log-space: the [B] losses of
     logit rows [B, m] and integer targets [B], checked by check_ce_inputs."""
-    return ce_losses(*check_ce_inputs(logits, target, class_weights))
+    return softmax_ce_grad(*check_ce_inputs(logits, target, class_weights))[0]
 
 
-def ce_losses(logits, target, class_weights):
-    """weighted_cross_entropy of the arrays check_ce_inputs returns,
-    without checking them again."""
-    return -class_weights[target] * log_softmax(logits)[np.arange(target.size), target]
-
-
-def softmax_ce_grad(logits, target, weight):
-    """Gradient of weighted_cross_entropy w.r.t. logit rows [B, m] with
-    targets [B], each row times its weight [B]. The logits are not checked:
-    pass them through check_ce_inputs first."""
-    g = _softmax(np.asarray(logits, dtype=float))
-    g[np.arange(len(g)), target] -= 1.0
-    g *= np.reshape(weight, (-1, 1))
-    return g
+def softmax_ce_grad(logits, target, class_weights):
+    """(the [B] weighted cross-entropy losses, the gradient of their mean
+    w.r.t. the logits [B, m]) from one shift, one exp and one row sum. The
+    arrays are not checked: pass them through check_ce_inputs first."""
+    rows, w = np.arange(target.size), class_weights[target]
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    g = np.exp(shifted)
+    total = g.sum(axis=-1, keepdims=True)
+    losses = -w * (shifted - np.log(total))[rows, target]
+    g /= total
+    g[rows, target] -= 1.0
+    g *= (w / target.size)[:, None]
+    return losses, g
 
 
 def dropout_mask(shape, p: float, rng: np.random.Generator):
     """Inverted-dropout mask: zeros with probability p, survivors 1/(1-p)."""
     if not 0.0 <= p < 1.0:
         raise ValueError(f"dropout probability {p} not in [0, 1)")
-    return (rng.random(shape) >= p) / (1.0 - p)
+    u = rng.random(shape)
+    np.greater_equal(u, p, out=u)  # 1.0 or 0.0, in the uniforms' own buffer
+    u /= 1.0 - p
+    return u
 
 
 @dataclass
@@ -167,7 +165,7 @@ class Stack:
                     d = np.multiply(d, factor, out=d if owned else None)
                     owned = True
             np.matmul(d.T, x_in, out=grads[2 * i])
-            d.sum(axis=0, out=grads[2 * i + 1])
+            np.add.reduce(d, axis=0, out=grads[2 * i + 1])
             if i or input_grad:
                 d, owned = d @ self.layers[i][0], True
         return d if input_grad else None
@@ -225,7 +223,7 @@ class Adam:
         m *= self.beta1
         m += g
         u *= self.beta2
-        u += np.multiply(g, g, out=s)
+        u += np.square(g, out=s)
         np.sqrt(u, out=s)
         s += self.eps * k
         np.divide(m, s, out=s)

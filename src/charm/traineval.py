@@ -65,6 +65,8 @@ def train(train_segments, model_kind, train_cfg: TrainConfig, model_cfg,
     does. Returns (TrainedModel, TrainHistory); a run whose logits, loss or
     parameters turn non-finite, or whose epoch loss exceeds
     DIVERGED_LOSS_RATIO times its first batch's, is a DataError."""
+    if model_kind not in MODELS:
+        raise ValueError(f"unknown model kind {model_kind!r}")
     if not train_segments:
         raise DataError("empty training set")
     labels = np.array([seg.high_label for seg in train_segments])
@@ -83,8 +85,6 @@ def train(train_segments, model_kind, train_cfg: TrainConfig, model_cfg,
         val_inputs = _normalized_stack(val_segments, stats)
 
     rng = make_rng(train_cfg.seed)
-    if model_kind not in MODELS:
-        raise ValueError(f"unknown model kind {model_kind!r}")
     model = MODELS[model_kind][1].init(model_cfg, rng)
     opt = Adam(model.params, lr=train_cfg.lr)
     history = TrainHistory()

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from charm.neurocore import (Adam, Stack, dropout_mask, make_rng,
+from charm.neurocore import (Adam, Stack, check_ce_inputs, dropout_mask, make_rng,
                              softmax, softmax_ce_grad, weighted_cross_entropy)
 
 
@@ -108,17 +108,62 @@ class TestWeightedCrossEntropy:
         targets = np.array([2, 0, 0, 1])
         weights = np.array([0.7, 1.6, 1.2])
         rows = weighted_cross_entropy(logits, targets, weights)
-        grads = softmax_ce_grad(logits, targets, weights[targets])
+        # the gradient of the mean times 4, a power of two: the gradient of the sum, exactly
+        grads = softmax_ce_grad(logits, targets, weights)[1] * len(targets)
         for i in range(len(targets)):
             one = slice(i, i + 1)
             assert rows[i] == weighted_cross_entropy(logits[one], targets[one], weights)[0]
             np.testing.assert_array_equal(
-                grads[i], softmax_ce_grad(logits[one], targets[one], weights[targets[one]])[0])
+                grads[i], softmax_ce_grad(logits[one], targets[one], weights)[1][0])
 
     @pytest.mark.parametrize("target", [[0], [0, 1, 1], [[0, 1]], [0.0, 1.0], [0, -1]])
     def test_invalid_row_targets(self, target):
         with pytest.raises(ValueError):
             weighted_cross_entropy(np.zeros((2, 2)), np.array(target), [1.0, 1.0])
+
+
+def reference_ce(logits, target, class_weights):
+    """The losses and the gradient of their mean, one row at a time."""
+    losses, grad = np.empty(len(target)), np.empty_like(logits)
+    for i, (row, t) in enumerate(zip(logits, target)):
+        shifted = row - row.max()
+        e = np.exp(shifted)
+        total = e.sum()
+        losses[i] = -class_weights[t] * (shifted[t] - np.log(total))
+        grad[i] = e / total
+        grad[i, t] -= 1.0
+        grad[i] *= class_weights[t] / len(target)
+    return losses, grad
+
+
+class TestSoftmaxCeGradBytes:
+    """softmax_ce_grad against reference_ce, byte for byte."""
+
+    @pytest.mark.parametrize("m", [2, 4, 7])
+    @pytest.mark.parametrize("b", [1, 5, 8])
+    @pytest.mark.parametrize("offset", [0.0, 700.0, -700.0])
+    def test_matches_reference(self, b, m, offset):
+        rng = make_rng(100 * b + m)
+        logits = offset + rng.normal(scale=3.0, size=(b, m))
+        target = rng.integers(m, size=b)
+        weights = rng.uniform(0.2, 3.0, size=m)
+        args = check_ce_inputs(logits, target, weights)
+        losses, grad = softmax_ce_grad(*args)
+        ref_losses, ref_grad = reference_ce(*args)
+        assert losses.tobytes() == ref_losses.tobytes()
+        assert grad.tobytes() == ref_grad.tobytes()
+        assert weighted_cross_entropy(logits, target, weights).tobytes() == ref_losses.tobytes()
+
+    def test_rows_spread_over_1400(self):
+        # exp underflows to 0 for the far row entries; a target 1400 below
+        # the row's top costs 1400 times its weight
+        logits = np.array([[700.0, -700.0, 0.0], [-700.0, 700.0, 699.5], [-700.0, -699.0, 700.0]])
+        args = check_ce_inputs(logits, np.array([1, 0, 2]), np.array([1.0, 0.5, 2.0]))
+        losses, grad = softmax_ce_grad(*args)
+        ref_losses, ref_grad = reference_ce(*args)
+        assert losses.tobytes() == ref_losses.tobytes()
+        assert grad.tobytes() == ref_grad.tobytes()
+        assert np.isfinite(losses).all() and losses[0] == 0.5 * 1400.0
 
 
 class TestDropout:
@@ -145,6 +190,13 @@ class TestDropout:
     def test_bad_p(self):
         with pytest.raises(ValueError):
             dropout_mask(3, 1.0, make_rng(0))
+
+    @pytest.mark.parametrize("shape", [(256, 32), (3, 5, 2), 1000])
+    @pytest.mark.parametrize("p", [0.0, 0.05])
+    def test_matches_reference_bytes(self, shape, p):
+        rng = make_rng(17)
+        expected = (rng.random(shape) >= p) / (1 - p)
+        assert dropout_mask(shape, p, make_rng(17)).tobytes() == expected.tobytes()
 
 
 class TestDense:

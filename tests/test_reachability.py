@@ -33,6 +33,7 @@ EXEMPT = {"cli.main"}
 
 ALLOWED = {
     "dataset.SensorStream.n": "bench/tracer.py counts a loaded file's rows with it",
+    "neurocore.log_softmax": "bench/tracer.py TARGETS traces it",
     "neurocore.weighted_cross_entropy": "bench/tracer.py TARGETS traces it",
     "preprocess.fit_normalizer": "bench/tracer.py TARGETS traces it",
     "preprocess.window": "bench/tracer.py TARGETS traces it",

@@ -61,6 +61,15 @@ class TestTrain:
         with pytest.raises(DataError, match="^empty training set$"):
             train([], "charm", TrainConfig(), CFG)
 
+    def test_unknown_model_kind_refused_before_stacking(self):
+        # one segment a row short: np.stack would refuse the set with its own ValueError
+        segs = toy_dataset()
+        segs[0] = LabeledSegment(segs[0].data[:-1], segs[0].high_label, segs[0].user_id)
+        with pytest.raises(ValueError, match="all input arrays must have the same shape"):
+            np.stack([seg.data for seg in segs])
+        with pytest.raises(ValueError, match="^unknown model kind 'cnn'$"):
+            train(segs, "cnn", TrainConfig(), CFG)
+
     def test_single_class_rejected(self):
         segs = [s for s in toy_dataset() if s.high_label == 0]
         with pytest.raises(DataError, match="^training set must contain at least 2 classes$"):
