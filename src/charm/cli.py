@@ -15,6 +15,8 @@ import json
 import sys
 from dataclasses import asdict, fields, replace
 
+import numpy as np
+
 from . import dataset as ds
 from . import embed as emb
 from . import synth
@@ -47,13 +49,7 @@ _CLI_CHARM_DEFAULTS = {"r": 16, "z": 32}  # n_target 512 at synthetic scale
 def load_run_config(path) -> dict:
     if path is None:
         return {}
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except OSError as e:
-        raise ConfigError(f"cannot read config: {e}") from e
-    except (json.JSONDecodeError, UnicodeDecodeError) as e:
-        raise ConfigError(f"{path}: invalid JSON: {e}") from e
+    raw = ds.read_json(path, "config", ConfigError)
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: top level must be an object")
     for section, body in raw.items():
@@ -250,12 +246,22 @@ def cmd_embed(args, cfg):
     return 0
 
 
+def _feature_row(seg, classes):
+    """A segment's `features` CSV row; a DataError naming its source when a
+    feature is not finite (values too large for float64)."""
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below, not warned about
+        values = handcrafted_features(seg.data)
+    if not np.isfinite(values).all():
+        raise ds.DataError(f"{seg.source}: a hand-crafted feature is not finite "
+                           "(values too large for float64)")
+    return [seg.source, classes[seg.high_label], *map(repr, map(float, values))]
+
+
 def cmd_features(args, cfg):
     segments, classes, schema = load_data_dir(args.data)
     q = len(schema.channel_columns)
     header = ["segment_id", "label", *feature_header([f"ch{i}" for i in range(q)])]
-    rows = ([seg.source, classes[seg.high_label],
-             *map(repr, map(float, handcrafted_features(seg.data)))] for seg in segments)
+    rows = (_feature_row(seg, classes) for seg in segments)
     ds.atomic_write(args.out, (",".join(map(ds.csv_field, row)) + "\n"
                                for row in itertools.chain([header], rows)))
     print(f"wrote {len(segments)} feature rows ({5 * q} columns) to {args.out}")

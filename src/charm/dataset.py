@@ -53,7 +53,6 @@ class LabeledSegment:
     high_label: int
     user_id: str
     low_label_tracks: dict | None = None
-    padded: bool = False
     source: str = ""
 
     def __post_init__(self):
@@ -370,14 +369,14 @@ def segment_by_high_label(data: np.ndarray, high_labels, classes: tuple,
 def make_fixed_length_samples(segment: LabeledSegment, n_target: int, stride: int):
     """Strided crops of exactly n_target samples at offsets 0, stride, 2*stride,
     ... Segments shorter than n_target are left-padded by repeating the first
-    sample and emitted once, flagged padded. Crops carry no low-level label
-    tracks: those are read from whole segments only."""
+    sample and emitted once. Crops carry no low-level label tracks: those are
+    read from whole segments only."""
     if n_target < 1 or stride < 1:
         raise ValueError("n_target and stride must be >= 1")
     n = len(segment.data)
     if n < n_target:
         data = np.vstack([np.repeat(segment.data[:1], n_target - n, axis=0), segment.data])
-        return [LabeledSegment(data, segment.high_label, segment.user_id, padded=True)]
+        return [LabeledSegment(data, segment.high_label, segment.user_id)]
     return [LabeledSegment(segment.data[offset:offset + n_target], segment.high_label,
                            segment.user_id)
             for offset in range(0, n - n_target + 1, stride)]
@@ -402,17 +401,23 @@ def _check_user(user, users):
 # classes, the schema block (dataclasses.asdict of a SchemaConfig) and each
 # file with its user.
 
+def read_json(path, what, error):
+    """The JSON value in the UTF-8 file at `path`; a file that cannot be read
+    or parsed raises `error`, an exception class, naming `what` the file is."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as e:
+        raise error(f"cannot read {what}: {e}") from e
+    except (json.JSONDecodeError, UnicodeDecodeError) as e:
+        raise error(f"{path}: invalid JSON: {e}") from e
+
+
 def read_manifest(data_dir):
     """Returns (file entries, class names as a tuple, SchemaConfig); any
     malformed or inconsistent key is a DataError."""
     path = os.path.join(data_dir, "manifest.json")
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            manifest = json.load(fh)
-    except OSError as e:
-        raise DataError(f"cannot read manifest: {e}") from e
-    except (json.JSONDecodeError, UnicodeDecodeError) as e:
-        raise DataError(f"{path}: invalid JSON: {e}") from e
+    manifest = read_json(path, "manifest", DataError)
     required = ("schema", "files", "classes", "q")
     if not isinstance(manifest, dict) or not all(k in manifest for k in required):
         raise DataError(f"{path}: manifest must be a JSON object with keys "

@@ -11,7 +11,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .dataset import DataError, atomic_write, csv_field
-from .preprocess import normalize
+from .preprocess import normalize, window
 
 PURITY_THRESHOLD = 0.9  # fraction of samples that must share the window label
 SILHOUETTE_BLOCK = 16   # distance-matrix rows the silhouette holds at a time
@@ -112,14 +112,13 @@ def label_pure_windows(data, track, r: int, null_token: str = "null"):
     """Non-overlapping r-sample windows whose dominant low-level label covers
     at least PURITY_THRESHOLD of the window. Returns (windows [k, r, q],
     labels)."""
-    data = np.asarray(data, dtype=float)
+    windows = window(data, r)
     track = list(track)
-    if len(track) != data.shape[0]:
+    if len(track) != len(data):
         raise ValueError("label track length != sample count")
     need = PURITY_THRESHOLD * r
-    z = data.shape[0] // r
     kept, labels = [], []
-    for i in range(z):
+    for i in range(len(windows)):
         chunk = track[i * r:(i + 1) * r]
         best = chunk[0]
         if chunk.count(best) < need:
@@ -131,7 +130,6 @@ def label_pure_windows(data, track, r: int, null_token: str = "null"):
         if best != null_token:
             kept.append(i)
             labels.append(best)
-    windows = data[:z * r].reshape(z, r, data.shape[1])
     return windows[np.array(kept, dtype=np.intp)], labels
 
 
@@ -149,12 +147,14 @@ def export_embedding(points, path):
         for p in itertools.chain([first], points))))
 
 
+@np.errstate(over="ignore", invalid="ignore")  # refused below, not warned about
 def embed_segments(model, stats, segments, track, null_token, groups, path):
     """Quick-start step 4: every segment's label-pure windows, normalized with
     `stats`, through the low-level encoder, their 2-D PCA written to `path`, then
     the silhouette of their labels mapped through the `groups` dict. Returns
     (window count, label count, silhouette), the silhouette None when the
-    points it scores hold a single label."""
+    points it scores hold a single label. A PCA coordinate that is not finite
+    (values too large for float64) is a DataError, raised before the CSV."""
     r = model.cfg.r
     # one buffer for the kept windows, sized by the windows seen
     windows = np.empty((sum(len(seg.data) // r for seg in segments), r, model.cfg.q))
@@ -179,6 +179,9 @@ def embed_segments(model, stats, segments, track, null_token, groups, path):
     except ValueError as e:  # e.g. a model that maps every window to one point
         raise DataError(f"embedding analysis: {e}") from e
     coords = pca_transform(pca, feats)
+    if not np.isfinite(coords).all():
+        raise DataError("embedding analysis: the embeddings' 2-D PCA is not finite "
+                        "(values too large for float64)")
     export_embedding((EmbeddingPoint((c[0], c[1]), lab, src)
                       for c, lab, src in zip(coords, labels, sources)), path)
     try:

@@ -73,13 +73,12 @@ def normalize(x, stats: ChannelStats, out=None) -> np.ndarray:
 
 
 def window(x, r: int) -> np.ndarray:
-    """Partition [n, q] into z = floor(n/r) contiguous windows [z, r, q];
-    trailing n mod r samples are dropped."""
+    """Partition [n, q] into z = floor(n/r) contiguous windows [z, r, q],
+    [0, r, q] when n < r; trailing n mod r samples are dropped."""
     x = np.asarray(x, dtype=float)
     if x.ndim != 2:
         raise ValueError(f"expected [n, q] input, got shape {x.shape}")
-    n, q = x.shape
-    if r < 1 or n < r:
-        raise ValueError(f"need n >= r >= 1, got n={n}, r={r}")
-    z = n // r
-    return x[: z * r].reshape(z, r, q)
+    if r < 1:
+        raise ValueError(f"need r >= 1, got r={r}")
+    z = x.shape[0] // r
+    return x[: z * r].reshape(z, r, x.shape[1])

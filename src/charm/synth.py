@@ -188,13 +188,19 @@ def gen_dataset(config: SynthConfig):
     return segments
 
 
+def segment_file(seg: SynthSegment) -> str:
+    """The name of the data file write_dataset writes a segment to."""
+    return f"u{seg.user_id}_{seg.class_name}_{seg.index:03d}.csv"
+
+
 def to_labeled_segments(segments, config: SynthConfig):
-    """In-memory bridge to the dataset layer (equivalent to writing the files
-    and loading them back). Returns (LabeledSegments, class names)."""
+    """In-memory bridge to the dataset layer, equal field by field to writing
+    the files and loading them back: a file holds one segment, whose source
+    names the file and its rows. Returns (LabeledSegments, class names)."""
     classes = tuple(config.class_names)
     return [LabeledSegment(seg.data, classes.index(seg.class_name), seg.user_id,
                            low_label_tracks={MOTIF_TRACK: list(seg.motif_track)},
-                           source=f"u{seg.user_id}/{seg.class_name}/{seg.index}")
+                           source=f"{segment_file(seg)}[0:{len(seg.data)}]")
             for seg in segments], classes
 
 
@@ -218,8 +224,8 @@ def write_dataset(segments, config: SynthConfig, out_dir):
     manifest_path = os.path.join(out_dir, "manifest.json")
     with contextlib.suppress(FileNotFoundError):
         os.remove(manifest_path)
-    files = [{"file": f"u{seg.user_id}_{seg.class_name}_{seg.index:03d}.csv",
-              "user": seg.user_id, "class": seg.class_name} for seg in segments]
+    files = [{"file": segment_file(seg), "user": seg.user_id, "class": seg.class_name}
+             for seg in segments]
     map_files(_write_segment, [(os.path.join(out_dir, f["file"]), seg)
                                for f, seg in zip(files, segments)])
 

@@ -82,7 +82,7 @@ def train(train_segments, model_kind, train_cfg: TrainConfig, model_cfg,
     except ValueError as e:
         raise DataError(f"training data cannot be normalized: {e}") from e
     if val_segments:
-        val_inputs = _normalized_stack(val_segments, stats)
+        val_chunks = list(_normalized_chunks(val_segments, stats))  # one stack for every epoch
 
     rng = make_rng(train_cfg.seed)
     model = MODELS[model_kind][1].init(model_cfg, rng)
@@ -113,9 +113,7 @@ def train(train_segments, model_kind, train_cfg: TrainConfig, model_cfg,
                                            f"{DIVERGED_LOSS_RATIO} times the first batch's "
                                            f"{first_loss:.4g}")
                 if val_segments:
-                    chunks = (val_inputs[i:i + EVAL_CHUNK]
-                              for i in range(0, len(val_inputs), EVAL_CHUNK))
-                    history.val_macro_f1.append(_score(model, chunks, val_segments).macro_f1)
+                    history.val_macro_f1.append(_score(model, val_chunks, val_segments).macro_f1)
     except NonFiniteError as e:
         raise _diverged(epoch, e) from e
 
@@ -126,10 +124,11 @@ def _diverged(epoch, reason) -> DataError:
     return DataError(f"training diverged in epoch {epoch}: {reason}; try a smaller train.lr")
 
 
-def _normalized_stack(segments, stats: ChannelStats) -> np.ndarray:
-    """The segments' data stacked [B, n_target, q] and normalized in place."""
-    x = np.stack([seg.data for seg in segments])
-    return normalize(x, stats, out=x)
+def _normalized_chunks(segments, stats: ChannelStats):
+    """The segments' data stacked EVAL_CHUNK at a time and normalized in place."""
+    for i in range(0, len(segments), EVAL_CHUNK):
+        x = np.stack([seg.data for seg in segments[i:i + EVAL_CHUNK]])
+        yield normalize(x, stats, out=x)
 
 
 @dataclass
@@ -145,10 +144,8 @@ class MetricsReport:
 
 
 def confusion_matrix(truth, predictions, m: int) -> np.ndarray:
-    cm = np.zeros((m, m), dtype=int)
-    for t, p in zip(truth, predictions):
-        cm[t, p] += 1
-    return cm
+    cells = np.asarray(truth, dtype=np.intp) * m + np.asarray(predictions, dtype=np.intp)
+    return np.bincount(cells, minlength=m * m).reshape(m, m)
 
 
 def metrics_from_confusion(cm) -> MetricsReport:
@@ -184,12 +181,16 @@ def _score(model, chunks, segments) -> MetricsReport:
 
 
 def evaluate(trained: TrainedModel, val_segments) -> MetricsReport:
-    """Normalizes the raw segments and predicts them EVAL_CHUNK at a time."""
+    """Normalizes the raw segments and predicts them EVAL_CHUNK at a time; a
+    model whose outputs on them are not finite is a DataError."""
     if not val_segments:
         raise DataError("empty validation set")
-    chunks = (_normalized_stack(val_segments[i:i + EVAL_CHUNK], trained.stats)
-              for i in range(0, len(val_segments), EVAL_CHUNK))
-    return _score(trained.model, chunks, val_segments)
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below, not warned about
+            return _score(trained.model, _normalized_chunks(val_segments, trained.stats),
+                          val_segments)
+    except NonFiniteError as e:
+        raise DataError(f"the model's outputs on this data are not finite: {e}") from e
 
 
 def format_report(report: MetricsReport, class_names) -> str:

@@ -16,7 +16,8 @@ from charm import cli, embed, synth
 from charm import dataset as ds
 from charm.cli import _stride_for, main
 from charm.dataset import load_data_dir, map_files
-from charm.model import MAGIC, CharmConfig, CharmModel, MlpConfig, MlpModel, save_checkpoint
+from charm.model import (MAGIC, CharmConfig, CharmModel, MlpConfig, MlpModel, load_checkpoint,
+                         save_checkpoint)
 from charm.neurocore import Stack, make_rng
 from charm.preprocess import ChannelStats
 
@@ -391,12 +392,15 @@ def copy_data_with(workspace, dst, edit_file=None, edit_manifest=None):
     return first
 
 
-def put_inf_on_line_3(text):
-    lines = text.split("\n")
-    fields = lines[2].split(",")
-    fields[1] = "inf"
-    lines[2] = ",".join(fields)
-    return "\n".join(lines)
+def put_on_line_3(token):
+    """An edit that puts `token` in field 1 of line 3 of a data file's text."""
+    def edit(text):
+        lines = text.split("\n")
+        fields = lines[2].split(",")
+        fields[1] = token
+        lines[2] = ",".join(fields)
+        return "\n".join(lines)
+    return edit
 
 
 class TestNonFiniteValues:
@@ -404,7 +408,7 @@ class TestNonFiniteValues:
     def test_inf_exit_3_no_output(self, tmp_path, workspace, capsys, cmd):
         data = tmp_path / "data"
         data.mkdir()
-        first = copy_data_with(workspace, data, edit_file=put_inf_on_line_3)
+        first = copy_data_with(workspace, data, edit_file=put_on_line_3("inf"))
         out = tmp_path / "out"
         args = {"train": ["train", "--config", workspace["config"],
                           "--held-out-user", "u4"],
@@ -413,6 +417,23 @@ class TestNonFiniteValues:
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1
         assert f"{first}:3: non-finite value 'inf' in column 1" in err
+        assert os.listdir(tmp_path) == ["data"]
+
+    @pytest.mark.parametrize("cmd, message", [
+        ("embed", "data error: embedding analysis: the embeddings' 2-D PCA is not finite"),
+        ("features", "data error: {first}[0:768]: a hand-crafted feature is not finite"),
+    ], ids=["embed", "features"])
+    def test_finite_value_near_the_float_limit_exit_3_no_output(
+            self, tmp_path, workspace, checkpoint, capsys, cmd, message):
+        # 1e308 is finite, so the loader takes it; the embedding's PCA and the
+        # variance overflow, with no numpy warning (pyproject makes one an error)
+        data = tmp_path / "data"
+        data.mkdir()
+        first = copy_data_with(workspace, data, edit_file=put_on_line_3("1e308"))
+        args = {"embed": ["embed", "--checkpoint", checkpoint], "features": ["features"]}[cmd]
+        assert main(args + ["--data", str(data), "--out", str(tmp_path / "out.csv")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(message.format(first=first)) and len(err.splitlines()) == 1
         assert os.listdir(tmp_path) == ["data"]
 
 
@@ -944,6 +965,16 @@ class TestErrorLines:
                     "--model", "mlp"], tmp_path / "x.ckpt", 1, message, capsys)
         assert not (tmp_path / "x.ckpt.history.json").exists()
 
+    def test_evaluate_overflowing_weights_exit_3(self, tmp_path, workspace, checkpoint,
+                                                 capsys):
+        model, stats = load_checkpoint(checkpoint)
+        model.params *= 1e120  # finite weights whose outputs overflow, with no warning
+        big = tmp_path / "big.ckpt"
+        save_checkpoint(model, stats, big)
+        self.fails(["evaluate", "--checkpoint", str(big), "--data", workspace["data"],
+                    "--held-out-user", "u4"], tmp_path / "metrics.txt", 3,
+                   "data error: the model's outputs on this data are not finite: ", capsys)
+
     def test_embed_refuses_non_finite_weights_exit_4(self, tmp_path, workspace, checkpoint,
                                                      capsys):
         bad = tmp_path / "bad.ckpt"
@@ -958,7 +989,7 @@ class TestEvaluateReadsOnlyHeldOutUser:
         # a file of another user that the loader would reject
         data = tmp_path / "data"
         data.mkdir()
-        first = copy_data_with(workspace, data, edit_file=put_inf_on_line_3)
+        first = copy_data_with(workspace, data, edit_file=put_on_line_3("inf"))
         manifest = json.loads((data / "manifest.json").read_text())
         assert next(e["user"] for e in manifest["files"] if e["file"] == first) != "u4"
         args = ["evaluate", "--checkpoint", checkpoint, "--held-out-user", "u4", "--quiet"]

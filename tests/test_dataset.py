@@ -446,8 +446,8 @@ def segment_of(n, q=2, **kw):
 class TestMakeFixedLengthSamples:
     def test_exact_length_single_crop(self):
         out = make_fixed_length_samples(segment_of(2560), 2560, 1280)
-        assert len(out) == 1 and len(out[0].data) == 2560
-        assert not out[0].padded
+        assert len(out) == 1
+        np.testing.assert_array_equal(out[0].data, segment_of(2560).data)  # no padding
 
     def test_strided_crops(self):
         out = make_fixed_length_samples(segment_of(5120), 2560, 1280)
@@ -465,8 +465,7 @@ class TestMakeFixedLengthSamples:
 
     def test_short_segment_padded(self):
         out = make_fixed_length_samples(segment_of(100), 2560, 1280)
-        assert len(out) == 1 and out[0].padded
-        assert len(out[0].data) == 2560
+        assert len(out) == 1 and len(out[0].data) == 2560
         np.testing.assert_array_equal(
             out[0].data[:2460], np.tile(segment_of(100).data[0], (2460, 1)))
         np.testing.assert_array_equal(out[0].data[2460:], segment_of(100).data)

@@ -157,6 +157,11 @@ class TestWindow:
         w = window(x, 8)
         np.testing.assert_array_equal(w.reshape(-1, 4), x[:48])
 
-    def test_too_short_rejected(self):
+    def test_too_short_gives_no_windows(self):
+        assert window(np.zeros((5, 2)), 16).shape == (0, 16, 2)
+
+    @pytest.mark.parametrize("x, r", [(np.zeros((5, 2)), 0), (np.zeros(16), 16)],
+                             ids=["r-zero", "one-dimensional"])
+    def test_bad_input_rejected(self, x, r):
         with pytest.raises(ValueError):
-            window(np.zeros((5, 2)), 16)
+            window(x, r)

@@ -10,9 +10,12 @@ callers.
   (`from .module import name`), or by an attribute of a module alias
   (`from . import module as m`, then `m.name`).
 - A class member (a method, property, field or class attribute) is reached
-  by an attribute `.member` or a call keyword `member=` anywhere in
-  `src/charm`, outside the member's own definition. Members are matched by
-  name alone: `seg.data` reaches every member named `data`, of any class.
+  by a read of the attribute `.member` anywhere in `src/charm`, outside the
+  member's own definition. A call keyword `member=` and an assignment
+  `obj.member = value` only write it, so a field the package sets but never
+  reads is unreached.
+  Members are matched by name alone: `seg.data` reaches every member named
+  `data`, of any class.
 
 Dunders and `cli.main`, the console script, are exempt. ALLOWED names what
 only the benchmark reads, with the `bench/` file that reads it. An allowed
@@ -32,11 +35,11 @@ SRC = ROOT / "src" / "charm"
 EXEMPT = {"cli.main"}
 
 ALLOWED = {
+    "dataset.LoadedFile.dropped_rows": "bench/tracer.py counts a loaded file's rows with it",
     "dataset.SensorStream.n": "bench/tracer.py counts a loaded file's rows with it",
     "neurocore.log_softmax": "bench/tracer.py TARGETS traces it",
     "neurocore.weighted_cross_entropy": "bench/tracer.py TARGETS traces it",
     "preprocess.fit_normalizer": "bench/tracer.py TARGETS traces it",
-    "preprocess.window": "bench/tracer.py TARGETS traces it",
     "synth.to_labeled_segments": "bench/workloads.py builds the fold's segments with it; "
                                  "bench/tracer.py TARGETS traces it",
 }
@@ -74,11 +77,10 @@ def _references(tree, module, modules):
         if isinstance(node, ast.Name):
             refs["name", node.id] += 1
         elif isinstance(node, ast.Attribute):
-            refs["member", node.attr] += 1
+            if isinstance(node.ctx, ast.Load):  # `obj.member = value` only writes it
+                refs["member", node.attr] += 1
             if isinstance(node.value, ast.Name) and node.value.id in aliases:
                 refs["import", f"{aliases[node.value.id]}.{node.attr}"] += 1
-        elif isinstance(node, ast.keyword) and node.arg:
-            refs["member", node.arg] += 1
     return refs
 
 

@@ -1,11 +1,11 @@
 import filecmp
 import os
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
-from charm.dataset import load_stream
+from charm.dataset import LabeledSegment, load_data_dir, load_stream
 from charm.neurocore import make_rng
 from charm.synth import (ActivityGrammar, ChannelWave, MotifSpec, SynthConfig,
                          SynthSegment, UserProfile, dataset_schema, default_config,
@@ -336,6 +336,22 @@ class TestGenDataset:
         assert len(labeled) == len(segs)
         assert labels == ("routine", "brew", "meal", "tidy")
         assert len(labeled[0].low_label_tracks["motif"]) == len(labeled[0].data)
+
+    def test_to_labeled_segments_equals_write_then_load(self, tmp_path):
+        cfg = self.small_config(2)
+        segs = gen_dataset(cfg)
+        write_dataset(segs, cfg, tmp_path)
+        loaded, classes, _ = load_data_dir(tmp_path)
+        labeled, labels = to_labeled_segments(segs, cfg)
+        assert labels == classes and len(labeled) == len(loaded) == len(segs)
+        for a, b in zip(labeled, loaded):
+            for f in fields(LabeledSegment):
+                x, y = getattr(a, f.name), getattr(b, f.name)
+                if f.name == "data":
+                    assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes()), b.source
+                else:
+                    assert x == y, (f.name, b.source)
+        assert labeled[0].source == "uu1_routine_000.csv[0:768]"
 
 
 class TestDefaultConfig:

@@ -295,6 +295,16 @@ class TestMetrics:
         assert cm.sum() == 4
         np.testing.assert_array_equal(cm, [[2, 0], [1, 1]])
 
+    def test_confusion_matches_counting_loop(self):
+        rng = make_rng(9)
+        truth, preds = rng.integers(0, 5, size=200), rng.integers(0, 5, size=200)
+        ref = np.zeros((5, 5), dtype=int)
+        for t, p in zip(truth, preds):
+            ref[t, p] += 1
+        cm = confusion_matrix(truth, preds, 5)
+        assert cm.dtype == ref.dtype
+        np.testing.assert_array_equal(cm, ref)
+
 
 class TestReportSerialization:
     def test_key_values_match_report(self):
