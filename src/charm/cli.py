@@ -161,6 +161,9 @@ def _stride_for(cfg, n_target):
 
 def cmd_train(args, cfg):
     tcfg = build_train_config(cfg, seed_override=args.seed)
+    hist_path = args.history or args.out + ".history.json"
+    for path in (args.out, hist_path):  # refused before the training, not after it
+        ds.output_dir(path)
     segments, classes, schema = load_data_dir(args.data)
     q = len(schema.channel_columns)
     m = len(classes)
@@ -175,7 +178,6 @@ def cmd_train(args, cfg):
     trained, history = train(train_set, args.model, tcfg, mcfg,
                              val_segments=val_set)
     save_checkpoint(trained.model, trained.stats, args.out)
-    hist_path = args.history or args.out + ".history.json"
     ds.atomic_write(hist_path, json.dumps(asdict(history), indent=2) + "\n")
     print(f"trained {args.model} on {len(train_set)} samples "
           f"(held-out user {args.held_out_user}, {tcfg.epochs} epochs)")

@@ -4,6 +4,7 @@ and leave-one-subject-out splits."""
 
 from __future__ import annotations
 
+import errno
 import functools
 import json
 import math
@@ -103,12 +104,26 @@ class LoadedFile:
     dropped_rows: int = 0
 
 
+def output_dir(path):
+    """The directory atomic_write writes path through. When it is missing or
+    not a directory, or path is itself a directory, the OSError the write
+    would meet, naming path, not the temporary file."""
+    directory = os.path.dirname(os.path.abspath(path))
+    try:
+        os.stat(os.path.join(directory, os.curdir))  # ENOENT or ENOTDIR, as open() gives
+    except OSError as e:
+        raise OSError(e.errno, e.strerror, path) from None
+    if os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    return directory
+
+
 def atomic_write(path, data):
     """Write bytes, or str or an iterable of str as UTF-8, to path through a
     temporary file in the same directory, so the path holds the old content
     or the new, never a partial write. The file gets the mode open() would
     give it."""
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), prefix=".tmp-")
+    fd, tmp = tempfile.mkstemp(dir=output_dir(path), prefix=".tmp-")
     try:
         if isinstance(data, (bytes, str)):
             with os.fdopen(fd, "wb") as fh:
@@ -141,9 +156,10 @@ def map_files(fn, items):
     """[fn(x) for x in items], run on one forked process per CPU this process
     may use, at most one per item. fn must be a module-level function, and
     its items and results picklable. The first item in input order whose
-    call raises raises here; a worker that dies raises BrokenProcessPool.
-    Workers ignore SIGINT: a Ctrl-C interrupts this process alone. On one
-    CPU, or without os.fork or os.sched_getaffinity, the calls run here."""
+    call raises raises here; a worker that dies (killed by a signal or for
+    want of memory) raises ChildProcessError, an OSError. Workers ignore
+    SIGINT: a Ctrl-C interrupts this process alone. On one CPU, or without
+    os.fork or os.sched_getaffinity, the calls run here."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     workers = min(len(items), cpus) if hasattr(os, "fork") else 1
     if workers < 2:
@@ -151,12 +167,17 @@ def map_files(fn, items):
     import multiprocessing  # here, not at the top, so importing charm stays quick
     import signal
     from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
 
     chunksize = -(-len(items) // (4 * workers))  # four chunks per worker
-    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
-                             initializer=signal.signal,
-                             initargs=(signal.SIGINT, signal.SIG_IGN)) as pool:
-        return list(pool.map(fn, items, chunksize=chunksize))
+    try:
+        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                                 initializer=signal.signal,
+                                 initargs=(signal.SIGINT, signal.SIG_IGN)) as pool:
+            return list(pool.map(fn, items, chunksize=chunksize))
+    except BrokenProcessPool as e:
+        raise ChildProcessError("a worker process died before its files were done "
+                                "(killed, or out of memory)") from e
 
 
 _INTERVAL = re.compile(r"([\[(])(.+), (.+)([\])])")
@@ -212,12 +233,9 @@ def load_stream(path, schema: SchemaConfig) -> LoadedFile:
             lines = fh.read().split("\n")
     except UnicodeDecodeError as e:
         raise DataError(f"{path}: not UTF-8 text: {e}") from e
-    columns = _uniform_columns(lines, schema.delimiter)
-    if columns is None:
-        rows = [line.split(schema.delimiter) for line in lines if line and not line.isspace()]
-        if not rows:
-            raise DataError(f"{path}: no usable rows")
-        columns = list(zip(*rows))  # as many as the shortest row has fields
+    columns = _columns(lines, schema.delimiter)
+    if not columns:
+        raise DataError(f"{path}: no usable rows")
     data = None
     if len(columns) >= schema.width:
         data = _parse_channels(columns, schema.channel_columns)
@@ -239,45 +257,37 @@ def load_stream(path, schema: SchemaConfig) -> LoadedFile:
     return LoadedFile(SensorStream(data), highs, lows, dropped_rows=n_dropped)
 
 
-def _uniform_columns(lines, delimiter):
-    """The columns of a file whose lines, but for an empty last one, all hold
-    the same number (>= 1) of delimiters and none is whitespace-only, sliced
-    from one split of the joined lines; None for any other file, which the
-    per-line split reads."""
-    if lines[-1] == "":
-        lines = lines[:-1]
-    counts = set(map(str.count, lines, repeat(delimiter)))
-    if len(counts) != 1 or 0 in counts or any(map(str.isspace, lines)):
-        return None
-    width = counts.pop() + 1
+def _columns(lines, delimiter):
+    """The columns of a file's lines, sliced from one split of the joined
+    lines: blank and whitespace-only lines are dropped, and a line with more
+    fields than the shortest is cut to as many. [] when no line is left."""
+    lines = [line for line in lines if line and not line.isspace()]
+    if not lines:
+        return []
+    counts = list(map(str.count, lines, repeat(delimiter)))
+    width = min(counts) + 1
+    if max(counts) >= width:
+        lines = [delimiter.join(line.split(delimiter, width)[:width]) for line in lines]
     flat = delimiter.join(lines).split(delimiter)
     return [flat[col::width] for col in range(width)]
 
 
 def _parse_channels(columns, channel_columns):
     """[n, q] float64 from the channel columns in one numpy call, which reads
-    each token as float() would, surrounding whitespace included; None when a
-    token is not a number. Empty tokens become NaN. Only when a token is not
-    read as it stands (whitespace-only, or edged by a character float() does
-    not strip) is every token stripped and the call made again."""
-    try:
-        flat = _floats(columns[col] for col in channel_columns)
-    except ValueError:
+    each token as float() would, surrounding whitespace included; empty
+    tokens become NaN. Only when a token is not read as it stands
+    (whitespace-only, or edged by a character float() does not strip) is
+    every token stripped and the call made again; None when that fails too."""
+    for strip in (False, True):
+        tokens = []
+        for col in channel_columns:
+            column = list(map(str.strip, columns[col])) if strip else columns[col]
+            tokens += [tok or "nan" for tok in column] if "" in column else column
         try:
-            flat = _floats(list(map(str.strip, columns[col])) for col in channel_columns)
+            return np.array(tokens, dtype=float).reshape(len(channel_columns), -1).T
         except ValueError:
-            return None
-    return flat.reshape(len(channel_columns), -1).T
-
-
-def _floats(columns):
-    """One float64 array of the columns' tokens end to end, "" read as NaN."""
-    tokens = []
-    for column in columns:
-        if "" in column:
-            column = [tok or "nan" for tok in column]
-        tokens += column
-    return np.array(tokens, dtype=float)
+            pass
+    return None
 
 
 def _first_bad_row(path, lines, schema: SchemaConfig) -> DataError:

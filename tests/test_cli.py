@@ -15,11 +15,12 @@ import pytest
 from charm import cli, embed, synth
 from charm import dataset as ds
 from charm.cli import _stride_for, main
-from charm.dataset import load_data_dir, map_files
+from charm.dataset import _load_entry, load_data_dir, map_files
 from charm.model import (MAGIC, CharmConfig, CharmModel, MlpConfig, MlpModel, load_checkpoint,
                          save_checkpoint)
 from charm.neurocore import Stack, make_rng
 from charm.preprocess import ChannelStats
+from charm.synth import _write_segment
 
 SMALL_CONFIG = {
     "synth": {"samples_per_class_per_user": 2},
@@ -704,54 +705,60 @@ def _every_line_short(text):
     return b"".join(line.rsplit(b",", 1)[0] + b"\n" for line in text.splitlines())
 
 
-# id: (edit of a uniform sensor file's bytes, whether the edited file still
-# takes the one-split parse, the message after the file's path or None when
-# the file loads)
+def _extra_field_on_every_other_line(text):
+    return b"\n".join(line + b",x" if i % 2 and line else line
+                      for i, line in enumerate(text.split(b"\n")))
+
+
+# id: (edit of a sensor file's bytes, the message after the file's path when
+# the edited file is refused, or whether its features equal the clean file's
+# when it loads)
 LOADER_MUTATIONS = {
-    "non-numeric": (_field_1_on_line_3(b"oops"), True, ":3: bad numeric value 'oops' in column 1"),
-    "short-row": (_line_3_short, False, ":3: expected >= 8 fields, got 3"),
-    "every-row-short": (_every_line_short, True, ":1: expected >= 8 fields, got 7"),
-    "inf": (_field_1_on_line_3(b"inf"), True, ":3: non-finite value 'inf' in column 1"),
-    "1e500": (_field_1_on_line_3(b"1e500"), True, ":3: non-finite value '1e500' in column 1"),
-    "not-utf-8": (_field_1_on_line_3(b"\xff"), None, ": not UTF-8 text: 'utf-8' codec can't "
-                                                    "decode byte 0xff in position "),
-    "empty": (lambda text: b"", False, ": no usable rows"),
-    "whitespace-only": (lambda text: b" \t \n  \n", False, ": no usable rows"),
-    "whitespace-channel-field": (_field_1_on_line_3(b"  "), True, None),
+    "non-numeric": (_field_1_on_line_3(b"oops"), ":3: bad numeric value 'oops' in column 1"),
+    "short-row": (_line_3_short, ":3: expected >= 8 fields, got 3"),
+    "every-row-short": (_every_line_short, ":1: expected >= 8 fields, got 7"),
+    "inf": (_field_1_on_line_3(b"inf"), ":3: non-finite value 'inf' in column 1"),
+    "1e500": (_field_1_on_line_3(b"1e500"), ":3: non-finite value '1e500' in column 1"),
+    "not-utf-8": (_field_1_on_line_3(b"\xff"), ": not UTF-8 text: 'utf-8' codec can't "
+                                               "decode byte 0xff in position "),
+    "empty": (lambda text: b"", ": no usable rows"),
+    "whitespace-only": (lambda text: b" \t \n  \n", ": no usable rows"),
+    "whitespace-channel-field": (_field_1_on_line_3(b"  "), False),
+    "ragged": (_extra_field_on_every_other_line, True),
 }
 
 
 class TestLoaderRefusals:
-    """Each edit of a sensor file, made to a uniform file and to the same file
-    with a blank line appended (which the per-line split reads), ends the same
-    through `charm features`: one stderr line, exit 3 and no output file, or
-    the same output when the file loads."""
+    """Each edit of a sensor file, made as it stands and with a blank line
+    appended, ends the same through `charm features`: one stderr line, exit 3
+    and no output file, or the same output when the file loads."""
 
     @pytest.mark.parametrize("mutation", LOADER_MUTATIONS)
-    def test_same_on_both_parse_paths(self, tmp_path, workspace, capsys, mutation):
-        edit, one_split, message = LOADER_MUTATIONS[mutation]
+    def test_same_with_a_blank_line_appended(self, tmp_path, workspace, capsys, mutation):
+        edit, expected = LOADER_MUTATIONS[mutation]
         data = tmp_path / "data"
         data.mkdir()
         path = data / copy_data_with(workspace, data, edit_manifest=_keep_first_file)
-        text = edit(path.read_bytes())
+        clean = path.read_bytes()
+        text = edit(clean)
         results = []
-        for variant, uniform in ((text, one_split), (text + b"\n", False)):
-            if one_split is not None:  # None: the file is not text
-                assert (ds._uniform_columns(variant.decode().split("\n"), ",")
-                        is not None) == uniform
+        for variant in (clean, text, text + b"\n"):
             path.write_bytes(variant)
             out = tmp_path / "features.csv"
             code = main(["features", "--data", str(data), "--out", str(out), "--quiet"])
             results.append((code, capsys.readouterr().err,
                             out.read_bytes() if out.exists() else None))
             out.unlink(missing_ok=True)
+        clean_code, clean_err, clean_features = results.pop(0)
+        assert (clean_code, clean_err) == (0, "") and clean_features
         assert results[0] == results[1]
         code, err, written = results[0]
-        if message is None:
+        if isinstance(expected, bool):
             assert (code, err) == (0, "") and written
+            assert (written == clean_features) == expected
         else:
             assert code == 3 and written is None
-            assert err.startswith(f"data error: {path}{message}")
+            assert err.startswith(f"data error: {path}{expected}")
             assert len(err.splitlines()) == 1 and "Traceback" not in err
 
 
@@ -801,6 +808,9 @@ def _billion_mlp_layers(header, payload):
     header["kind"], header["config"] = "mlp", {"layers": 10**9}
 
 
+UNWRITABLE = ["missing-directory", "not-a-directory", "is-a-directory"]
+
+
 class TestErrorLines:
     """User-facing failures: the exit code, one stderr line and no output."""
 
@@ -810,6 +820,51 @@ class TestErrorLines:
         err = capsys.readouterr().err
         assert message in err and len(err.splitlines()) == 1
         assert not out.exists()
+
+    @staticmethod
+    def unwritable(tmp_path, where):
+        """An output path that cannot be written, and the error line naming it."""
+        if where == "is-a-directory":
+            path = tmp_path / "adir"
+            path.mkdir()
+            return path, f"i/o error: [Errno 21] Is a directory: '{path}'"
+        if where == "missing-directory":
+            path = tmp_path / "nodir" / "x"
+            return path, f"i/o error: [Errno 2] No such file or directory: '{path}'"
+        (tmp_path / "afile").write_text("")
+        path = tmp_path / "afile" / "x"
+        return path, f"i/o error: [Errno 20] Not a directory: '{path}'"
+
+    @pytest.mark.parametrize("where", UNWRITABLE)
+    @pytest.mark.parametrize("cmd", ["evaluate", "embed", "features"])
+    def test_unwritable_out_named_exit_1(self, tmp_path, workspace, checkpoint,
+                                         capsys, cmd, where):
+        out, message = self.unwritable(tmp_path, where)
+        before = sorted(os.walk(tmp_path))
+        args = {"evaluate": ["--checkpoint", checkpoint, "--held-out-user", "u4"],
+                "embed": ["--checkpoint", checkpoint],
+                "features": []}[cmd]
+        assert main([cmd, "--data", workspace["data"], "--quiet", "--out", str(out)] + args) == 1
+        assert capsys.readouterr().err == message + "\n"
+        assert sorted(os.walk(tmp_path)) == before
+
+    @pytest.mark.parametrize("where", UNWRITABLE)
+    @pytest.mark.parametrize("flag", ["--out", "--history"])
+    def test_train_unwritable_out_refused_before_loading(
+            self, tmp_path, workspace, monkeypatch, capsys, flag, where):
+        def loads(*_, **__):
+            raise AssertionError("train read the data before refusing its output path")
+
+        monkeypatch.setattr(cli, "load_data_dir", loads)
+        bad, message = self.unwritable(tmp_path, where)
+        before = sorted(os.walk(tmp_path))
+        out, history = ((bad, tmp_path / "h.json") if flag == "--out"
+                        else (tmp_path / "x.ckpt", bad))
+        assert main(["train", "--config", workspace["config"], "--data", workspace["data"],
+                     "--held-out-user", "u4", "--out", str(out), "--history", str(history),
+                     "--quiet"]) == 1
+        assert capsys.readouterr().err == message + "\n"
+        assert sorted(os.walk(tmp_path)) == before
 
     def test_embed_mlp_checkpoint_exit_4(self, tmp_path, workspace, capsys):
         ckpt = tmp_path / "mlp.ckpt"
@@ -1091,6 +1146,21 @@ def _sigint_handler(_):
     return signal.getsignal(signal.SIGINT)
 
 
+DOOMED_FILE = "uu2_meal_001.csv"  # the one file whose worker dies in the dead-worker tests
+
+
+def _load_entry_or_die(job):
+    if job[1]["file"] == DOOMED_FILE:
+        os._exit(9)
+    return _load_entry(job)
+
+
+def _write_segment_or_die(job):
+    if os.path.basename(job[0]) == DOOMED_FILE:
+        os._exit(9)
+    return _write_segment(job)
+
+
 def dir_digest(path):
     h = hashlib.sha256()
     for p in sorted(Path(path).iterdir()):
@@ -1140,11 +1210,28 @@ class TestOneProcessPerCpu:
         previous = signal.signal(signal.SIGALRM, hung)
         signal.alarm(60)
         try:
-            with pytest.raises(BrokenProcessPool):
+            with pytest.raises(ChildProcessError, match="a worker process died") as info:
                 map_files(_exit_now, range(8))
+            assert isinstance(info.value.__cause__, BrokenProcessPool)
         finally:
             signal.alarm(0)
             signal.signal(signal.SIGALRM, previous)
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("cmd", ["features", "gen-synth"])
+    def test_dead_worker_exit_1_one_line(self, tmp_path, workspace, monkeypatch, capsys,
+                                         cmd):
+        use_cpus(monkeypatch, 2)
+        monkeypatch.setattr(ds, "_load_entry", _load_entry_or_die)
+        monkeypatch.setattr(synth, "_write_segment", _write_segment_or_die)
+        out = tmp_path / "out"
+        args = {"features": ["features", "--data", workspace["data"]],
+                "gen-synth": ["gen-synth", "--config", workspace["config"]]}[cmd]
+        assert main(args + ["--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "i/o error: a worker process died before its files were done "
+            "(killed, or out of memory)\n")
+        assert not (out / "manifest.json" if cmd == "gen-synth" else out).exists()
         assert multiprocessing.active_children() == []
 
     def test_workers_ignore_sigint(self, monkeypatch):

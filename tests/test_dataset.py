@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from charm.dataset import (MAX_INTERP_GAP, DataError, LabeledSegment, SchemaConfig,
-                           SensorStream, _fill_missing, _uniform_columns, atomic_write,
+                           SensorStream, _columns, _fill_missing, atomic_write,
                            check_fields, load_stream, loso_split, make_fixed_length_samples,
                            segment_by_high_label)
 
@@ -214,11 +214,19 @@ class TestParserParity:
                              ids=["every-missing-form", "no-whitespace-only-token"])
     def test_uniform_file_matches_reference(self, tmp_path, seed, crlf, final_newline,
                                             missing):
+        text = uniform_file(seed, crlf, final_newline, missing)
         path = tmp_path / "uniform.csv"
-        path.write_bytes(uniform_file(seed, crlf, final_newline, missing).encode("utf-8"))
-        with open(path, encoding="utf-8") as fh:  # the one-split path reads this file
-            assert _uniform_columns(fh.read().split("\n"), ",") is not None
-        assert_matches_reference(path, PARITY_SCHEMA)
+        path.write_bytes(text.encode("utf-8"))
+        loaded = assert_matches_reference(path, PARITY_SCHEMA)
+        # a blank line and a longer row change nothing: every file takes one split
+        lines = text.split("\n")
+        lines[3] = lines[3].rstrip("\r") + ",x,y" + "\r" * crlf
+        lines.insert(60, " \t")
+        path.write_bytes("\n".join(lines).encode("utf-8"))
+        again = assert_matches_reference(path, PARITY_SCHEMA)
+        assert again.stream.samples.tobytes() == loaded.stream.samples.tobytes()
+        assert (again.high_labels, again.low_labels, again.dropped_rows) == \
+            (loaded.high_labels, loaded.low_labels, loaded.dropped_rows)
 
     def test_tab_line_of_only_delimiters_is_skipped(self, tmp_path):
         schema = SchemaConfig(delimiter="\t", channel_columns=(0, 1, 2),
@@ -227,7 +235,7 @@ class TestParserParity:
         lines.insert(50, "\t" * 4)  # as many delimiters as every other line
         path = tmp_path / "tabs.tsv"
         path.write_text("\n".join(lines))
-        assert _uniform_columns(lines, "\t") is None
+        assert [len(column) for column in _columns(lines, "\t")] == [120] * 5
         loaded = assert_matches_reference(path, schema)
         assert len(loaded.high_labels) + loaded.dropped_rows == 120
 
