@@ -2,7 +2,7 @@
 
 Exit codes: 0 ok, 1 I/O error or out of memory, 2 config error, 3 data
 error, 4 checkpoint error, 130 interrupted. All randomness flows from one
-run seed (--seed overrides the config).
+run seed (the --seed of gen-synth and train overrides the config).
 """
 
 from __future__ import annotations
@@ -187,20 +187,20 @@ def cmd_train(args, cfg):
     return 0
 
 
-def _check_data_fits(model, classes, schema):
-    """A DataError unless the data has the channel and class counts the
-    checkpoint was trained on."""
-    q, m = len(schema.channel_columns), len(classes)
-    if q != model.cfg.q:
-        raise ds.DataError(f"data has {q} channels, checkpoint expects {model.cfg.q}")
-    if m != model.cfg.m:
-        raise ds.DataError(f"data has {m} classes, checkpoint expects {model.cfg.m}")
+def _load_data_for(model, data_dir, user=None):
+    """load_data_dir(data_dir, user); a DataError unless the data has the
+    channel and class counts the checkpoint's model was trained on."""
+    segments, classes, schema = load_data_dir(data_dir, user=user)
+    for what, found, expected in (("channels", len(schema.channel_columns), model.cfg.q),
+                                  ("classes", len(classes), model.cfg.m)):
+        if found != expected:
+            raise ds.DataError(f"data has {found} {what}, checkpoint expects {expected}")
+    return segments, classes, schema
 
 
 def cmd_evaluate(args, cfg):
     model, stats = load_checkpoint(args.checkpoint)
-    segments, classes, schema = load_data_dir(args.data, user=args.held_out_user)
-    _check_data_fits(model, classes, schema)
+    segments, classes, schema = _load_data_for(model, args.data, user=args.held_out_user)
     n_target = model.cfg.n_target
     val_set = fixed_length_dataset(segments, n_target, _stride_for(cfg, n_target))
     report = evaluate(TrainedModel(model, stats), val_set)
@@ -237,8 +237,7 @@ def cmd_embed(args, cfg):
         raise CheckpointError("embedding extraction needs low_out >= 2 for a 2-D PCA, "
                               f"checkpoint has {model.cfg.low_out}")
     groups = _read_grouping(args.grouping) if args.grouping else {}
-    segments, classes, schema = load_data_dir(args.data)
-    _check_data_fits(model, classes, schema)
+    segments, classes, schema = _load_data_for(model, args.data)
     n_windows, n_labels, score = emb.embed_segments(model, stats, segments, args.track,
                                                     schema.null_label_token, groups, args.out)
     print(f"{n_windows} label-pure windows, {n_labels} labels -> {args.out}")
@@ -281,17 +280,17 @@ def build_parser():
     def common(p):
         p.add_argument("--config", default=None,
                        help="JSON run configuration (defaults used if omitted)")
-        p.add_argument("--seed", type=int, default=None,
-                       help="override the config seed")
         p.add_argument("--quiet", action="store_true", help="suppress output")
 
     p = sub.add_parser("gen-synth", help="generate the synthetic dataset")
     common(p)
+    p.add_argument("--seed", type=int, help="override synth.seed")
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_gen_synth)
 
     p = sub.add_parser("train", help="train with a held-out user (LOSO)")
     common(p)
+    p.add_argument("--seed", type=int, help="override train.seed")
     p.add_argument("--data", required=True, help="dataset directory")
     p.add_argument("--held-out-user", required=True, help="validation user id")
     p.add_argument("--model", choices=tuple(MODELS), default="charm")

@@ -169,7 +169,9 @@ def map_files(fn, items):
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
 
-    chunksize = -(-len(items) // (4 * workers))  # four chunks per worker
+    # four chunks a worker but at most 8 items each: a Ctrl-C or an error waits for
+    # every chunk already handed out
+    chunksize = min(8, -(-len(items) // (4 * workers)))
     try:
         with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
                                  initializer=signal.signal,

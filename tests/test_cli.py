@@ -6,6 +6,7 @@ import os
 import re
 import signal
 import struct
+from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
@@ -875,6 +876,21 @@ class TestErrorLines:
                    "checkpoint error: embedding extraction requires a charm checkpoint",
                    capsys)
 
+    @pytest.mark.parametrize("kind, cfg", [
+        (MlpModel, MlpConfig(n_target=512, q=6, m=4)),
+        (CharmModel, CharmConfig(r=16, q=6, z=32, m=4, low_out=1)),
+    ], ids=["mlp", "low-out-1"])
+    def test_embed_checkpoint_refused_before_loading(self, tmp_path, workspace, monkeypatch,
+                                                     capsys, kind, cfg):
+        def loads(*_, **__):
+            raise AssertionError("embed read the data before refusing its checkpoint")
+
+        monkeypatch.setattr(cli, "load_data_dir", loads)
+        ckpt = tmp_path / "model.ckpt"
+        save_checkpoint(kind.init(cfg, make_rng(0)), ChannelStats(np.zeros(6), np.ones(6)), ckpt)
+        self.fails(["embed", "--checkpoint", str(ckpt), "--data", workspace["data"]],
+                   tmp_path / "emb.csv", 4, "checkpoint error: embedding extraction ", capsys)
+
     def test_embed_degenerate_embedding_exit_3(self, tmp_path, workspace, capsys):
         model = CharmModel.init(CharmConfig(r=16, q=6, z=32, m=4), make_rng(0))
         model.params[:] = 0.0  # every window embeds to the same point
@@ -1121,7 +1137,21 @@ class TestHelp:
             main([cmd, "--help"])
         assert exc.value.code == 0
         out = capsys.readouterr().out
-        assert "--config" in out and "--seed" in out
+        assert "--config" in out and "--quiet" in out
+        assert ("--seed" in out) == (cmd in ("gen-synth", "train"))
+
+    @pytest.mark.parametrize("cmd", ["evaluate", "embed", "features"])
+    def test_seed_refused_where_no_seed_is_read(self, tmp_path, workspace, checkpoint,
+                                                capsys, cmd):
+        args = {"evaluate": ["--checkpoint", checkpoint, "--held-out-user", "u4"],
+                "embed": ["--checkpoint", checkpoint],
+                "features": []}[cmd]
+        with pytest.raises(SystemExit) as exc:
+            main([cmd, "--data", workspace["data"], "--out", str(tmp_path / "out"),
+                  "--seed", "1", *args])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
 
 def use_cpus(monkeypatch, n):
@@ -1192,6 +1222,21 @@ class TestOneProcessPerCpu:
         else:
             assert os.getpid() not in pids and len(pids) <= cpus
         assert multiprocessing.active_children() == []
+
+    def test_map_files_hands_out_at_most_8_items_a_chunk(self, monkeypatch):
+        # a Ctrl-C or a failed call waits only for the chunks already handed out
+        use_cpus(monkeypatch, 2)
+        chunks = []
+        pool_map = ProcessPoolExecutor.map
+
+        def spy(self, fn, *iterables, **kwargs):
+            chunks.append(kwargs["chunksize"])
+            return pool_map(self, fn, *iterables, **kwargs)
+
+        monkeypatch.setattr(ProcessPoolExecutor, "map", spy)
+        for n in (400, 64, 16, 3):
+            assert map_files(_square, range(n)) == [x * x for x in range(n)]
+        assert chunks == [8, 8, 2, 1]
 
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_gen_synth_same_bytes(self, tmp_path, workspace, monkeypatch, cpus):
