@@ -12,6 +12,7 @@ import contextlib
 import io
 import itertools
 import json
+import os
 import sys
 from dataclasses import asdict, fields, replace
 
@@ -71,7 +72,7 @@ def _check_sections(cfg):
     build_charm_config(cfg, q=CharmConfig.q, m=CharmConfig.m)
     build_mlp_config(cfg, n_target=MlpConfig.n_target, q=MlpConfig.q, m=MlpConfig.m)
     build_synth_config(cfg)
-    _stride_for(cfg, 1)
+    _crops(cfg, [], 1)
 
 
 def _build(section, make, **kwargs):
@@ -150,18 +151,20 @@ def cmd_gen_synth(args, cfg):
     return 0
 
 
-def _stride_for(cfg, n_target):
-    """The `sampling.stride` key, a positive int; n_target // 2 (at least 1)
-    without it."""
+def _crops(cfg, segments, n_target):
+    """fixed_length_dataset at the `sampling.stride` key, a positive int, or
+    n_target // 2 (at least 1) without it: the one crop of every command."""
     stride = cfg.get("sampling", {}).get("stride", max(n_target // 2, 1))
     _build("sampling", ds.check_value, name="stride", value=stride, kind=int,
            interval="[1, inf)")
-    return stride
+    return fixed_length_dataset(segments, n_target, stride)
 
 
 def cmd_train(args, cfg):
     tcfg = build_train_config(cfg, seed_override=args.seed)
     hist_path = args.history or args.out + ".history.json"
+    if os.path.realpath(hist_path) == os.path.realpath(args.out):
+        raise ConfigError(f"--history {hist_path} would overwrite the --out checkpoint")
     for path in (args.out, hist_path):  # refused before the training, not after it
         ds.output_dir(path)
     segments, classes, schema = load_data_dir(args.data)
@@ -170,11 +173,11 @@ def cmd_train(args, cfg):
     mcfg = build_charm_config(cfg, q=q, m=m)
     if args.model == "mlp":
         mcfg = build_mlp_config(cfg, n_target=mcfg.n_target, q=q, m=m)
-    n_target = mcfg.n_target
-    samples = fixed_length_dataset(segments, n_target, _stride_for(cfg, n_target))
-    train_set, val_set = ds.loso_split(samples, args.held_out_user)
-    if not train_set:
+    train_segments, val_segments = ds.loso_split(segments, args.held_out_user)
+    if not train_segments:
         raise ds.DataError("held-out user leaves an empty training set")
+    train_set = _crops(cfg, train_segments, mcfg.n_target)
+    val_set = _crops(cfg, val_segments, mcfg.n_target)
     trained, history = train(train_set, args.model, tcfg, mcfg,
                              val_segments=val_set)
     save_checkpoint(trained.model, trained.stats, args.out)
@@ -201,9 +204,7 @@ def _load_data_for(model, data_dir, user=None):
 def cmd_evaluate(args, cfg):
     model, stats = load_checkpoint(args.checkpoint)
     segments, classes, schema = _load_data_for(model, args.data, user=args.held_out_user)
-    n_target = model.cfg.n_target
-    val_set = fixed_length_dataset(segments, n_target, _stride_for(cfg, n_target))
-    report = evaluate(TrainedModel(model, stats), val_set)
+    report = evaluate(TrainedModel(model, stats), _crops(cfg, segments, model.cfg.n_target))
     print(format_report(report, classes))
     if args.out:
         ds.atomic_write(args.out, report_key_values(report, classes))

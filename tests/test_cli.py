@@ -15,7 +15,7 @@ import pytest
 
 from charm import cli, embed, synth
 from charm import dataset as ds
-from charm.cli import _stride_for, main
+from charm.cli import _crops, main
 from charm.dataset import _load_entry, load_data_dir, map_files
 from charm.model import (MAGIC, CharmConfig, CharmModel, MlpConfig, MlpModel, load_checkpoint,
                          save_checkpoint)
@@ -158,9 +158,14 @@ class TestTrain:
         assert "u1" in capsys.readouterr().err  # lists available users
 
     def test_default_stride_is_half_the_crop_at_least_one(self):
-        assert _stride_for({}, 512) == 256
-        assert _stride_for({}, 1) == 1  # r = z = 1
-        assert _stride_for({"sampling": {"stride": 3}}, 512) == 3
+        seg = ds.LabeledSegment(np.arange(1024.0)[:, None], 0, "u1")
+
+        def offsets(cfg, n_target):
+            return [int(crop.data[0, 0]) for crop in _crops(cfg, [seg], n_target)]
+
+        assert offsets({}, 512) == [0, 256, 512]
+        assert offsets({}, 1) == list(range(1024))  # r = z = 1
+        assert offsets({"sampling": {"stride": 3}}, 512) == list(range(0, 513, 3))
 
     def test_mlp_model_kind(self, workspace, tmp_path):
         out = tmp_path / "mlp.ckpt"
@@ -168,6 +173,62 @@ class TestTrain:
                      "--data", workspace["data"], "--held-out-user", "u4",
                      "--model", "mlp", "--out", str(out), "--quiet"]) == 0
         assert os.path.exists(out)
+
+
+def copy_data_cut(workspace, dst, users, rows):
+    """Copy the workspace data directory, keeping only the first `rows` lines
+    of every file of `users`."""
+    src = Path(workspace["data"])
+    manifest = json.loads((src / "manifest.json").read_text())
+    for entry in manifest["files"]:
+        lines = (src / entry["file"]).read_text().splitlines(keepends=True)
+        (dst / entry["file"]).write_text("".join(
+            lines[:rows] if entry["user"] in users else lines))
+    (dst / "manifest.json").write_text(json.dumps(manifest))
+
+
+class TestTrainValidatesAsEvaluateScores:
+    """train splits the users before it crops, so its validation crops are
+    the ones evaluate scores, and a crop longer than every segment of either
+    side is refused before any training."""
+
+    @pytest.mark.parametrize("model", ["charm", "mlp"])
+    def test_last_val_macro_f1_is_evaluate_macro_f1(self, tmp_path, workspace, model):
+        ckpt, report = tmp_path / "x.ckpt", tmp_path / "metrics.txt"
+        assert main(["train", "--config", workspace["config"], "--data", workspace["data"],
+                     "--held-out-user", "u4", "--model", model, "--out", str(ckpt),
+                     "--quiet"]) == 0
+        assert main(["evaluate", "--checkpoint", str(ckpt), "--data", workspace["data"],
+                     "--held-out-user", "u4", "--out", str(report), "--quiet"]) == 0
+        history = json.loads(Path(f"{ckpt}.history.json").read_text())
+        kv = dict(line.split("=", 1) for line in report.read_text().splitlines())
+        assert float(kv["macro_f1"]) == history["val_macro_f1"][-1]
+
+    def test_held_out_user_shorter_than_the_crop_exit_3_as_evaluate(
+            self, tmp_path, workspace, checkpoint, capsys):
+        data = tmp_path / "data"
+        data.mkdir()
+        copy_data_cut(workspace, data, {"u4"}, 400)
+        assert main(["evaluate", "--checkpoint", checkpoint, "--data", str(data),
+                     "--held-out-user", "u4"]) == 3
+        err = capsys.readouterr().err
+        assert err == ("data error: crop length 512 is longer than every segment "
+                       "(the longest has 400 samples)\n")
+        assert main(["train", "--config", workspace["config"], "--data", str(data),
+                     "--held-out-user", "u4", "--out", str(tmp_path / "x.ckpt")]) == 3
+        assert capsys.readouterr().err == err
+        assert os.listdir(tmp_path) == ["data"]
+
+    def test_training_users_shorter_than_the_crop_exit_3(self, tmp_path, workspace,
+                                                         capsys):
+        data = tmp_path / "data"
+        data.mkdir()
+        copy_data_cut(workspace, data, {"u1", "u2", "u3"}, 300)
+        assert main(["train", "--config", workspace["config"], "--data", str(data),
+                     "--held-out-user", "u4", "--out", str(tmp_path / "x.ckpt")]) == 3
+        assert capsys.readouterr().err == ("data error: crop length 512 is longer than "
+                                           "every segment (the longest has 300 samples)\n")
+        assert os.listdir(tmp_path) == ["data"]
 
 
 class TestEvaluate:
@@ -437,6 +498,46 @@ class TestNonFiniteValues:
         err = capsys.readouterr().err
         assert err.startswith(message.format(first=first)) and len(err.splitlines()) == 1
         assert os.listdir(tmp_path) == ["data"]
+
+
+class TestHugeFiniteValues:
+    """A finite value the loader takes, far from the float limit: a 0 exit
+    writes only finite numbers, and a value whose channel std overflows is
+    refused before any file is written."""
+
+    @pytest.fixture
+    def data_with(self, tmp_path, workspace):
+        def make(token):
+            data = tmp_path / "data"
+            data.mkdir()
+            first = copy_data_with(workspace, data, edit_file=put_on_line_3(token))
+            manifest = json.loads((data / "manifest.json").read_text())
+            assert next(e["user"] for e in manifest["files"] if e["file"] == first) != "u4"
+            return str(data)
+        return make
+
+    def test_1e150_train_and_embed_exit_0_finite(self, tmp_path, workspace, data_with,
+                                                 capsys):
+        data, ckpt = data_with("1e150"), tmp_path / "x.ckpt"
+        assert main(["train", "--config", workspace["config"], "--data", data,
+                     "--held-out-user", "u4", "--out", str(ckpt), "--quiet"]) == 0
+        history = json.loads(Path(f"{ckpt}.history.json").read_text())
+        assert all(np.isfinite(values).all() for values in history.values())
+        model, stats = load_checkpoint(ckpt)
+        assert all(np.isfinite(a).all() for a in (model.params, stats.means, stats.stds))
+        assert main(["embed", "--checkpoint", str(ckpt), "--data", data,
+                     "--out", str(tmp_path / "emb.csv")]) == 0
+        captured = capsys.readouterr()
+        score = re.search(r"^silhouette: (\S+) \(", captured.out, re.M).group(1)
+        assert -1.0 <= float(score) <= 1.0 and captured.err == ""
+
+    def test_1e160_train_exit_3_no_output(self, tmp_path, workspace, data_with, capsys):
+        data = data_with("1e160")
+        assert main(["train", "--config", workspace["config"], "--data", data,
+                     "--held-out-user", "u4", "--out", str(tmp_path / "x.ckpt")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error: training data cannot be normalized")
+        assert len(err.splitlines()) == 1 and os.listdir(tmp_path) == ["data"]
 
 
 def _drop(*path):
@@ -809,6 +910,18 @@ def _billion_mlp_layers(header, payload):
     header["kind"], header["config"] = "mlp", {"layers": 10**9}
 
 
+def _version_2(header, payload):
+    header["version"] = 2
+
+
+def _unknown_kind(header, payload):
+    header["kind"] = "lstm"
+
+
+def _wider_first_shape(header, payload):
+    header["shapes"][0][0] += 1
+
+
 UNWRITABLE = ["missing-directory", "not-a-directory", "is-a-directory"]
 
 
@@ -866,6 +979,21 @@ class TestErrorLines:
                      "--quiet"]) == 1
         assert capsys.readouterr().err == message + "\n"
         assert sorted(os.walk(tmp_path)) == before
+
+    @pytest.mark.parametrize("history", ["x.ckpt", "./x.ckpt"])
+    def test_history_on_the_checkpoint_refused_before_loading(
+            self, tmp_path, workspace, monkeypatch, capsys, history):
+        def loads(*_, **__):
+            raise AssertionError("train read the data before refusing its history path")
+
+        monkeypatch.setattr(cli, "load_data_dir", loads)
+        monkeypatch.chdir(tmp_path)
+        assert main(["train", "--config", workspace["config"], "--data", workspace["data"],
+                     "--held-out-user", "u4", "--out", "x.ckpt", "--history", history,
+                     "--quiet"]) == 2
+        assert capsys.readouterr().err == (f"config error: --history {history} would "
+                                           "overwrite the --out checkpoint\n")
+        assert os.listdir(tmp_path) == []
 
     def test_embed_mlp_checkpoint_exit_4(self, tmp_path, workspace, capsys):
         ckpt = tmp_path / "mlp.ckpt"
@@ -966,8 +1094,13 @@ class TestErrorLines:
         (_edited(_nan_channel_std), "malformed header: means and stds must be finite"),
         (_edited(_inf_channel_mean), "malformed header: means and stds must be finite"),
         (_edited(_nan_weight), "non-finite parameter values"),
+        (_edited(_version_2), "unsupported checkpoint version 2"),
+        (_edited(_unknown_kind), "unknown model kind 'lstm'"),
+        (_edited(_wider_first_shape), "array shapes [[33, 96], [32], "),
+        (lambda blob: blob[:-8], "truncated or corrupt payload (296728 bytes, expected 296736)"),
     ], ids=["no-header-newline", "header-not-json", "header-list", "short-channel-stats",
-            "nan-channel-std", "inf-channel-mean", "nan-weight"])
+            "nan-channel-std", "inf-channel-mean", "nan-weight", "version-2", "unknown-kind",
+            "shapes-not-the-config's", "payload-8-bytes-short"])
     def test_bad_checkpoint_header_exit_4(self, tmp_path, workspace, checkpoint, capsys,
                                           corrupt, message):
         bad = tmp_path / "bad.ckpt"
