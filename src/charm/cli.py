@@ -160,13 +160,27 @@ def _crops(cfg, segments, n_target):
     return fixed_length_dataset(segments, n_target, stride)
 
 
+def _check_outputs(args, *outputs):
+    """Refuses each (flag, path, what) output before any data file is read: a
+    path naming one of the run's input files or an earlier output is a
+    ConfigError, one atomic_write cannot write the OSError it would meet."""
+    taken = [(f"the {flag}", path) for flag, path in (
+        ("--checkpoint", getattr(args, "checkpoint", None)), ("--config", args.config),
+        ("--grouping", getattr(args, "grouping", None)),
+        ("--data manifest", os.path.join(args.data, "manifest.json"))) if path]
+    for flag, path, what in outputs:
+        for name, other in taken:
+            if os.path.realpath(path) == os.path.realpath(other):
+                raise ConfigError(f"{flag} {path} would overwrite {name}")
+        taken.append((f"the {flag} {what}", path))
+    for _, path, _ in outputs:
+        ds.output_dir(path)
+
+
 def cmd_train(args, cfg):
     tcfg = build_train_config(cfg, seed_override=args.seed)
     hist_path = args.history or args.out + ".history.json"
-    if os.path.realpath(hist_path) == os.path.realpath(args.out):
-        raise ConfigError(f"--history {hist_path} would overwrite the --out checkpoint")
-    for path in (args.out, hist_path):  # refused before the training, not after it
-        ds.output_dir(path)
+    _check_outputs(args, ("--out", args.out, "checkpoint"), ("--history", hist_path, "history"))
     segments, classes, schema = load_data_dir(args.data)
     q = len(schema.channel_columns)
     m = len(classes)
@@ -176,6 +190,9 @@ def cmd_train(args, cfg):
     train_segments, val_segments = ds.loso_split(segments, args.held_out_user)
     if not train_segments:
         raise ds.DataError("held-out user leaves an empty training set")
+    untrained = set(range(m)) - {seg.high_label for seg in train_segments}
+    if untrained:
+        raise ds.DataError(f"class {classes[min(untrained)]!r} has no training samples")
     train_set = _crops(cfg, train_segments, mcfg.n_target)
     val_set = _crops(cfg, val_segments, mcfg.n_target)
     trained, history = train(train_set, args.model, tcfg, mcfg,
@@ -202,6 +219,8 @@ def _load_data_for(model, data_dir, user=None):
 
 
 def cmd_evaluate(args, cfg):
+    if args.out:
+        _check_outputs(args, ("--out", args.out, "report"))
     model, stats = load_checkpoint(args.checkpoint)
     segments, classes, schema = _load_data_for(model, args.data, user=args.held_out_user)
     report = evaluate(TrainedModel(model, stats), _crops(cfg, segments, model.cfg.n_target))
@@ -225,12 +244,15 @@ def _read_grouping(path):
                 groups[label.strip()] = group.strip()
     except UnicodeDecodeError as e:
         raise ConfigError(f"{path}: not UTF-8 text: {e}") from e
+    except OSError as e:
+        raise ConfigError(f"cannot read grouping: {e}") from e
     if not groups:
         raise ConfigError(f"{path}: empty grouping file")
     return groups
 
 
 def cmd_embed(args, cfg):
+    _check_outputs(args, ("--out", args.out, "CSV"))
     model, stats = load_checkpoint(args.checkpoint)
     if model.kind != "charm":
         raise CheckpointError("embedding extraction requires a charm checkpoint")
@@ -239,10 +261,10 @@ def cmd_embed(args, cfg):
                               f"checkpoint has {model.cfg.low_out}")
     groups = _read_grouping(args.grouping) if args.grouping else {}
     segments, classes, schema = _load_data_for(model, args.data)
-    n_windows, n_labels, score = emb.embed_segments(model, stats, segments, args.track,
-                                                    schema.null_label_token, groups, args.out)
+    n_windows, n_labels, score, n_scored = emb.embed_segments(
+        model, stats, segments, args.track, schema.null_label_token, groups, args.out)
     print(f"{n_windows} label-pure windows, {n_labels} labels -> {args.out}")
-    scored = f"{min(n_windows, emb.SILHOUETTE_SAMPLE)} of {n_windows} windows"
+    scored = f"{n_scored} of {n_windows} windows"
     print(f"silhouette: {score:.4f} ({scored})" if score is not None
           else f"silhouette: undefined ({scored}, all one label)")
     return 0
@@ -260,6 +282,7 @@ def _feature_row(seg, classes):
 
 
 def cmd_features(args, cfg):
+    _check_outputs(args, ("--out", args.out, "CSV"))
     segments, classes, schema = load_data_dir(args.data)
     q = len(schema.channel_columns)
     header = ["segment_id", "label", *feature_header([f"ch{i}" for i in range(q)])]

@@ -34,12 +34,6 @@ class SensorStream:
 
     samples: np.ndarray
 
-    def __post_init__(self):
-        arr = np.asarray(self.samples, dtype=float)
-        if arr.ndim != 2 or arr.shape[0] < 1:
-            raise ValueError(f"expected non-empty [n, q] samples, got {arr.shape}")
-        object.__setattr__(self, "samples", arr)
-
     @property
     def n(self) -> int:
         return self.samples.shape[0]
@@ -55,12 +49,6 @@ class LabeledSegment:
     user_id: str
     low_label_tracks: dict | None = None
     source: str = ""
-
-    def __post_init__(self):
-        for name, track in (self.low_label_tracks or {}).items():
-            if len(track) != len(self.data):
-                raise ValueError(
-                    f"low label track '{name}' length {len(track)} != n={len(self.data)}")
 
 
 @dataclass(frozen=True)
@@ -371,7 +359,7 @@ def segment_by_high_label(data: np.ndarray, high_labels, classes: tuple,
             continue
         tracks = None
         if low_labels:
-            tracks = {k: list(v[start:end]) for k, v in low_labels.items()}
+            tracks = {k: v[start:end] for k, v in low_labels.items()}
         segments.append(LabeledSegment(data[start:end], classes.index(name), user_id,
                                        low_label_tracks=tracks,
                                        source=f"{source}[{start}:{end}]"))

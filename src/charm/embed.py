@@ -152,18 +152,17 @@ def embed_segments(model, stats, segments, track, null_token, groups, path):
     """Quick-start step 4: every segment's label-pure windows, normalized with
     `stats`, through the low-level encoder, their 2-D PCA written to `path`, then
     the silhouette of their labels mapped through the `groups` dict. Returns
-    (window count, label count, silhouette), the silhouette None when the
-    points it scores hold a single label. A PCA coordinate that is not finite
+    (window count, label count, silhouette, count of the windows it scores),
+    the silhouette None when those hold a single label. A PCA coordinate that is not finite
     (values too large for float64) is a DataError, raised before the CSV."""
     r = model.cfg.r
-    # one buffer for the kept windows, sized by the windows seen
+    # one buffer for the kept windows, sized by the windows seen, normalized once filled
     windows = np.empty((sum(len(seg.data) // r for seg in segments), r, model.cfg.q))
     labels, sources = [], []
     for seg in segments:
         if not seg.low_label_tracks or track not in seg.low_label_tracks:
             raise DataError(f"data has no low-level label track {track!r}")
-        w, labs = label_pure_windows(normalize(seg.data, stats),
-                                     seg.low_label_tracks[track], r, null_token)
+        w, labs = label_pure_windows(seg.data, seg.low_label_tracks[track], r, null_token)
         windows[len(labels):len(labels) + len(w)] = w
         labels.extend([groups.get(lab, lab) for lab in labs])  # a list, so extend sizes once
         sources.extend([seg.source] * len(labs))
@@ -172,8 +171,9 @@ def embed_segments(model, stats, segments, track, null_token, groups, path):
     if len(set(labels)) < 2:
         raise DataError("embedding analysis needs at least 2 distinct labels, "
                         f"got {sorted(set(labels))}")
-    feats = model.embed_windows(windows[:len(labels)])
-    del windows  # freed before the PCA, the CSV and the silhouette
+    kept = windows[:len(labels)]
+    feats = model.embed_windows(normalize(kept, stats, out=kept))
+    del windows, kept  # freed before the PCA, the CSV and the silhouette
     try:
         pca = pca_fit(feats, 2)
     except ValueError as e:  # e.g. a model that maps every window to one point
@@ -188,4 +188,4 @@ def embed_segments(model, stats, segments, track, null_token, groups, path):
         score = silhouette_score(coords, labels)
     except ValueError:  # the evenly spaced points it scores hold one label
         score = None
-    return len(labels), len(set(labels)), score
+    return len(labels), len(set(labels)), score, min(len(labels), SILHOUETTE_SAMPLE)

@@ -952,7 +952,11 @@ class TestErrorLines:
     @pytest.mark.parametrize("where", UNWRITABLE)
     @pytest.mark.parametrize("cmd", ["evaluate", "embed", "features"])
     def test_unwritable_out_named_exit_1(self, tmp_path, workspace, checkpoint,
-                                         capsys, cmd, where):
+                                         monkeypatch, capsys, cmd, where):
+        def loads(*_, **__):
+            raise AssertionError(f"{cmd} read the data before refusing its output path")
+
+        monkeypatch.setattr(cli, "load_data_dir", loads)
         out, message = self.unwritable(tmp_path, where)
         before = sorted(os.walk(tmp_path))
         args = {"evaluate": ["--checkpoint", checkpoint, "--held-out-user", "u4"],
@@ -994,6 +998,43 @@ class TestErrorLines:
         assert capsys.readouterr().err == (f"config error: --history {history} would "
                                            "overwrite the --out checkpoint\n")
         assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("cmd, target", [
+        ("evaluate", "checkpoint"), ("evaluate", "config"), ("evaluate", "manifest"),
+        ("embed", "checkpoint"), ("embed", "config"), ("embed", "grouping"),
+        ("embed", "manifest"), ("features", "config"), ("features", "manifest")])
+    def test_out_on_an_input_refused_before_loading(self, tmp_path, workspace, checkpoint,
+                                                    monkeypatch, capsys, cmd, target):
+        def loads(*_, **__):
+            raise AssertionError(f"{cmd} read the data before refusing its output path")
+
+        monkeypatch.setattr(cli, "load_data_dir", loads)
+        (tmp_path / "data").mkdir()
+        inputs = {"checkpoint": tmp_path / "model.ckpt", "config": tmp_path / "config.json",
+                  "grouping": tmp_path / "groups.txt",
+                  "manifest": tmp_path / "data" / "manifest.json"}
+        inputs["checkpoint"].write_bytes(Path(checkpoint).read_bytes())
+        inputs["config"].write_bytes(Path(workspace["config"]).read_bytes())
+        inputs["grouping"].write_text("swing=arm\n")
+        inputs["manifest"].write_bytes((Path(workspace["data"]) / "manifest.json").read_bytes())
+        before = {name: path.read_bytes() for name, path in inputs.items()}
+        args = {"evaluate": ["--checkpoint", inputs["checkpoint"], "--held-out-user", "u4"],
+                "embed": ["--checkpoint", inputs["checkpoint"], "--grouping", inputs["grouping"]],
+                "features": []}[cmd]
+        monkeypatch.chdir(tmp_path)
+        out = os.path.relpath(inputs[target])  # the input spelled another way
+        assert main([cmd, "--config", str(inputs["config"]), "--data", str(tmp_path / "data"),
+                     *map(str, args), "--out", out, "--quiet"]) == 2
+        name = "--data manifest" if target == "manifest" else f"--{target}"
+        assert capsys.readouterr().err == f"config error: --out {out} would overwrite the {name}\n"
+        assert {name: path.read_bytes() for name, path in inputs.items()} == before
+
+    def test_missing_grouping_exit_2(self, tmp_path, workspace, checkpoint, capsys):
+        grouping = tmp_path / "nope.txt"
+        self.fails(["embed", "--checkpoint", checkpoint, "--data", workspace["data"],
+                    "--grouping", str(grouping)], tmp_path / "emb.csv", 2,
+                   f"config error: cannot read grouping: [Errno 2] No such file or directory: "
+                   f"'{grouping}'", capsys)
 
     def test_embed_mlp_checkpoint_exit_4(self, tmp_path, workspace, capsys):
         ckpt = tmp_path / "mlp.ckpt"
@@ -1063,6 +1104,19 @@ class TestErrorLines:
         self.fails(["train", "--config", workspace["config"], "--data", str(data),
                     "--held-out-user", "u4"], tmp_path / "x.ckpt", 3,
                    "data error: held-out user leaves an empty training set", capsys)
+
+    def test_class_only_the_held_out_user_has_named_exit_3(self, tmp_path, workspace, capsys):
+        def tidy_only_u4(manifest):
+            for entry in manifest["files"]:
+                if entry["class"] == "tidy":
+                    entry["user"] = "u4"
+
+        data = tmp_path / "data"
+        data.mkdir()
+        copy_data_with(workspace, data, edit_manifest=tidy_only_u4)
+        self.fails(["train", "--config", workspace["config"], "--data", str(data),
+                    "--held-out-user", "u4"], tmp_path / "x.ckpt", 3,
+                   "data error: class 'tidy' has no training samples", capsys)
 
     @pytest.mark.parametrize("edit_file, edit_manifest, message", [
         (lambda text: "\n  \n\n", None, ": no usable rows"),

@@ -7,9 +7,8 @@ import numpy as np
 import pytest
 
 from charm.dataset import (MAX_INTERP_GAP, DataError, LabeledSegment, SchemaConfig,
-                           SensorStream, _columns, _fill_missing, atomic_write,
-                           check_fields, load_stream, loso_split, make_fixed_length_samples,
-                           segment_by_high_label)
+                           _columns, _fill_missing, atomic_write, check_fields, load_stream,
+                           loso_split, make_fixed_length_samples, segment_by_high_label)
 
 SCHEMA = SchemaConfig(delimiter=",", channel_columns=(0, 1),
                       high_label_column=2, null_label_token="null")
@@ -523,14 +522,6 @@ class TestLosoSplit:
 
 
 class TestTypes:
-    def test_stream_invariants(self):
-        with pytest.raises(ValueError):
-            SensorStream(np.zeros((0, 3)))
-
-    def test_low_track_length_checked(self):
-        with pytest.raises(ValueError):
-            LabeledSegment(samples_of(3), 0, "u", low_label_tracks={"m": ["a"]})
-
     def test_schema_distinct_columns(self):
         with pytest.raises(ValueError):
             SchemaConfig(delimiter=",", channel_columns=(0, 1), high_label_column=1)

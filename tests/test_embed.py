@@ -244,6 +244,11 @@ class TestLabelPureWindows:
         windows, labels = label_pure_windows(data, ["x"] * 40, 16)
         assert len(labels) == 2  # offsets 0 and 16; trailing 8 ignored
 
+    def test_track_length_checked(self):
+        # the one reader of a track: segments do not check their tracks themselves
+        with pytest.raises(ValueError, match="label track length != sample count"):
+            label_pure_windows(np.zeros((32, 1)), ["x"] * 31, 16)
+
 
 def reference_label_pure_windows(data, track, r, null_token="null"):
     """The extraction the one-label-first count replaced: every label of
@@ -465,7 +470,8 @@ class TestEmbedSegments:
                          tmp_path / "by_hand.csv")
         result = self.run(motif_data, tmp_path / "emb.csv")
         assert (tmp_path / "emb.csv").read_bytes() == (tmp_path / "by_hand.csv").read_bytes()
-        assert result == (len(labels), len(MOTIFS), silhouette_score(coords, labels))
+        assert result == (len(labels), len(MOTIFS), silhouette_score(coords, labels),
+                          len(labels))  # fewer windows than SILHOUETTE_SAMPLE: all scored
 
     def test_holds_one_window_buffer(self, motif_data, tmp_path):
         model, _, segments = motif_data
@@ -482,14 +488,14 @@ class TestEmbedSegments:
 
     def test_sample_of_one_label_scores_none(self, motif_data, tmp_path, monkeypatch):
         monkeypatch.setattr(embed, "SILHOUETTE_SAMPLE", 3)
-        n, _, score = self.run(motif_data, tmp_path / "all.csv")
-        assert score is not None
+        n, _, score, scored = self.run(motif_data, tmp_path / "all.csv")
+        assert score is not None and scored == 3
         rows = read_rows(tmp_path / "all.csv")
         sampled = {rows[i][2] for i in np.linspace(0, n - 1, 3, dtype=int)}
         # the motifs of the 3 scored windows become one label; the others stay
         result = self.run(motif_data, tmp_path / "emb.csv",
                           groups={m: "scored" for m in sampled})
-        assert result == (n, len(MOTIFS) - len(sampled) + 1, None)
+        assert result == (n, len(MOTIFS) - len(sampled) + 1, None, 3)
         assert len(read_rows(tmp_path / "emb.csv")) == n
 
     def test_missing_track(self, motif_data, tmp_path):
@@ -513,7 +519,7 @@ class TestEmbedSegments:
         assert not (tmp_path / "emb.csv").exists()
 
     def test_grouping_into_two_labels(self, motif_data, tmp_path):
-        n, labels, _ = self.run(motif_data, tmp_path / "emb.csv")
+        n, labels, *_ = self.run(motif_data, tmp_path / "emb.csv")
         assert (n, labels) == (len(read_rows(tmp_path / "emb.csv")), len(MOTIFS))
         assert self.run(motif_data, tmp_path / "grouped.csv", groups=TWO_GROUPS)[:2] == (n, 2)
         # the same points and sources, only each motif renamed to its group
