@@ -346,8 +346,6 @@ def segment_by_high_label(data: np.ndarray, high_labels, classes: tuple,
     Returns (segments, discarded_run_count).
     """
     n = len(data)
-    if len(high_labels) != n:
-        raise ValueError(f"label count {len(high_labels)} != n={n}")
     changed = map(ne, high_labels[1:], high_labels[:-1])
     bounds = [0, *compress(range(1, n), changed), n]
     segments = []
@@ -371,8 +369,6 @@ def make_fixed_length_samples(segment: LabeledSegment, n_target: int, stride: in
     ... Segments shorter than n_target are left-padded by repeating the first
     sample and emitted once. Crops carry no low-level label tracks: those are
     read from whole segments only."""
-    if n_target < 1 or stride < 1:
-        raise ValueError("n_target and stride must be >= 1")
     n = len(segment.data)
     if n < n_target:
         data = np.vstack([np.repeat(segment.data[:1], n_target - n, axis=0), segment.data])

@@ -34,14 +34,9 @@ def pca_fit(X, k: int) -> PcaModel:
     """Top-k eigenvectors of the sample covariance, descending variance,
     each component's largest-magnitude entry forced positive."""
     X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or X.shape[0] < 2:
-        raise ValueError("need at least 2 rows to fit PCA")
-    n, d = X.shape
-    if not 1 <= k <= min(n, d):
-        raise ValueError(f"k={k} out of range for data shape {X.shape}")
     mean = X.mean(axis=0)
     Xc = X - mean
-    cov = Xc.T @ Xc / (n - 1)
+    cov = Xc.T @ Xc / (len(X) - 1)
     if not np.any(cov):
         raise ValueError("degenerate input: all rows identical (zero covariance)")
     evals, evecs = np.linalg.eigh(cov)
@@ -55,9 +50,6 @@ def pca_fit(X, k: int) -> PcaModel:
 
 def pca_transform(model: PcaModel, X) -> np.ndarray:
     X = np.asarray(X, dtype=float)
-    if X.shape[1] != model.mean.shape[0]:
-        raise ValueError(
-            f"column count {X.shape[1]} != fitted dimension {model.mean.shape[0]}")
     return (X - model.mean) @ model.components.T
 
 
@@ -69,10 +61,6 @@ def silhouette_score(points, labels) -> float:
     memory is 16 * (SILHOUETTE_BLOCK + labels) * S bytes: 1.6 MB at S = 4,096, 8 labels."""
     X = np.asarray(points, dtype=float)
     labels = np.asarray(labels)
-    if X.shape[0] != labels.shape[0]:
-        raise ValueError("points and labels length differ")
-    if X.shape[0] < 3:
-        raise ValueError("need at least 3 points")
     at = np.linspace(0, X.shape[0] - 1, min(X.shape[0], SILHOUETTE_SAMPLE), dtype=int)
     X, labels = X[at], labels[at]  # every point, in order, when there are no more
     uniq, codes = np.unique(labels, return_inverse=True)
@@ -113,9 +101,6 @@ def label_pure_windows(data, track, r: int, null_token: str = "null"):
     at least PURITY_THRESHOLD of the window. Returns (windows [k, r, q],
     labels)."""
     windows = window(data, r)
-    track = list(track)
-    if len(track) != len(data):
-        raise ValueError("label track length != sample count")
     need = PURITY_THRESHOLD * r
     kept, labels = [], []
     for i in range(len(windows)):
@@ -137,14 +122,10 @@ def export_embedding(points, path):
     """CSV rows pc1, pc2, low_label, source of an iterable of points, with a
     header and \\n line ends: full float precision, and each label and source
     quoted by csv_field. Rows are formatted one at a time."""
-    points = iter(points)
-    first = next(points, None)
-    if first is None:
-        raise ValueError("nothing to export")
     field = functools.cache(csv_field)  # each distinct label or source quoted once
     atomic_write(path, itertools.chain(["pc1,pc2,low_label,source\n"], (
         f"{float(p.coords[0])!r},{float(p.coords[1])!r},{field(p.low_label)},{field(p.source)}\n"
-        for p in itertools.chain([first], points))))
+        for p in points)))
 
 
 @np.errstate(over="ignore", invalid="ignore")  # refused below, not warned about

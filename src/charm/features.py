@@ -12,8 +12,6 @@ def handcrafted_features(window) -> np.ndarray:
     (mean, population variance, max - min, min, max). A [r, q] window
     yields a length 5*q vector."""
     w = np.asarray(window, dtype=float)
-    if w.ndim != 2 or w.shape[0] < 1:
-        raise ValueError(f"expected non-empty [r, q] window, got shape {w.shape}")
     mean = w.mean(axis=0)
     var = w.var(axis=0)
     mn = w.min(axis=0)

@@ -88,7 +88,7 @@ class MlpConfig(_Config):
 
 class _Model:
     """The rules both models share: softmax and weighted cross-entropy on
-    the logits of the subclass's `_logits` hook, which maps a checked batch
+    the logits of the subclass's `_logits` hook, which maps a float batch
     [B, n_target, q] and an rng, None for inference, to (logits [B, m],
     backward(d_logits, grads), features [B, ...] or None). `stacks` holds
     the model's Stacks in parameter order, and `params` is the one float64
@@ -108,24 +108,16 @@ class _Model:
     def param_arrays(self):
         return [p for stack in self.stacks for p in stack.param_arrays()]
 
-    def _batch_logits(self, batch, rng=None):
-        batch = np.asarray(batch, dtype=float)
-        expected = (self.cfg.n_target, self.cfg.q)
-        if batch.ndim != 3 or batch.shape[1:] != expected:
-            raise ValueError(f"expected [batch, {expected[0]}, {expected[1]}] input, "
-                             f"got shape {batch.shape}")
-        return self._logits(batch, rng)
-
     def forward(self, sample):
         """One sample [n_target, q], inference mode. Returns (class
         probabilities [m], features or None)."""
-        logits, _, features = self._batch_logits(np.asarray(sample)[None])
+        logits, _, features = self._logits(np.asarray(sample, dtype=float)[None], None)
         return softmax(logits[0]), None if features is None else features[0]
 
     def predict(self, batch):
         """Class indices [B] of a normalized batch [B, n_target, q], inference
         mode; ties break to the lowest class index."""
-        logits, _, _ = self._batch_logits(batch)
+        logits, _, _ = self._logits(np.asarray(batch, dtype=float), None)
         return np.argmax(softmax(logits), axis=-1)
 
     def loss_and_grads(self, batch, targets, class_weights, rng):
@@ -135,10 +127,10 @@ class _Model:
         one. Returns (loss, gradient arrays aligned with param_arrays(),
         the flat gradient vector they view). Each call returns a new
         vector."""
-        batch = np.asarray(batch)
+        batch = np.asarray(batch, dtype=float)
         if batch.ndim == 2:
             batch, targets = batch[None], [targets]
-        logits, backward, _ = self._batch_logits(batch, rng)
+        logits, backward, _ = self._logits(batch, rng)
         losses, d_logits = softmax_ce_grad(*check_ce_inputs(logits, targets, class_weights))
         grad = np.empty_like(self.params)
         grads = view_arrays(grad, self._spans)
@@ -173,9 +165,6 @@ class CharmModel(_Model):
         """Low-level encoder only, inference mode. windows: [k, r, q] -> [k, low_out],
         k = 0 included, encoded in ceil(k / EMBED_CHUNK) near-equal parts."""
         w = np.asarray(windows, dtype=float)
-        if w.ndim != 3 or w.shape[1:] != (self.cfg.r, self.cfg.q):
-            raise ValueError(
-                f"expected [k, {self.cfg.r}, {self.cfg.q}] windows, got {w.shape}")
         flat = w.reshape(w.shape[0], self.cfg.r * self.cfg.q)
         out = np.empty((len(flat), self.cfg.low_out))
         # near-equal parts, so no part is a short tail that BLAS would round

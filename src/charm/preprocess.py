@@ -64,9 +64,6 @@ def normalize(x, stats: ChannelStats, out=None) -> np.ndarray:
     """(x - means) / stds per channel, into a new array or into `out`
     (x itself included, for normalizing in place)."""
     x = np.asarray(x, dtype=float)
-    if x.shape[-1] != stats.means.shape[0]:
-        raise ValueError(
-            f"channel count {x.shape[-1]} != fitted {stats.means.shape[0]}")
     out = np.subtract(x, stats.means, out=out)
     out /= stats.stds
     return out
@@ -76,9 +73,5 @@ def window(x, r: int) -> np.ndarray:
     """Partition [n, q] into z = floor(n/r) contiguous windows [z, r, q],
     [0, r, q] when n < r; trailing n mod r samples are dropped."""
     x = np.asarray(x, dtype=float)
-    if x.ndim != 2:
-        raise ValueError(f"expected [n, q] input, got shape {x.shape}")
-    if r < 1:
-        raise ValueError(f"need r >= 1, got r={r}")
     z = x.shape[0] // r
     return x[: z * r].reshape(z, r, x.shape[1])

@@ -48,8 +48,6 @@ class TrainedModel:
 def compute_class_weights(label_counts) -> np.ndarray:
     """w_i proportional to 1/count_i, rescaled so mean(w) = 1."""
     counts = np.asarray(label_counts, dtype=float)
-    if counts.ndim != 1 or counts.size < 1:
-        raise ValueError("label_counts must be a non-empty vector")
     zero = np.nonzero(counts <= 0)[0]
     if zero.size:
         raise DataError(f"class index {int(zero[0])} has no training samples")
@@ -65,15 +63,8 @@ def train(train_segments, model_kind, train_cfg: TrainConfig, model_cfg,
     does. Returns (TrainedModel, TrainHistory); a run whose logits, loss or
     parameters turn non-finite, or whose epoch loss exceeds
     DIVERGED_LOSS_RATIO times its first batch's, is a DataError."""
-    if model_kind not in MODELS:
-        raise ValueError(f"unknown model kind {model_kind!r}")
-    if not train_segments:
-        raise DataError("empty training set")
     labels = np.array([seg.high_label for seg in train_segments])
-    counts = np.bincount(labels, minlength=model_cfg.m)
-    if np.count_nonzero(counts) < 2:
-        raise DataError("training set must contain at least 2 classes")
-    class_weights = compute_class_weights(counts)
+    class_weights = compute_class_weights(np.bincount(labels, minlength=model_cfg.m))
 
     inputs = np.stack([seg.data for seg in train_segments])
     try:
@@ -183,8 +174,6 @@ def _score(model, chunks, segments) -> MetricsReport:
 def evaluate(trained: TrainedModel, val_segments) -> MetricsReport:
     """Normalizes the raw segments and predicts them EVAL_CHUNK at a time; a
     model whose outputs on them are not finite is a DataError."""
-    if not val_segments:
-        raise DataError("empty validation set")
     try:
         with np.errstate(over="ignore", invalid="ignore"):  # refused below, not warned about
             return _score(trained.model, _normalized_chunks(val_segments, trained.stats),

@@ -1242,6 +1242,77 @@ class TestErrorLines:
                    f"checkpoint error: {bad}: non-finite parameter values", capsys)
 
 
+def _unknown_motif(section):
+    section["grammars"]["stroll"]["probs"] = {"nope": 1.0}
+
+
+def _two_channel_motif(section):
+    section["motifs"]["jolt"] = {"channels": [[0.3, 6.0, 1.0, -0.2]] * 2, "duration": [2, 5]}
+    section["grammars"]["rest"]["probs"] = {"swing": 0.5, "jolt": 0.5}
+
+
+def _zero_channel_std(header, payload):
+    header["channel_stds"][0] = 0.0
+
+
+def _one_std_fewer(header, payload):
+    header["channel_stds"] = header["channel_stds"][:-1]
+
+
+def _empty_then_bad_field_on_line_5(text):
+    lines = text.split("\n")
+    fields = lines[4].split(",")
+    fields[1:3] = ["", "oops"]
+    lines[4] = ",".join(fields)
+    return "\n".join(lines)
+
+
+class TestRefusalsAtTheirSource:
+    """Refusals that only an unusual input reaches, each checked where the
+    input enters: the exit code, one stderr line, no traceback, no output."""
+
+    @staticmethod
+    def refused(args, out, code, line, capsys):
+        assert main(args + ["--out", str(out)]) == code
+        err = capsys.readouterr().err
+        assert err == line + "\n" and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("edit, message", [
+        (_unknown_motif, "grammar 'stroll' references unknown motif 'nope'"),
+        (_two_channel_motif, "all motifs must have the same channel count"),
+    ], ids=["unknown-motif", "motif-channel-counts-differ"])
+    def test_synth_config_exit_2(self, tmp_path, capsys, edit, message):
+        section = _synth_named(classes=("stroll", "rest"))
+        edit(section)
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"synth": section}))
+        self.refused(["gen-synth", "--config", str(cfg)], tmp_path / "out", 2,
+                     f"config error: bad synth config: {message}", capsys)
+        assert os.listdir(tmp_path) == ["config.json"]
+
+    @pytest.mark.parametrize("edit, message", [
+        (_zero_channel_std, "stds must be clamped to >= 1e-08"),
+        (_one_std_fewer, "means/stds must be 1-D and the same length"),
+    ], ids=["zero-channel-std", "means-and-stds-lengths-differ"])
+    def test_checkpoint_channel_stats_exit_4(self, tmp_path, workspace, checkpoint, capsys,
+                                             edit, message):
+        bad = tmp_path / "z.ckpt"
+        bad.write_bytes(_edited(edit)(Path(checkpoint).read_bytes()))
+        self.refused(["evaluate", "--checkpoint", str(bad), "--data", workspace["data"],
+                      "--held-out-user", "u4"], tmp_path / "metrics.txt", 4,
+                     f"checkpoint error: {bad}: malformed header: {message}", capsys)
+
+    def test_empty_field_before_a_bad_token_exit_3(self, tmp_path, workspace, capsys):
+        data = tmp_path / "data"
+        data.mkdir()
+        first = copy_data_with(workspace, data, edit_file=_empty_then_bad_field_on_line_5,
+                               edit_manifest=_keep_first_file)
+        self.refused(["features", "--data", str(data)], tmp_path / "f.csv", 3,
+                     f"data error: {data / first}:5: bad numeric value 'oops' in column 2",
+                     capsys)
+
+
 class TestEvaluateReadsOnlyHeldOutUser:
     def test_other_users_files_are_not_parsed(self, tmp_path, workspace, checkpoint):
         # a file of another user that the loader would reject

@@ -159,9 +159,3 @@ class TestWindow:
 
     def test_too_short_gives_no_windows(self):
         assert window(np.zeros((5, 2)), 16).shape == (0, 16, 2)
-
-    @pytest.mark.parametrize("x, r", [(np.zeros((5, 2)), 0), (np.zeros(16), 16)],
-                             ids=["r-zero", "one-dimensional"])
-    def test_bad_input_rejected(self, x, r):
-        with pytest.raises(ValueError):
-            window(x, r)

@@ -1,9 +1,11 @@
-"""README names every flag, config key and exit code the `charm` command has.
+"""README names every flag, config key and exit code the `charm` command has,
+and lists as its Python API exactly the names the acceptance file imports.
 
 The facts are read from the code: the flags from `cli.build_parser()`, per
 subcommand; the config keys from `cli._SECTION_KEYS`; the exit codes from
-the integer `return` statements of `charm/cli.py`. A README edit that drops
-one of them fails here.
+the integer `return` statements of `charm/cli.py`; the API from the
+`from charm... import` statements of `tests/test_acceptance.py`. A README
+edit that drops one of them fails here.
 """
 
 from __future__ import annotations
@@ -57,3 +59,25 @@ def test_config_key_named(section, key):
 @pytest.mark.parametrize("code", _exit_codes())
 def test_exit_code_named(code):
     assert f"`{code}`" in README
+
+
+def _acceptance_imports():
+    """{module: names} of every `from charm... import` in the acceptance file."""
+    tree = ast.parse((ROOT / "tests" / "test_acceptance.py").read_text(encoding="utf-8"))
+    names = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("charm"):
+            names.setdefault(node.module, set()).update(a.name for a in node.names)
+    return names
+
+
+def _readme_api():
+    """{module: names} of the list under README's `## Python API` heading."""
+    section = README.split("\n## Python API\n", 1)[1].split("\n## ", 1)[0]
+    items = re.findall(r"^- `(charm\.\w+)`: (.+(?:\n  .+)*)", section, re.MULTILINE)
+    return {module: set(re.findall(r"`(\w+)`", names)) for module, names in items}
+
+
+def test_api_list_is_the_acceptance_imports():
+    assert _acceptance_imports()  # the parse found the contract's imports
+    assert _readme_api() == _acceptance_imports()

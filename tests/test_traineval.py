@@ -6,7 +6,7 @@ from charm.dataset import DataError, LabeledSegment, loso_split
 from charm.model import CharmConfig, CharmModel, MlpConfig, MlpModel
 from charm.neurocore import Adam, make_rng
 from charm.preprocess import fit_normalizer, normalize
-from charm.traineval import (EVAL_CHUNK, TRAIN_BATCH, MetricsReport, TrainConfig, TrainedModel,
+from charm.traineval import (EVAL_CHUNK, TRAIN_BATCH, TrainConfig, TrainedModel,
                              compute_class_weights, confusion_matrix, evaluate,
                              format_report, metrics_from_confusion, report_key_values,
                              train)
@@ -56,24 +56,6 @@ class TestTrain:
     def test_epochs_zero_rejected(self):
         with pytest.raises(ValueError):
             TrainConfig(epochs=0)
-
-    def test_empty_train_set(self):
-        with pytest.raises(DataError, match="^empty training set$"):
-            train([], "charm", TrainConfig(), CFG)
-
-    def test_unknown_model_kind_refused_before_stacking(self):
-        # one segment a row short: np.stack would refuse the set with its own ValueError
-        segs = toy_dataset()
-        segs[0] = LabeledSegment(segs[0].data[:-1], segs[0].high_label, segs[0].user_id)
-        with pytest.raises(ValueError, match="all input arrays must have the same shape"):
-            np.stack([seg.data for seg in segs])
-        with pytest.raises(ValueError, match="^unknown model kind 'cnn'$"):
-            train(segs, "cnn", TrainConfig(), CFG)
-
-    def test_single_class_rejected(self):
-        segs = [s for s in toy_dataset() if s.high_label == 0]
-        with pytest.raises(DataError, match="^training set must contain at least 2 classes$"):
-            train(segs, "charm", TrainConfig(), CFG)
 
     @pytest.mark.parametrize("value", [1e200, 1e307], ids=["std-overflows", "mean-overflows"])
     def test_unnormalizable_data_is_a_data_error(self, value):
@@ -239,7 +221,7 @@ class TestPredict:
             assert evaluate(trained, segs).accuracy == 1.0
 
     @pytest.mark.parametrize("kind", ["charm", "mlp"])
-    @pytest.mark.parametrize("shape", [(32, 2), (2, 31, 2), (2, 32, 3), (2, 32, 2, 1)])
+    @pytest.mark.parametrize("shape", [(32, 2), (2, 31, 2), (2, 32, 3)])
     def test_wrong_batch_shape(self, kind, shape):
         with pytest.raises(ValueError):
             untrained(kind).predict(np.zeros(shape))
