@@ -1313,6 +1313,124 @@ class TestRefusalsAtTheirSource:
                      capsys)
 
 
+def _header_config(key, value):
+    def edit(header, payload):
+        header["config"][key] = value
+    return edit
+
+
+def _two_dimensional_means(header, payload):
+    header["channel_means"] = [header["channel_means"]]
+
+
+class TestInnerFaultsRefusedWhereInputEnters:
+    """The faults that functions past the entry checks no longer look for:
+    each is refused where a config value, a flag, a checkpoint header or a
+    data set enters, or the loader cannot build it. The ids name the
+    function that trusts its caller for it."""
+
+    @pytest.mark.parametrize("section, key, value, flags", [
+        pytest.param("train", "lr", 0.0, [], id="Adam-lr-zero"),
+        pytest.param("charm", "r", 0, [], id="window-r-zero"),
+        pytest.param("charm", "low_hidden", 0, [], id="Stack.init-low-hidden-zero"),
+        pytest.param("charm", "low_out", 0, [], id="Stack.init-low-out-zero"),
+        pytest.param("charm", "high_hidden", 0, [], id="Stack.init-high-hidden-zero"),
+        pytest.param("charm", "dropout_p", 1.0, [], id="dropout_mask-p-one"),
+        pytest.param("charm", "dropout_p", -0.1, [], id="dropout_mask-p-negative"),
+        pytest.param("mlp", "layers", 1, ["--model", "mlp"], id="Stack.init-one-mlp-layer"),
+        pytest.param("mlp", "hidden", 0, ["--model", "mlp"], id="Stack.init-mlp-hidden-zero"),
+    ])
+    def test_config_value_exit_2(self, tmp_path, workspace, capsys, section, key, value,
+                                 flags):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({section: {key: value}}))
+        assert main(["train", "--data", workspace["data"], "--held-out-user", "u4",
+                     "--config", str(cfg), "--out", str(tmp_path / "x.ckpt")] + flags) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: bad {section} config: {key} must be ")
+        assert len(err.splitlines()) == 1 and f"got {value!r}" in err
+        assert os.listdir(tmp_path) == ["config.json"]
+
+    def test_unknown_model_kind_exit_2(self, tmp_path, workspace, capsys):
+        # train's kind lookup trusts argparse's choices
+        with pytest.raises(SystemExit) as exit_:
+            main(["train", "--data", workspace["data"], "--held-out-user", "u4",
+                  "--model", "cnn", "--out", str(tmp_path / "x.ckpt")])
+        assert exit_.value.code == 2
+        assert "invalid choice: 'cnn'" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("edit, message", [
+        pytest.param(_header_config("dropout_p", 1.0), "dropout_p must be",
+                     id="dropout_mask-p-one"),
+        pytest.param(_header_config("low_hidden", 0), "low_hidden must be",
+                     id="Stack.init-low-hidden-zero"),
+        pytest.param(_header_config("m", 0), "m must be", id="Stack.init-m-zero"),
+        pytest.param(_header_config("r", 0), "r must be", id="window-r-zero"),
+        pytest.param(_header_config("q", 0), "q must be", id="normalize-q-zero"),
+        pytest.param(_two_dimensional_means, "means/stds must be 1-D and the same length",
+                     id="normalize-2-D-means"),
+    ])
+    def test_checkpoint_header_exit_4(self, tmp_path, workspace, checkpoint, capsys,
+                                      edit, message):
+        bad = tmp_path / "z.ckpt"
+        bad.write_bytes(_edited(edit)(Path(checkpoint).read_bytes()))
+        out = tmp_path / "metrics.txt"
+        assert main(["evaluate", "--checkpoint", str(bad), "--data", workspace["data"],
+                     "--held-out-user", "u4", "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith(f"checkpoint error: {bad}: malformed header: {message}")
+        assert len(err.splitlines()) == 1 and not out.exists()
+
+    def test_held_out_user_without_labeled_runs_exit_3(self, tmp_path, workspace, checkpoint,
+                                                       capsys):
+        # evaluate trusts its caller for a non-empty set
+        def first_file_is_u9s(manifest):
+            manifest["files"][0]["user"] = "u9"
+
+        data = tmp_path / "data"
+        data.mkdir()
+        copy_data_with(workspace, data, edit_file=_null_high_labels,
+                       edit_manifest=first_file_is_u9s)
+        out = tmp_path / "metrics.txt"
+        TestRefusalsAtTheirSource.refused(
+            ["evaluate", "--checkpoint", checkpoint, "--data", str(data),
+             "--held-out-user", "u9"], out, 3,
+            f"data error: {data}: no labeled segments found", capsys)
+
+    def test_crops_are_the_checkpoints_input_shape(self, workspace, checkpoint):
+        # the models' _logits and embed_windows trust the crops' shape
+        model, _ = load_checkpoint(checkpoint)
+        segments, _, _ = cli._load_data_for(model, workspace["data"], user="u4")
+        crops = _crops({"sampling": {"stride": 97}}, segments, model.cfg.n_target)
+        assert crops and {crop.data.shape for crop in crops} == {
+            (model.cfg.n_target, model.cfg.q)}
+        assert len(model.predict(np.stack([crop.data for crop in crops]))) == len(crops)
+
+    def test_loaded_segments_are_2d_finite_with_q_channels(self, workspace):
+        # handcrafted_features, window and normalize trust this shape
+        segments, _, schema = load_data_dir(workspace["data"])
+        q = len(schema.channel_columns)
+        for seg in segments:
+            assert seg.data.ndim == 2 and seg.data.shape[0] >= 1 and seg.data.shape[1] == q
+            assert seg.data.dtype == np.float64 and np.isfinite(seg.data).all()
+
+    def test_loaded_high_labels_index_the_classes(self, workspace):
+        # check_ce_inputs trusts every target to be a class index
+        segments, classes, _ = load_data_dir(workspace["data"])
+        labels = {seg.high_label for seg in segments}
+        assert labels == set(range(len(classes)))
+        assert all(type(label) is int for label in labels)
+
+    def test_loaded_tracks_have_the_data_length(self, workspace):
+        # label_pure_windows trusts each track to have one label a sample
+        segments, _, schema = load_data_dir(workspace["data"])
+        for seg in segments:
+            assert set(seg.low_label_tracks) == set(schema.low_label_columns)
+            for track in seg.low_label_tracks.values():
+                assert isinstance(track, list) and len(track) == len(seg.data)
+
+
 class TestEvaluateReadsOnlyHeldOutUser:
     def test_other_users_files_are_not_parsed(self, tmp_path, workspace, checkpoint):
         # a file of another user that the loader would reject

@@ -393,6 +393,49 @@ class TestSegmentByHighLabel:
         assert segs[1].low_label_tracks["m"] == ["y", "z"]
 
 
+class TestRowsDroppedTogether:
+    """The loader drops a row from the samples, the high labels and every
+    low track with one mask, so segment_by_high_label and
+    label_pure_windows take their lengths as equal without a check."""
+
+    SCHEMA = SchemaConfig(delimiter=",", channel_columns=(0, 1), high_label_column=2,
+                          null_label_token="null", low_label_columns={"m": 3})
+
+    @staticmethod
+    def labels_of(value):
+        """The (high, low) labels of the row whose channel 0 holds `value`."""
+        return ("A" if value < 25 else "B"), f"m{int(value)}"
+
+    def loaded(self, tmp_path):
+        # channel 0 is the row's number; rows 0 and 39 are edge gaps, rows
+        # 10-18 a gap too long to fill (all dropped), row 30 a filled gap
+        lines = []
+        for i in range(40):
+            value = "" if i in (0, 30, 39) or 10 <= i <= 18 else f"{i}.0"
+            lines.append(",".join([value, "0", *self.labels_of(i)]))
+        return load_stream(write(tmp_path, "\n".join(lines) + "\n"), self.SCHEMA)
+
+    def test_load_stream_keeps_labels_on_their_rows(self, tmp_path):
+        loaded = self.loaded(tmp_path)
+        values = loaded.stream.samples[:, 0]
+        assert loaded.dropped_rows == 11 and len(values) == 29
+        assert list(values) == [float(i) for i in range(1, 39) if not 10 <= i <= 18]
+        assert list(zip(loaded.high_labels, loaded.low_labels["m"])) == [
+            self.labels_of(v) for v in values]
+
+    def test_segments_keep_tracks_on_their_samples(self, tmp_path):
+        loaded = self.loaded(tmp_path)
+        segs, discarded = segment_by_high_label(
+            loaded.stream.samples, loaded.high_labels, LABELS, "null",
+            low_labels=loaded.low_labels)
+        assert discarded == 0 and [len(s.data) for s in segs] == [15, 14]
+        for seg in segs:
+            track = seg.low_label_tracks["m"]
+            assert len(track) == len(seg.data)
+            assert [(LABELS[seg.high_label], low) for low in track] == [
+                self.labels_of(v) for v in seg.data[:, 0]]
+
+
 class TestAtomicWrite:
     def test_bytes_round_trip(self, tmp_path):
         path = tmp_path / "out.bin"

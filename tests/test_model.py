@@ -126,6 +126,21 @@ class TestBatchedLoss:
         assert all(np.shares_memory(g, grad) for g in grads)
 
     @pytest.mark.parametrize("kind", ["charm", "mlp"])
+    def test_gradient_vector_is_laid_out_as_params(self, kind):
+        # Adam.step takes the two vectors as alike without a check
+        model_cls, cfg = NO_DROPOUT[kind]
+        model = model_cls.init(cfg, make_rng(24))
+        _, _, grad = model.loss_and_grads(make_rng(25).normal(size=(2, 64, 3)),
+                                          np.array([1, 2]), np.ones(3), make_rng(0))
+        assert grad.shape == model.params.shape and grad.dtype == model.params.dtype
+        assert grad.flags.c_contiguous and not np.shares_memory(grad, model.params)
+        before = model.params.copy()
+        Adam(model.params, lr=1e-3).step(model.params, grad)
+        # Adam's first step: lr * g / (|g| + eps), one element of each vector at a time
+        np.testing.assert_allclose(model.params - before, -1e-3 * grad / (np.abs(grad) + 1e-8),
+                                   rtol=1e-9, atol=1e-15)
+
+    @pytest.mark.parametrize("kind", ["charm", "mlp"])
     def test_finite_difference_batch_of_three(self, kind):
         model_cls, cfg = NO_DROPOUT[kind]
         check_finite_differences(model_cls.init(cfg, make_rng(22)),
