@@ -177,29 +177,35 @@ def _check_outputs(args, *outputs):
         ds.output_dir(path)
 
 
+def run_fold(cfg, segments, classes, held_out_user, model_kind, train_cfg, model_cfg):
+    """`train`'s leave-one-user-out fold: (TrainedModel, TrainHistory, training crop count)."""
+    train_segments, val_segments = ds.loso_split(segments, held_out_user)
+    if not train_segments:
+        raise ds.DataError("held-out user leaves an empty training set")
+    untrained = set(range(len(classes))) - {seg.high_label for seg in train_segments}
+    if untrained:
+        raise ds.DataError(f"class {classes[min(untrained)]!r} has no training samples")
+    train_set = _crops(cfg, train_segments, model_cfg.n_target)
+    val_set = _crops(cfg, val_segments, model_cfg.n_target)
+    trained, history = train(train_set, model_kind, train_cfg, model_cfg, val_segments=val_set)
+    return trained, history, len(train_set)
+
+
 def cmd_train(args, cfg):
     tcfg = build_train_config(cfg, seed_override=args.seed)
     hist_path = args.history or args.out + ".history.json"
     _check_outputs(args, ("--out", args.out, "checkpoint"), ("--history", hist_path, "history"))
     segments, classes, schema = load_data_dir(args.data)
-    q = len(schema.channel_columns)
-    m = len(classes)
-    mcfg = build_charm_config(cfg, q=q, m=m)
+    if all(seg.user_id != args.held_out_user for seg in segments):
+        load_data_dir(args.data, user=args.held_out_user)  # refuses the user as evaluate does
+    mcfg = build_charm_config(cfg, q=len(schema.channel_columns), m=len(classes))
     if args.model == "mlp":
-        mcfg = build_mlp_config(cfg, n_target=mcfg.n_target, q=q, m=m)
-    train_segments, val_segments = ds.loso_split(segments, args.held_out_user)
-    if not train_segments:
-        raise ds.DataError("held-out user leaves an empty training set")
-    untrained = set(range(m)) - {seg.high_label for seg in train_segments}
-    if untrained:
-        raise ds.DataError(f"class {classes[min(untrained)]!r} has no training samples")
-    train_set = _crops(cfg, train_segments, mcfg.n_target)
-    val_set = _crops(cfg, val_segments, mcfg.n_target)
-    trained, history = train(train_set, args.model, tcfg, mcfg,
-                             val_segments=val_set)
+        mcfg = build_mlp_config(cfg, n_target=mcfg.n_target, q=mcfg.q, m=mcfg.m)
+    trained, history, n_train = run_fold(cfg, segments, classes, args.held_out_user,
+                                         args.model, tcfg, mcfg)
     save_checkpoint(trained.model, trained.stats, args.out)
     ds.atomic_write(hist_path, json.dumps(asdict(history), indent=2) + "\n")
-    print(f"trained {args.model} on {len(train_set)} samples "
+    print(f"trained {args.model} on {n_train} samples "
           f"(held-out user {args.held_out_user}, {tcfg.epochs} epochs)")
     print(f"final mean train loss {history.train_loss[-1]:.4f}, "
           f"val macro-F1 {history.val_macro_f1[-1]:.4f}")

@@ -453,8 +453,9 @@ def _read_schema(block) -> SchemaConfig:
 def load_data_dir(data_dir, user=None):
     """Returns (segments, class names, SchemaConfig): the labeled runs of
     every file the manifest lists, after null/unknown-label run splitting.
-    With `user`, only that user's files are read; a user the manifest does
-    not name is a DataError that lists the users it names."""
+    With `user`, only that user's files are read: a user the manifest does
+    not name is a DataError listing the users it names, and one with no
+    labeled segment a DataError naming it."""
     files, classes, schema = read_manifest(data_dir)
     if user is not None:
         _check_user(user, {entry["user"] for entry in files})
@@ -462,7 +463,8 @@ def load_data_dir(data_dir, user=None):
     jobs = [(data_dir, entry, classes, schema) for entry in files]
     segments = [seg for segs in map_files(_load_entry, jobs) for seg in segs]
     if not segments:
-        raise DataError(f"{data_dir}: no labeled segments found")
+        raise DataError(f"{data_dir}: no labeled segments found" if user is None
+                        else f"held-out user {user!r} has no labeled segments")
     return segments, classes, schema
 
 

@@ -46,12 +46,8 @@ class TrainedModel:
 
 
 def compute_class_weights(label_counts) -> np.ndarray:
-    """w_i proportional to 1/count_i, rescaled so mean(w) = 1."""
-    counts = np.asarray(label_counts, dtype=float)
-    zero = np.nonzero(counts <= 0)[0]
-    if zero.size:
-        raise DataError(f"class index {int(zero[0])} has no training samples")
-    w = 1.0 / counts
+    """w_i proportional to 1/count_i (every count > 0), rescaled so mean(w) = 1."""
+    w = 1.0 / np.asarray(label_counts, dtype=float)
     return w / w.mean()
 
 

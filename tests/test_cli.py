@@ -8,6 +8,7 @@ import signal
 import struct
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -229,6 +230,88 @@ class TestTrainValidatesAsEvaluateScores:
         assert capsys.readouterr().err == ("data error: crop length 512 is longer than "
                                            "every segment (the longest has 300 samples)\n")
         assert os.listdir(tmp_path) == ["data"]
+
+
+def _synth_segments():
+    """The workspace's dataset built in memory: (segments, class names)."""
+    scfg = cli.build_synth_config(SMALL_CONFIG)
+    return synth.to_labeled_segments(synth.gen_dataset(scfg), scfg)
+
+
+def _run_fold(cfg, segments, classes, held_out_user="u4", model="charm"):
+    """cli.run_fold with the configs cmd_train builds for the same data."""
+    mcfg = cli.build_charm_config(cfg, q=segments[0].data.shape[1], m=len(classes))
+    if model == "mlp":
+        mcfg = cli.build_mlp_config(cfg, n_target=mcfg.n_target, q=mcfg.q, m=mcfg.m)
+    return cli.run_fold(cfg, segments, classes, held_out_user, model,
+                        cli.build_train_config(cfg), mcfg)
+
+
+class TestRunFold:
+    """cli.run_fold called on in-memory segments, without argparse: it is the
+    fold `charm train` runs on the files, and it refuses what `train` refuses,
+    in the same order and with the same line, before any training."""
+
+    @pytest.mark.parametrize("model", ["charm", "mlp"])
+    def test_in_memory_fold_is_the_commands_fold(self, tmp_path, workspace, capsys, model):
+        trained, history, n_train = _run_fold(SMALL_CONFIG, *_synth_segments(), model=model)
+        save_checkpoint(trained.model, trained.stats, tmp_path / "memory.ckpt")
+        out = tmp_path / "files.ckpt"
+        assert main(["train", "--config", workspace["config"], "--data", workspace["data"],
+                     "--held-out-user", "u4", "--model", model, "--out", str(out)]) == 0
+        assert sha(tmp_path / "memory.ckpt") == sha(out)
+        assert asdict(history) == json.loads(Path(f"{out}.history.json").read_text())
+        assert capsys.readouterr().out.startswith(f"trained {model} on {n_train} samples ")
+
+    @staticmethod
+    def refusal(monkeypatch, segments, classes, held_out_user, cfg):
+        def fail(*args, **kwargs):
+            raise AssertionError("trained before the fold's refusals")
+        monkeypatch.setattr(cli, "train", fail)
+        with pytest.raises(ds.DataError) as refused:
+            _run_fold({**SMALL_CONFIG, **cfg}, segments, classes, held_out_user)
+        return f"data error: {refused.value}"
+
+    # charm.r 4096 makes a crop of 131072 rows, longer than every segment:
+    # each refusal before the crops comes first
+    LONG_CROP = {"charm": {"r": 4096}}
+
+    def test_unknown_user_first(self, monkeypatch, workspace, tmp_path, capsys):
+        line = self.refusal(monkeypatch, *_synth_segments(), "u9", self.LONG_CROP)
+        assert line == "data error: unknown user 'u9'; available users: " \
+                       "['u1', 'u2', 'u3', 'u4']"
+        assert main(["train", "--config", workspace["config"], "--data", workspace["data"],
+                     "--held-out-user", "u9", "--out", str(tmp_path / "x.ckpt")]) == 3
+        assert capsys.readouterr().err == line + "\n"
+
+    def test_empty_training_set_second(self, monkeypatch):
+        segments, classes = _synth_segments()
+        only_u4 = [seg for seg in segments if seg.user_id == "u4"]
+        assert self.refusal(monkeypatch, only_u4, classes, "u4", self.LONG_CROP) == \
+            "data error: held-out user leaves an empty training set"
+
+    def test_untrained_class_named_third(self, monkeypatch):
+        segments, classes = _synth_segments()
+        tidy = classes.index("tidy")
+        moved = [replace(seg, user_id="u4") if seg.high_label == tidy else seg
+                 for seg in segments]
+        assert self.refusal(monkeypatch, moved, classes, "u4", self.LONG_CROP) == \
+            "data error: class 'tidy' has no training samples"
+
+    def test_crop_longer_than_every_training_segment_fourth(self, monkeypatch):
+        segments, classes = _synth_segments()
+        longest = max(len(seg.data) for seg in segments if seg.user_id != "u4")
+        assert self.refusal(monkeypatch, segments, classes, "u4", self.LONG_CROP) == (
+            f"data error: crop length 131072 is longer than every segment "
+            f"(the longest has {longest} samples)")
+
+    def test_crop_longer_than_every_held_out_segment_fifth(self, monkeypatch):
+        segments, classes = _synth_segments()
+        cut = [replace(seg, data=seg.data[:400]) if seg.user_id == "u4" else seg
+               for seg in segments]
+        assert self.refusal(monkeypatch, cut, classes, "u4", {}) == (
+            "data error: crop length 512 is longer than every segment "
+            "(the longest has 400 samples)")
 
 
 class TestEvaluate:
@@ -1384,19 +1467,21 @@ class TestInnerFaultsRefusedWhereInputEnters:
 
     def test_held_out_user_without_labeled_runs_exit_3(self, tmp_path, workspace, checkpoint,
                                                        capsys):
-        # evaluate trusts its caller for a non-empty set
-        def first_file_is_u9s(manifest):
-            manifest["files"][0]["user"] = "u9"
-
+        # evaluate trusts its caller for a non-empty set; train refuses the user
+        # the manifest names as evaluate does, not as one the data lacks
         data = tmp_path / "data"
         data.mkdir()
-        copy_data_with(workspace, data, edit_file=_null_high_labels,
-                       edit_manifest=first_file_is_u9s)
-        out = tmp_path / "metrics.txt"
+        copy_data_with(workspace, data)
+        for path in data.glob("uu4_*.csv"):
+            path.write_text(_null_high_labels(path.read_text()))
+        line = "data error: held-out user 'u4' has no labeled segments"
         TestRefusalsAtTheirSource.refused(
             ["evaluate", "--checkpoint", checkpoint, "--data", str(data),
-             "--held-out-user", "u9"], out, 3,
-            f"data error: {data}: no labeled segments found", capsys)
+             "--held-out-user", "u4"], tmp_path / "metrics.txt", 3, line, capsys)
+        TestRefusalsAtTheirSource.refused(
+            ["train", "--config", workspace["config"], "--data", str(data),
+             "--held-out-user", "u4"], tmp_path / "x.ckpt", 3, line, capsys)
+        assert os.listdir(tmp_path) == ["data"]
 
     def test_crops_are_the_checkpoints_input_shape(self, workspace, checkpoint):
         # the models' _logits and embed_windows trust the crops' shape

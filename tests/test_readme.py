@@ -1,11 +1,13 @@
 """README names every flag, config key and exit code the `charm` command has,
-and lists as its Python API exactly the names the acceptance file imports.
+lists as its Python API exactly the names the acceptance file imports, and
+gives the line count of `src/charm`.
 
 The facts are read from the code: the flags from `cli.build_parser()`, per
 subcommand; the config keys from `cli._SECTION_KEYS`; the exit codes from
 the integer `return` statements of `charm/cli.py`; the API from the
-`from charm... import` statements of `tests/test_acceptance.py`. A README
-edit that drops one of them fails here.
+`from charm... import` statements of `tests/test_acceptance.py`; the line
+count from `src/charm/*.py`. A README edit that drops one of them, or a
+change to `src/charm` that leaves the count as it was, fails here.
 """
 
 from __future__ import annotations
@@ -81,3 +83,10 @@ def _readme_api():
 def test_api_list_is_the_acceptance_imports():
     assert _acceptance_imports()  # the parse found the contract's imports
     assert _readme_api() == _acceptance_imports()
+
+
+def test_src_line_count_is_the_package_s():
+    found = re.findall(r"`src/charm` holds ([\d,]+) lines", README)
+    lines = sum(len(path.read_text(encoding="utf-8").splitlines())
+                for path in (ROOT / "src" / "charm").glob("*.py"))
+    assert [int(n.replace(",", "")) for n in found] == [lines]
