@@ -1,12 +1,14 @@
 """README names every flag, config key and exit code the `charm` command has,
-lists as its Python API exactly the names the acceptance file imports, and
-gives the line count of `src/charm`.
+lists as its Python API exactly the names the acceptance file imports, gives
+the line count of `src/charm`, and documents each refusal that
+`tests/test_refusals.py` runs.
 
 The facts are read from the code: the flags from `cli.build_parser()`, per
 subcommand; the config keys from `cli._SECTION_KEYS`; the exit codes from
 the integer `return` statements of `charm/cli.py`; the API from the
 `from charm... import` statements of `tests/test_acceptance.py`; the line
-count from `src/charm/*.py`. A README edit that drops one of them, or a
+count from `src/charm/*.py`; the refusals from the cases of
+`tests/test_refusals.py`. A README edit that drops one of them, or a
 change to `src/charm` that leaves the count as it was, fails here.
 """
 
@@ -20,6 +22,7 @@ from pathlib import Path
 import pytest
 
 from charm import cli
+from test_refusals import CASES, matches
 
 ROOT = Path(__file__).resolve().parents[1]
 README = (ROOT / "README.md").read_text(encoding="utf-8")
@@ -39,10 +42,18 @@ def _exit_codes():
                    and type(node.value.value) is int})
 
 
+def _exit_rows():
+    """(code, example line) of each row of README's exit-code table."""
+    section = README.split("\n## Exit codes\n", 1)[1].split("\n## ", 1)[0]
+    return [(int(code), line) for code, line in
+            re.findall(r"^\| `(\d+)` \| .* \| `(.*)` \|$", section, re.MULTILINE)]
+
+
 def test_the_facts_are_found():
     assert {cmd for cmd, _ in _flags()} == {"gen-synth", "train", "evaluate", "embed",
                                             "features"}
     assert _exit_codes() == [0, 1, 2, 3, 4, 130]
+    assert sorted({code for code, _ in _exit_rows()}) == _exit_codes()
 
 
 @pytest.mark.parametrize("cmd, flag", _flags(), ids=" ".join)
@@ -61,6 +72,21 @@ def test_config_key_named(section, key):
 @pytest.mark.parametrize("code", _exit_codes())
 def test_exit_code_named(code):
     assert f"`{code}`" in README
+
+
+def test_every_refusal_row_has_a_case_that_prints_its_line():
+    """Each non-zero row's cases exit with its code, and one of them prints a
+    line that the row's example line matches in full (`…` matching any text)."""
+    rows = [(code, line) for code, line in _exit_rows() if code != 0]
+    cases = {line: [case for row, case in CASES if row == line] for _, line in rows}
+    assert [line for _, line in rows
+            if not any(matches(line, case.line or line) for case in cases[line])] == []
+    assert [case.id for code, line in rows for case in cases[line] if case.code != code] == []
+
+
+def test_every_refusal_case_names_a_row():
+    rows = {line for code, line in _exit_rows() if code != 0}
+    assert sorted({row for row, _ in CASES} - rows) == []
 
 
 def _acceptance_imports():
