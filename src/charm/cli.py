@@ -42,7 +42,6 @@ _SECTION_KEYS = {
     section: {f.name for f in fields(cls)} - {"q", "m", "n_target"}
     for section, cls in (("train", TrainConfig), ("charm", CharmConfig),
                          ("mlp", MlpConfig), ("synth", synth.SynthConfig))}
-_SECTION_KEYS["sampling"] = {"stride"}
 
 _CLI_CHARM_DEFAULTS = {"r": 16, "z": 32}  # n_target 512 at synthetic scale
 
@@ -72,7 +71,6 @@ def _check_sections(cfg):
     build_charm_config(cfg, q=CharmConfig.q, m=CharmConfig.m)
     build_mlp_config(cfg, n_target=MlpConfig.n_target, q=MlpConfig.q, m=MlpConfig.m)
     build_synth_config(cfg)
-    _crops(cfg, [], 1)
 
 
 def _build(section, make, **kwargs):
@@ -127,10 +125,10 @@ def _synth_config(**section) -> synth.SynthConfig:
 
 
 def fixed_length_dataset(segments, n_target, stride):
-    """The crops of every segment; a DataError, before any padding, when
-    n_target is longer than every segment."""
-    longest = max((len(seg.data) for seg in segments), default=0)
-    if segments and n_target > longest:
+    """The crops of every segment of a non-empty list; a DataError, before
+    any padding, when n_target is longer than every segment."""
+    longest = max(len(seg.data) for seg in segments)
+    if n_target > longest:
         raise ds.DataError(f"crop length {n_target} is longer than every segment "
                            f"(the longest has {longest} samples)")
     return [sample for seg in segments
@@ -138,11 +136,11 @@ def fixed_length_dataset(segments, n_target, stride):
 
 
 # ---------------------------------------------------------------------------
-# Subcommands: each takes the parsed arguments and the checked run config,
-# and prints its summary; main() owns --config and --quiet.
+# Subcommands: each takes the parsed arguments and prints its summary;
+# gen-synth and train read their --config first. main() owns --quiet.
 
-def cmd_gen_synth(args, cfg):
-    scfg = build_synth_config(cfg, seed_override=args.seed)
+def cmd_gen_synth(args):
+    scfg = build_synth_config(load_run_config(args.config), seed_override=args.seed)
     segments = synth.gen_dataset(scfg)
     synth.write_dataset(segments, scfg, args.out)
     print(f"wrote {len(segments)} segments "
@@ -151,23 +149,18 @@ def cmd_gen_synth(args, cfg):
     return 0
 
 
-def _crops(cfg, segments, n_target):
-    """fixed_length_dataset at the `sampling.stride` key, a positive int, or
-    n_target // 2 (at least 1) without it: the one crop of every command."""
-    stride = cfg.get("sampling", {}).get("stride", max(n_target // 2, 1))
-    _build("sampling", ds.check_value, name="stride", value=stride, kind=int,
-           interval="[1, inf)")
-    return fixed_length_dataset(segments, n_target, stride)
+def _crops(segments, n_target):
+    """fixed_length_dataset every max(n_target // 2, 1) rows: the one crop of every command."""
+    return fixed_length_dataset(segments, n_target, max(n_target // 2, 1))
 
 
 def _check_outputs(args, *outputs):
     """Refuses each (flag, path, what) output before any data file is read: a
     path naming one of the run's input files or an earlier output is a
     ConfigError, one atomic_write cannot write the OSError it would meet."""
-    taken = [(f"the {flag}", path) for flag, path in (
-        ("--checkpoint", getattr(args, "checkpoint", None)), ("--config", args.config),
-        ("--grouping", getattr(args, "grouping", None)),
-        ("--data manifest", os.path.join(args.data, "manifest.json"))) if path]
+    given = {name: getattr(args, name, None) for name in ("checkpoint", "config", "grouping")}
+    taken = [(f"the --{name}", path) for name, path in given.items() if path]
+    taken.append(("the --data manifest", os.path.join(args.data, "manifest.json")))
     for flag, path, what in outputs:
         for name, other in taken:
             if os.path.realpath(path) == os.path.realpath(other):
@@ -177,7 +170,7 @@ def _check_outputs(args, *outputs):
         ds.output_dir(path)
 
 
-def run_fold(cfg, segments, classes, held_out_user, model_kind, train_cfg, model_cfg):
+def run_fold(segments, classes, held_out_user, model_kind, train_cfg, model_cfg):
     """`train`'s leave-one-user-out fold: (TrainedModel, TrainHistory, training crop count)."""
     train_segments, val_segments = ds.loso_split(segments, held_out_user)
     if not train_segments:
@@ -185,13 +178,14 @@ def run_fold(cfg, segments, classes, held_out_user, model_kind, train_cfg, model
     untrained = set(range(len(classes))) - {seg.high_label for seg in train_segments}
     if untrained:
         raise ds.DataError(f"class {classes[min(untrained)]!r} has no training samples")
-    train_set = _crops(cfg, train_segments, model_cfg.n_target)
-    val_set = _crops(cfg, val_segments, model_cfg.n_target)
+    train_set = _crops(train_segments, model_cfg.n_target)
+    val_set = _crops(val_segments, model_cfg.n_target)
     trained, history = train(train_set, model_kind, train_cfg, model_cfg, val_segments=val_set)
     return trained, history, len(train_set)
 
 
-def cmd_train(args, cfg):
+def cmd_train(args):
+    cfg = load_run_config(args.config)
     tcfg = build_train_config(cfg, seed_override=args.seed)
     hist_path = args.history or args.out + ".history.json"
     _check_outputs(args, ("--out", args.out, "checkpoint"), ("--history", hist_path, "history"))
@@ -201,8 +195,8 @@ def cmd_train(args, cfg):
     mcfg = build_charm_config(cfg, q=len(schema.channel_columns), m=len(classes))
     if args.model == "mlp":
         mcfg = build_mlp_config(cfg, n_target=mcfg.n_target, q=mcfg.q, m=mcfg.m)
-    trained, history, n_train = run_fold(cfg, segments, classes, args.held_out_user,
-                                         args.model, tcfg, mcfg)
+    trained, history, n_train = run_fold(segments, classes, args.held_out_user, args.model,
+                                         tcfg, mcfg)
     save_checkpoint(trained.model, trained.stats, args.out)
     ds.atomic_write(hist_path, json.dumps(asdict(history), indent=2) + "\n")
     print(f"trained {args.model} on {n_train} samples "
@@ -224,12 +218,12 @@ def _load_data_for(model, data_dir, user=None):
     return segments, classes, schema
 
 
-def cmd_evaluate(args, cfg):
+def cmd_evaluate(args):
     if args.out:
         _check_outputs(args, ("--out", args.out, "report"))
     model, stats = load_checkpoint(args.checkpoint)
     segments, classes, schema = _load_data_for(model, args.data, user=args.held_out_user)
-    report = evaluate(TrainedModel(model, stats), _crops(cfg, segments, model.cfg.n_target))
+    report = evaluate(TrainedModel(model, stats), _crops(segments, model.cfg.n_target))
     print(format_report(report, classes))
     if args.out:
         ds.atomic_write(args.out, report_key_values(report, classes))
@@ -257,7 +251,7 @@ def _read_grouping(path):
     return groups
 
 
-def cmd_embed(args, cfg):
+def cmd_embed(args):
     _check_outputs(args, ("--out", args.out, "CSV"))
     model, stats = load_checkpoint(args.checkpoint)
     if model.kind != "charm":
@@ -276,23 +270,23 @@ def cmd_embed(args, cfg):
     return 0
 
 
-def _feature_row(seg, classes):
-    """A segment's `features` CSV row; a DataError naming its source when a
-    feature is not finite (values too large for float64)."""
+def _feature_row(seg, classes, data_dir):
+    """A segment's `features` CSV row; a DataError naming its source in
+    data_dir when a feature is not finite (values too large for float64)."""
     with np.errstate(over="ignore", invalid="ignore"):  # refused below, not warned about
         values = handcrafted_features(seg.data)
     if not np.isfinite(values).all():
-        raise ds.DataError(f"{seg.source}: a hand-crafted feature is not finite "
-                           "(values too large for float64)")
+        raise ds.DataError(f"{os.path.join(data_dir, seg.source)}: a hand-crafted feature "
+                           "is not finite (values too large for float64)")
     return [seg.source, classes[seg.high_label], *map(repr, map(float, values))]
 
 
-def cmd_features(args, cfg):
+def cmd_features(args):
     _check_outputs(args, ("--out", args.out, "CSV"))
     segments, classes, schema = load_data_dir(args.data)
     q = len(schema.channel_columns)
     header = ["segment_id", "label", *feature_header([f"ch{i}" for i in range(q)])]
-    rows = (_feature_row(seg, classes) for seg in segments)
+    rows = (_feature_row(seg, classes, args.data) for seg in segments)
     ds.atomic_write(args.out, (",".join(map(ds.csv_field, row)) + "\n"
                                for row in itertools.chain([header], rows)))
     print(f"wrote {len(segments)} feature rows ({5 * q} columns) to {args.out}")
@@ -307,20 +301,19 @@ def build_parser():
         description="Hierarchical high-level activity recognition pipeline")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--config", default=None,
-                       help="JSON run configuration (defaults used if omitted)")
+    def common(p, seed_key=None):
         p.add_argument("--quiet", action="store_true", help="suppress output")
+        if seed_key:  # a command that reads a run config
+            p.add_argument("--config", help="JSON run configuration (defaults used if omitted)")
+            p.add_argument("--seed", type=int, help=f"override {seed_key}")
 
     p = sub.add_parser("gen-synth", help="generate the synthetic dataset")
-    common(p)
-    p.add_argument("--seed", type=int, help="override synth.seed")
+    common(p, "synth.seed")
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_gen_synth)
 
     p = sub.add_parser("train", help="train with a held-out user (LOSO)")
-    common(p)
-    p.add_argument("--seed", type=int, help="override train.seed")
+    common(p, "train.seed")
     p.add_argument("--data", required=True, help="dataset directory")
     p.add_argument("--held-out-user", required=True, help="validation user id")
     p.add_argument("--model", choices=tuple(MODELS), default="charm")
@@ -357,16 +350,14 @@ def build_parser():
 
 
 def main(argv=None) -> int:
-    """Runs one command. The --config file is read and checked before any
-    command starts, so a bad value fails every command that is given it,
-    and under --quiet the command's stdout is discarded."""
+    """Runs one command and turns its refusal into an exit code and one
+    stderr line; under --quiet the command's stdout is discarded."""
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = load_run_config(args.config)
         stdout = io.StringIO() if args.quiet else sys.stdout
         with contextlib.redirect_stdout(stdout):
-            return args.func(args, cfg)
+            return args.func(args)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2

@@ -405,7 +405,9 @@ def read_json(path, what, error):
             return json.load(fh)
     except OSError as e:
         raise error(f"cannot read {what}: {e}") from e
-    except (json.JSONDecodeError, UnicodeDecodeError) as e:
+    except UnicodeDecodeError as e:
+        raise error(f"{path}: not UTF-8 text: {e}") from e
+    except json.JSONDecodeError as e:
         raise error(f"{path}: invalid JSON: {e}") from e
 
 
@@ -430,24 +432,24 @@ def read_manifest(data_dir):
             and len(set(classes)) == len(classes) >= 2):
         raise DataError(f"{path}: manifest 'classes' must be a list of at least "
                         f"2 distinct names, got {classes!r}")
-    schema = _read_schema(manifest["schema"])
+    schema = _read_schema(manifest["schema"], path)
     if manifest["q"] != len(schema.channel_columns):
         raise DataError(f"{path}: manifest 'q' is {manifest['q']!r} but the schema "
                         f"has {len(schema.channel_columns)} channel columns")
     return files, tuple(classes), schema
 
 
-def _read_schema(block) -> SchemaConfig:
-    """SchemaConfig from the keys of a schema block named as its fields."""
+def _read_schema(block, path) -> SchemaConfig:
+    """SchemaConfig from the keys, named as its fields, of the schema block of `path`."""
     required = [f.name for f in fields(SchemaConfig) if f.default is MISSING]
     if not isinstance(block, dict) or not all(k in block for k in required):
-        raise DataError(f"manifest 'schema' must be an object with keys "
+        raise DataError(f"{path}: manifest 'schema' must be an object with keys "
                         f"{', '.join(required)}")
     try:
         return SchemaConfig(**{f.name: block[f.name] for f in fields(SchemaConfig)
                                if f.name in block})
     except (TypeError, ValueError) as e:
-        raise DataError(f"bad manifest schema: {e}") from e
+        raise DataError(f"{path}: bad manifest schema: {e}") from e
 
 
 def load_data_dir(data_dir, user=None):

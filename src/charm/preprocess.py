@@ -37,11 +37,9 @@ def fit_normalizer(arrays) -> ChannelStats:
 
 def fit_and_normalize(x: np.ndarray) -> ChannelStats:
     """Fits the per-channel mean and population std, clamped to EPS_STD, on
-    every sample of the C-contiguous float64 array x [..., q] and normalizes
-    x in place, as normalize() would. x - means is both normalize's first
-    step and the deviation the std squares, so it is computed once, in x."""
-    if x.dtype != np.float64 or not x.flags.c_contiguous or not x.size:
-        raise ValueError("need a non-empty C-contiguous float64 array")
+    every sample of the non-empty C-contiguous float64 array x [..., q] and
+    normalizes x in place, as normalize() would. x - means is both normalize's
+    first step and the deviation the std squares, so it is computed once, in x."""
     pooled = x.reshape(-1, x.shape[-1])  # a view of x
     n, q = pooled.shape
     means = pooled.mean(axis=0)

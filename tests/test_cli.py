@@ -102,12 +102,11 @@ class TestTrain:
     def test_default_stride_is_half_the_crop_at_least_one(self):
         seg = ds.LabeledSegment(np.arange(1024.0)[:, None], 0, "u1")
 
-        def offsets(cfg, n_target):
-            return [int(crop.data[0, 0]) for crop in _crops(cfg, [seg], n_target)]
+        def offsets(n_target):
+            return [int(crop.data[0, 0]) for crop in _crops([seg], n_target)]
 
-        assert offsets({}, 512) == [0, 256, 512]
-        assert offsets({}, 1) == list(range(1024))  # r = z = 1
-        assert offsets({"sampling": {"stride": 3}}, 512) == list(range(0, 513, 3))
+        assert offsets(512) == [0, 256, 512]
+        assert offsets(1) == list(range(1024))  # r = z = 1
 
     def test_mlp_model_kind(self, workspace, tmp_path):
         out = tmp_path / "mlp.ckpt"
@@ -145,7 +144,7 @@ def _run_fold(cfg, segments, classes, held_out_user="u4", model="charm"):
     mcfg = cli.build_charm_config(cfg, q=segments[0].data.shape[1], m=len(classes))
     if model == "mlp":
         mcfg = cli.build_mlp_config(cfg, n_target=mcfg.n_target, q=mcfg.q, m=mcfg.m)
-    return cli.run_fold(cfg, segments, classes, held_out_user, model,
+    return cli.run_fold(segments, classes, held_out_user, model,
                         cli.build_train_config(cfg), mcfg)
 
 
@@ -469,7 +468,7 @@ class TestInnerFaultsRefusedWhereInputEnters:
         # the models' _logits and embed_windows trust the crops' shape
         model, _ = load_checkpoint(checkpoint)
         segments, _, _ = cli._load_data_for(model, workspace["data"], user="u4")
-        crops = _crops({"sampling": {"stride": 97}}, segments, model.cfg.n_target)
+        crops = _crops(segments, model.cfg.n_target)
         assert crops and {crop.data.shape for crop in crops} == {
             (model.cfg.n_target, model.cfg.q)}
         assert len(model.predict(np.stack([crop.data for crop in crops]))) == len(crops)
@@ -521,8 +520,8 @@ class TestHelp:
             main([cmd, "--help"])
         assert exc.value.code == 0
         out = capsys.readouterr().out
-        assert "--config" in out and "--quiet" in out
-        assert ("--seed" in out) == (cmd in ("gen-synth", "train"))
+        assert "--quiet" in out
+        assert ("--config" in out) == ("--seed" in out) == (cmd in ("gen-synth", "train"))
 
 
 def use_cpus(monkeypatch, n):

@@ -131,12 +131,6 @@ class TestFitAndNormalize:
         assert fit_and_normalize(x).stds[0] == EPS_STD
         np.testing.assert_array_equal(x, 0.0)
 
-    @pytest.mark.parametrize("x", [np.zeros((4, 3))[::2], np.zeros((4, 3), dtype=np.float32),
-                                   np.zeros((0, 3))], ids=["strided", "float32", "empty"])
-    def test_needs_contiguous_float64(self, x):
-        with pytest.raises(ValueError):
-            fit_and_normalize(x)
-
 
 class TestWindow:
     def test_full_scale_count(self):

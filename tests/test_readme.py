@@ -1,15 +1,16 @@
 """README names every flag, config key and exit code the `charm` command has,
-lists as its Python API exactly the names the acceptance file imports, gives
-the line count of `src/charm`, and documents each refusal that
-`tests/test_refusals.py` runs.
+and no flag or config key that it lacks; lists as its Python API exactly the
+names the acceptance file imports; gives the line count of `src/charm`; and
+documents each refusal that `tests/test_refusals.py` runs.
 
 The facts are read from the code: the flags from `cli.build_parser()`, per
 subcommand; the config keys from `cli._SECTION_KEYS`; the exit codes from
 the integer `return` statements of `charm/cli.py`; the API from the
 `from charm... import` statements of `tests/test_acceptance.py`; the line
 count from `src/charm/*.py`; the refusals from the cases of
-`tests/test_refusals.py`. A README edit that drops one of them, or a
-change to `src/charm` that leaves the count as it was, fails here.
+`tests/test_refusals.py`. A README edit that drops one of them, a row of
+the commands or config table left for a removed flag or key, or a change to
+`src/charm` that leaves the count as it was, fails here.
 """
 
 from __future__ import annotations
@@ -35,6 +36,25 @@ def _flags():
             for flag in action.option_strings if flag not in ("-h", "--help")]
 
 
+def _section(heading):
+    """The text of README under `## heading`, up to the next `## ` heading."""
+    return README.split(f"\n## {heading}\n", 1)[1].split("\n## ", 1)[0]
+
+
+def _command_rows():
+    """{command: flags} of each row of README's commands table."""
+    return {cmd: re.findall(r"`(--[\w-]+)", flags) for cmd, flags in
+            re.findall(r"^\| `([\w-]+)` \| (.*?) \|", _section("Commands"), re.MULTILINE)}
+
+
+def _config_rows():
+    """(section, key) of each `section.key` in the key column of README's
+    config table."""
+    cells = re.findall(r"^\| (`.*?) \|", _section("Configuration"), re.MULTILINE)
+    return [tuple(name.split(".")) for cell in cells
+            for name in re.findall(r"`(\w+\.\w+)`", cell)]
+
+
 def _exit_codes():
     tree = ast.parse((ROOT / "src" / "charm" / "cli.py").read_text(encoding="utf-8"))
     return sorted({node.value.value for node in ast.walk(tree)
@@ -44,9 +64,8 @@ def _exit_codes():
 
 def _exit_rows():
     """(code, example line) of each row of README's exit-code table."""
-    section = README.split("\n## Exit codes\n", 1)[1].split("\n## ", 1)[0]
     return [(int(code), line) for code, line in
-            re.findall(r"^\| `(\d+)` \| .* \| `(.*)` \|$", section, re.MULTILINE)]
+            re.findall(r"^\| `(\d+)` \| .* \| `(.*)` \|$", _section("Exit codes"), re.MULTILINE)]
 
 
 def test_the_facts_are_found():
@@ -54,6 +73,8 @@ def test_the_facts_are_found():
                                             "features"}
     assert _exit_codes() == [0, 1, 2, 3, 4, 130]
     assert sorted({code for code, _ in _exit_rows()}) == _exit_codes()
+    assert set(_command_rows()) == {cmd for cmd, _ in _flags()}
+    assert ("train", "epochs") in _config_rows()
 
 
 @pytest.mark.parametrize("cmd, flag", _flags(), ids=" ".join)
@@ -67,6 +88,17 @@ def test_flag_named(cmd, flag):
     ids=".".join)
 def test_config_key_named(section, key):
     assert f"`{section}.{key}`" in README or f"- `{key}`:" in README
+
+
+def test_commands_table_lists_only_flags_there_are():
+    flags = set(_flags())
+    assert [(cmd, flag) for cmd, listed in _command_rows().items() for flag in listed
+            if (cmd, flag) not in flags] == []
+
+
+def test_config_table_lists_only_keys_there_are():
+    assert [f"{section}.{key}" for section, key in _config_rows()
+            if key not in cli._SECTION_KEYS.get(section, ())] == []
 
 
 @pytest.mark.parametrize("code", _exit_codes())
@@ -101,8 +133,8 @@ def _acceptance_imports():
 
 def _readme_api():
     """{module: names} of the list under README's `## Python API` heading."""
-    section = README.split("\n## Python API\n", 1)[1].split("\n## ", 1)[0]
-    items = re.findall(r"^- `(charm\.\w+)`: (.+(?:\n  .+)*)", section, re.MULTILINE)
+    items = re.findall(r"^- `(charm\.\w+)`: (.+(?:\n  .+)*)", _section("Python API"),
+                       re.MULTILINE)
     return {module: set(re.findall(r"`(\w+)`", names)) for module, names in items}
 
 

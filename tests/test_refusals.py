@@ -338,12 +338,13 @@ def _unwritable(test, param, argv):
 def _out_on_input(cmd, target):
     """An --out that names one of the run's inputs, spelled another way."""
     args = {"evaluate": " --checkpoint ./z.ckpt --held-out-user u4",
-            "embed": " --checkpoint ./z.ckpt --grouping ./groups.txt", "features": ""}[cmd]
+            "embed": " --checkpoint ./z.ckpt --grouping ./groups.txt", "features": "",
+            "train": " --config ./run.json --held-out-user u4"}[cmd]
     out, name = {"checkpoint": ("z.ckpt", "--checkpoint"), "config": ("run.json", "--config"),
                  "grouping": ("groups.txt", "--grouping"),
                  "manifest": (MANIFEST, "--data manifest")}[target]
     return Case(f"TestErrorLines::test_out_on_an_input_refused_before_loading[{cmd}-{target}]",
-                f"{cmd} --config ./run.json --data ./data{args} --out {out} --quiet", 2,
+                f"{cmd} --data ./data{args} --out {out} --quiet", 2,
                 f"config error: --out {out} would overwrite the {name}",
                 {"groups.txt": b"swing=arm\n"}, NO_LOAD)
 
@@ -375,8 +376,9 @@ def _loader_refusals(*kinds):
     return cases
 
 
-SCHEMA_KEYS = ("data error: manifest 'schema' must be an object with keys delimiter, "
-               "channel_columns, high_label_column")
+SCHEMA_KEYS = ("data error: data/manifest.json: manifest 'schema' must be an object with keys "
+               "delimiter, channel_columns, high_label_column")
+SCHEMA = "data error: data/manifest.json: bad manifest schema: "
 FILES_RULE = ("data error: data/manifest.json: manifest 'files' must be a list of objects, each "
               "with string 'file' and 'user'")
 CLASSES_RULE = ("data error: data/manifest.json: manifest 'classes' must be a list of at least 2 "
@@ -426,6 +428,11 @@ ROWS = {
              "embed --data data/ --out out --seed 1 --checkpoint z.ckpt", 2),
         Case("TestHelp::test_seed_refused_where_no_seed_is_read[features]",
              "features --data data/ --out out --seed 1", 2),
+        *[Case(f"TestHelp::test_config_refused_where_no_config_is_read[{cmd}]",
+               f"{cmd} --data data/ --config run.json --out out{args}", 2,
+               "charm: error: unrecognized arguments: --config run.json")
+          for cmd, args in (("evaluate", " --checkpoint z.ckpt --held-out-user u4"),
+                            ("embed", " --checkpoint z.ckpt"), ("features", ""))],
         Case("TestInnerFaultsRefusedWhereInputEnters::test_unknown_model_kind_exit_2",
              "train --data data/ --held-out-user u4 --model cnn --out x.ckpt", 2,
              "charm train: error: argument --model: invalid choice: 'cnn' …"),
@@ -435,9 +442,17 @@ ROWS = {
              2, files=config({"synth": {"bogus_knob": 1}})),
         Case("TestGenSynth::test_unknown_section_exit_2", "gen-synth --config run.json --out d", 2,
              "config error: run.json: unknown section 'mystery'", config({"mystery": {}})),
+        *[Case(f"TestErrorLines::test_removed_sampling_section_exit_2[{cmd}]",
+               f"{argv} --out out", 2, "config error: run.json: unknown section 'sampling'",
+               config({"sampling": {"stride": 3}}))
+          for cmd, argv in (("gen-synth", "gen-synth --config run.json"), ("train", TRAIN))],
         Case("TestErrorLines::test_bad_config_file_exit_2[list]",
              "gen-synth --config run.json --out d", 2,
              "config error: run.json: top level must be an object", {"run.json": b"[]"}),
+        Case("TestErrorLines::test_bad_config_file_exit_2[not-json]",
+             "gen-synth --config run.json --out d", 2, "config error: run.json: invalid JSON: "
+             "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)",
+             {"run.json": b"{"}),
         Case("TestErrorLines::test_bad_config_file_exit_2[section-not-object]",
              "gen-synth --config run.json --out d", 2,
              "config error: run.json: section 'train' must be an object",
@@ -461,10 +476,6 @@ ROWS = {
         _bad_value("mlp-hidden-float", "mlp", "hidden", 8.5, "an int in [1, inf)", " --model mlp"),
         _bad_value("mlp-dropout-above-1", "mlp", "dropout_p", 1.5, "a finite float in [0, 1)",
                    " --model mlp"),
-        _bad_value("sampling-stride-zero", "sampling", "stride", 0, "an int in [1, inf)"),
-        _bad_value("sampling-stride-negative", "sampling", "stride", -4, "an int in [1, inf)"),
-        _bad_value("sampling-stride-float", "sampling", "stride", 2.5, "an int in [1, inf)"),
-        _bad_value("sampling-stride-string", "sampling", "stride", "x", "an int in [1, inf)"),
         _bad_value("synth-samples-float", "synth", "samples_per_class_per_user", 2.5,
                    "an int in [1, inf)"),
         _bad_value("synth-seed-bool", "synth", "seed", True, "an int in [0, inf)"),
@@ -490,12 +501,25 @@ ROWS = {
         _bad_name("synth-user-nul", SLASH + "'a\\x00b'", users=("a\0b", "b")),
         _bad_name("synth-user-underscore", USERS + "['1_a', '1']", users=("1_a", "1")),
         _bad_name("synth-user-repeated", USERS + "['u1', 'u2', 'u1']", users=("u1", "u2", "u1")),
-        *[Case(f"TestBadConfigValue::test_every_command_checks_every_section[{cmd}]",
-               f"{cmd} --data data/ --config run.json --out out{args}", 2,
-               "config error: bad train config: epochs must be an int in [1, inf), got 2.5",
-               config({"train": {"epochs": 2.5}}))
-          for cmd, args in (("evaluate", " --checkpoint z.ckpt --held-out-user u4"),
-                            ("embed", " --checkpoint z.ckpt"), ("features", ""))],
+        Case("TestBadConfigValue::test_every_command_checks_every_section[gen-synth]",
+             "gen-synth --config run.json --out out", 2,
+             "config error: bad train config: epochs must be an int in [1, inf), got 2.5",
+             config({"train": {"epochs": 2.5}})),
+        Case("TestBadConfigValue::test_every_command_checks_every_section[train]",
+             f"{TRAIN} --out x.ckpt", 2, "config error: bad synth config: "
+             "samples_per_class_per_user must be an int in [1, inf), got 2.5",
+             config({"synth": {"samples_per_class_per_user": 2.5}})),
+        *[Case(f"TestBadConfigValue::test_synth_shape_exit_2[{id}]",
+               "gen-synth --config run.json --out out", 2,
+               f"config error: bad synth config: {line}", _synth_edited(edit))
+          for id, edit, line in (
+            ("duration-lo-above-hi", _set("motifs", "swing", "duration", [8, 4]),
+             "bad duration range (8, 4)"),
+            ("probabilities-sum-below-1", _set("grammars", "stroll", "probs", {"swing": 0.5}),
+             "motif probabilities sum to 0.5, not 1"),
+            ("one-grammar", _drop("grammars", "rest"), "need at least 2 classes"),
+            ("one-user", _set("users", [{"id": "u1", "amp_scale": 1.0, "noise_sigma": 0.1}]),
+             "need at least 2 users (LOSO requires a held-out user)"))],
         _inner_value("Adam-lr-zero", "train", "lr", 0.0, "a finite float in (0, inf)"),
         _inner_value("window-r-zero", "charm", "r", 0, "an int in [1, inf)"),
         _inner_value("Stack.init-low-hidden-zero", "charm", "low_hidden", 0, "an int in [1, inf)"),
@@ -533,8 +557,8 @@ ROWS = {
              "config error: groups.txt: empty grouping file",
              {"groups.txt": b"# comments only\n\n"}),
         Case("TestNotUtf8::test_exit_code_one_line[config-2]",
-             "gen-synth --config run.json --out out", 2, "config error: run.json: invalid JSON: "
-             "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte",
+             "gen-synth --config run.json --out out", 2, "config error: run.json: not UTF-8 "
+             "text: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte",
              {"run.json": b"\xff{}"}),
         Case("TestNotUtf8::test_exit_code_one_line[grouping-2]",
              f"{EMBED} --grouping groups.txt --out out", 2, "config error: groups.txt: not UTF-8 "
@@ -551,9 +575,9 @@ ROWS = {
     ],
     "config error: --out z.ckpt would overwrite the --checkpoint": [
         *[_out_on_input(cmd, target) for cmd, target in (
-            ("evaluate", "checkpoint"), ("evaluate", "config"), ("evaluate", "manifest"),
-            ("embed", "checkpoint"), ("embed", "config"), ("embed", "grouping"),
-            ("embed", "manifest"), ("features", "config"), ("features", "manifest"))],
+            ("evaluate", "checkpoint"), ("evaluate", "manifest"), ("embed", "checkpoint"),
+            ("embed", "grouping"), ("embed", "manifest"), ("features", "manifest"),
+            ("train", "config"))],
         *[Case(f"TestErrorLines::test_history_on_the_checkpoint_refused_before_loading[{path}]",
                f"{TRAIN} --out x.ckpt --history {path} --quiet", 2,
                f"config error: --history {path} would overwrite the --out checkpoint",
@@ -563,8 +587,12 @@ ROWS = {
     "'nowhere/manifest.json'": [
         Case("TestFeatures::test_missing_data_dir_exit_3", "features --data nowhere --out f.csv",
              3),
+        Case("TestFeatures::test_bad_manifest_exit_3[not-json]",
+             "features --data data/ --out f.csv", 3, "data error: data/manifest.json: invalid "
+             "JSON: Expecting value: line 1 column 1 (char 0)", {MANIFEST: b"not json"}),
     ],
-    "data error: bad manifest schema: delimiter must be a single character": [
+    "data error: data/manifest.json: bad manifest schema: delimiter must be a single "
+    "character": [
         *[Case(f"TestManifestValidation::test_bad_schema_or_files_exit_3[{id}]",
                "features --data data/ --out f.csv", 3, line, manifest(edit))
           for id, edit, line in (
@@ -574,10 +602,10 @@ ROWS = {
             ("schema-not-object", _set("schema", ["delimiter"]), SCHEMA_KEYS),
             ("schema-shared-column", _set("schema", {"delimiter": ",", "channel_columns": [0, 1],
                                                      "high_label_column": 1}),
-             "data error: bad manifest schema: schema column indices must be distinct"),
+             SCHEMA + "schema column indices must be distinct"),
             ("schema-float-column", _set("schema", {"delimiter": ",", "channel_columns": [0.0, 1],
                                                     "high_label_column": 2}),
-             "data error: bad manifest schema: schema column must be an int in [0, inf), got 0.0"),
+             SCHEMA + "schema column must be an int in [0, inf), got 0.0"),
             ("entry-no-file", _drop("files", 0, "file"), FILES_RULE),
             ("entry-no-user", _drop("files", 1, "user"), FILES_RULE),
             ("files-not-list", _set("files", {"file": "x.csv", "user": "u1"}), FILES_RULE),
@@ -590,16 +618,15 @@ ROWS = {
             ("classes-duplicate", _set("classes", ["routine", "brew", "routine"]),
              CLASSES_RULE + "['routine', 'brew', 'routine']"),
             ("schema-low-labels-not-object", _set("schema", "low_label_columns", [7]),
-             "data error: bad manifest schema: low_label_columns must be dict | None, got [7]"),
+             SCHEMA + "low_label_columns must be dict | None, got [7]"),
             ("schema-delimiter-not-string", _set("schema", "delimiter", [","]),
-             "data error: bad manifest schema: delimiter must be str, got [',']"),
+             SCHEMA + "delimiter must be str, got [',']"),
             ("schema-null-token-not-string", _set("schema", "null_label_token", 5),
-             "data error: bad manifest schema: null_label_token must be str, got 5"),
+             SCHEMA + "null_label_token must be str, got 5"),
             ("schema-high-label-bool", _set("schema", "high_label_column", True),
-             "data error: bad manifest schema: high_label_column must be an int in [0, inf), "
-             "got True"),
+             SCHEMA + "high_label_column must be an int in [0, inf), got True"),
             ("schema-no-channel-columns", _set("schema", "channel_columns", []),
-             "data error: bad manifest schema: schema needs at least one channel column"),
+             SCHEMA + "schema needs at least one channel column"),
             ("schema-two-character-delimiter", _set("schema", "delimiter", ",;"), None))],
         *[Case(f"TestFeatures::test_bad_manifest_exit_3[{drop}]",
                "features --data data/ --out f.csv", 3, "data error: data/manifest.json: manifest "
@@ -616,8 +643,8 @@ ROWS = {
              "UTF-8 text: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte",
              {FIRST: _not_utf8}),
         Case("TestNotUtf8::test_exit_code_one_line[manifest-3]", "features --data data/ --out out",
-             3, "data error: data/manifest.json: invalid JSON: 'utf-8' codec can't decode byte "
-             "0xff in position 0: invalid start byte", {MANIFEST: _not_utf8}),
+             3, "data error: data/manifest.json: not UTF-8 text: 'utf-8' codec can't decode "
+             "byte 0xff in position 0: invalid start byte", {MANIFEST: _not_utf8}),
         *_loader_refusals("not-utf-8"),
     ],
     "data error: data/uu1_routine_000.csv:5: bad numeric value 'oops' in column 2": [
@@ -720,7 +747,7 @@ ROWS = {
         Case("TestNonFiniteValues::test_finite_value_near_the_float_limit_exit_3_no_output[embed]",
              f"{EMBED} --out out.csv", 3, files={FIRST: field_on_line_3(b"1e308")}),
     ],
-    "data error: uu1_routine_000.csv[0:768]: a hand-crafted feature is not finite "
+    "data error: data/uu1_routine_000.csv[0:768]: a hand-crafted feature is not finite "
     "(values too large for float64)": [
         Case("TestNonFiniteValues::test_finite_value_near_the_float_limit_exit_3_no_output"
              "[features]", "features --data data/ --out out.csv", 3,
