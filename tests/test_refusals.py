@@ -577,7 +577,7 @@ ROWS = {
         *[_out_on_input(cmd, target) for cmd, target in (
             ("evaluate", "checkpoint"), ("evaluate", "manifest"), ("embed", "checkpoint"),
             ("embed", "grouping"), ("embed", "manifest"), ("features", "manifest"),
-            ("train", "config"))],
+            ("train", "config"), ("train", "manifest"))],
         *[Case(f"TestErrorLines::test_history_on_the_checkpoint_refused_before_loading[{path}]",
                f"{TRAIN} --out x.ckpt --history {path} --quiet", 2,
                f"config error: --history {path} would overwrite the --out checkpoint",
