@@ -106,21 +106,29 @@ def build_synth_config(cfg: dict, seed_override=None) -> synth.SynthConfig:
     return _build("synth", _synth_config, **section)
 
 
+def _entry(kind, name, body, *keys):
+    """The values of `keys` in a `synth.<kind>` entry; a ValueError naming
+    the entry unless it is an object of exactly those keys."""
+    if not isinstance(body, dict) or body.keys() != set(keys):
+        raise ValueError(f"{kind} entry {name!r} must be an object of {', '.join(keys)}")
+    return [body[key] for key in keys]
+
+
 def _synth_config(**section) -> synth.SynthConfig:
     if "motifs" in section:
         section["motifs"] = {
-            name: synth.MotifSpec(
-                name, tuple(synth.ChannelWave(*wave) for wave in spec["channels"]),
-                tuple(spec["duration"]))
-            for name, spec in section["motifs"].items()}
+            name: synth.MotifSpec(name, tuple(synth.ChannelWave(*wave) for wave in channels),
+                                  tuple(duration))
+            for name, body in section["motifs"].items()
+            for channels, duration in [_entry("motifs", name, body, "channels", "duration")]}
     if "grammars" in section:
         section["grammars"] = tuple(
-            synth.ActivityGrammar(cls, body["probs"], body["target_len"])
+            synth.ActivityGrammar(cls, *_entry("grammars", cls, body, "probs", "target_len"))
             for cls, body in section["grammars"].items())
     if "users" in section:
         section["users"] = tuple(
-            synth.UserProfile(u["id"], u["amp_scale"], u["noise_sigma"])
-            for u in section["users"])
+            synth.UserProfile(*_entry("users", i, body, "id", "amp_scale", "noise_sigma"))
+            for i, body in enumerate(section["users"]))
     return replace(synth.default_config(), **section)
 
 
@@ -230,27 +238,6 @@ def cmd_evaluate(args):
     return 0
 
 
-def _read_grouping(path):
-    groups = {}
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line or line.startswith("#"):
-                    continue
-                if "=" not in line:
-                    raise ConfigError(f"{path}: expected 'label=group' lines, got {line!r}")
-                label, group = line.split("=", 1)
-                groups[label.strip()] = group.strip()
-    except UnicodeDecodeError as e:
-        raise ConfigError(f"{path}: not UTF-8 text: {e}") from e
-    except OSError as e:
-        raise ConfigError(f"cannot read grouping: {e}") from e
-    if not groups:
-        raise ConfigError(f"{path}: empty grouping file")
-    return groups
-
-
 def cmd_embed(args):
     _check_outputs(args, ("--out", args.out, "CSV"))
     model, stats = load_checkpoint(args.checkpoint)
@@ -259,7 +246,11 @@ def cmd_embed(args):
     if model.cfg.low_out < 2:
         raise CheckpointError("embedding extraction needs low_out >= 2 for a 2-D PCA, "
                               f"checkpoint has {model.cfg.low_out}")
-    groups = _read_grouping(args.grouping) if args.grouping else {}
+    groups = ds.read_json(args.grouping, "grouping", ConfigError) if args.grouping else {}
+    if args.grouping and not (isinstance(groups, dict) and groups
+                              and all(isinstance(group, str) for group in groups.values())):
+        raise ConfigError(f"{args.grouping}: grouping must be a non-empty JSON object "
+                          "mapping labels to group name strings")
     segments, classes, schema = _load_data_for(model, args.data)
     n_windows, n_labels, score, n_scored = emb.embed_segments(
         model, stats, segments, args.track, schema.null_label_token, groups, args.out)
@@ -337,7 +328,7 @@ def build_parser():
     p.add_argument("--track", default=synth.MOTIF_TRACK,
                    help="low-level label track name")
     p.add_argument("--grouping", default=None,
-                   help="file of label=group lines to merge labels")
+                   help='JSON object merging labels into groups, e.g. {"swing": "arm"}')
     p.add_argument("--out", required=True, help="output CSV path")
     p.set_defaults(func=cmd_embed)
 

@@ -397,17 +397,28 @@ def _check_user(user, users):
 # classes, the schema block (dataclasses.asdict of a SchemaConfig) and each
 # file with its user.
 
+def unique_keys(pairs):
+    """json's object_pairs_hook: the object as a dict, or a ValueError naming
+    the first of its keys that it repeats."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        keys = [key for key, _ in pairs]
+        raise ValueError(f"repeated key {next(k for k in obj if keys.count(k) > 1)!r}")
+    return obj
+
+
 def read_json(path, what, error):
     """The JSON value in the UTF-8 file at `path`; a file that cannot be read
-    or parsed raises `error`, an exception class, naming `what` the file is."""
+    or parsed, or holds an object that repeats a key, raises `error`, an
+    exception class, naming `what` the file is."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=unique_keys)
     except OSError as e:
         raise error(f"cannot read {what}: {e}") from e
     except UnicodeDecodeError as e:
         raise error(f"{path}: not UTF-8 text: {e}") from e
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # json.JSONDecodeError, or unique_keys' repeated key
         raise error(f"{path}: invalid JSON: {e}") from e
 
 

@@ -9,7 +9,7 @@ from typing import Annotated
 
 import numpy as np
 
-from .dataset import atomic_write, check_fields
+from .dataset import atomic_write, check_fields, unique_keys
 from .neurocore import (Stack, check_ce_inputs, flatten_params, make_rng, softmax,
                         softmax_ce_grad, view_arrays)
 from .preprocess import ChannelStats
@@ -226,8 +226,8 @@ def load_checkpoint(path):
     if nl < 0:
         raise CheckpointError(f"{path}: missing header")
     try:
-        header = json.loads(rest[:nl].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+        header = json.loads(rest[:nl].decode("utf-8"), object_pairs_hook=unique_keys)
+    except ValueError as e:  # not UTF-8, not JSON, or a repeated key
         raise CheckpointError(f"{path}: corrupt header: {e}") from e
     if not isinstance(header, dict):
         raise CheckpointError(f"{path}: corrupt header: not a JSON object")

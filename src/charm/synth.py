@@ -17,6 +17,7 @@ from .dataset import (LabeledSegment, SchemaConfig, atomic_write, check_fields, 
 
 MOTIF_TRACK = "motif"
 NULL_TOKEN = "null"  # the null label of the files write_dataset writes
+SAMPLE_RATE_HZ = 30.0  # the time base of a motif's freq_hz
 
 
 @dataclass(frozen=True)
@@ -79,7 +80,6 @@ class SynthConfig:
     users: tuple  # UserProfile
     samples_per_class_per_user: Annotated[int, "[1, inf)"] = 20
     seed: Annotated[int, "[0, inf)"] = 42
-    sample_rate_hz: Annotated[float, "(0, inf)"] = 30.0
 
     def __post_init__(self):
         check_fields(self)
@@ -99,8 +99,6 @@ class SynthConfig:
             raise ValueError(f"user ids must hold no '_' and be distinct, got {users}")
         if len(self.grammars) < 2:
             raise ValueError("need at least 2 classes")
-        if len(set(self.class_names)) != len(self.grammars):
-            raise ValueError(f"class names must be distinct, got {self.class_names}")
         if len(self.users) < 2:
             raise ValueError("need at least 2 users (LOSO requires a held-out user)")
         for g in self.grammars:
@@ -121,9 +119,9 @@ class SynthConfig:
         return [g.class_name for g in self.grammars]
 
 
-def motif_wave(spec: MotifSpec, user: UserProfile, length: int, sample_rate_hz: float):
-    """[length, q] noiseless samples: one user-scaled sinusoid per channel."""
-    t = np.arange(length) / sample_rate_hz
+def motif_wave(spec: MotifSpec, user: UserProfile, length: int):
+    """[length, q] noiseless samples at SAMPLE_RATE_HZ: one user-scaled sinusoid per channel."""
+    t = np.arange(length) / SAMPLE_RATE_HZ
     return np.column_stack([w.offset + user.amp_scale * w.amplitude
                             * np.sin(2 * np.pi * w.freq_hz * t + w.phase)
                             for w in spec.channels])
@@ -174,8 +172,7 @@ def gen_dataset(config: SynthConfig):
     longest = max(g.target_len for g in config.grammars)
     segments = []
     for ui, user in enumerate(config.users):
-        waves = {name: motif_wave(spec, user, min(spec.duration_range[1], longest),
-                                  config.sample_rate_hz)
+        waves = {name: motif_wave(spec, user, min(spec.duration_range[1], longest))
                  for name, spec in config.motifs.items()}
         for ci, grammar in enumerate(config.grammars):
             for si in range(config.samples_per_class_per_user):
@@ -231,7 +228,7 @@ def write_dataset(segments, config: SynthConfig, out_dir):
 
     manifest = {
         "seed": config.seed,
-        "sample_rate_hz": config.sample_rate_hz,
+        "sample_rate_hz": SAMPLE_RATE_HZ,
         "q": config.q,
         "classes": config.class_names,
         "users": [u.user_id for u in config.users],
@@ -257,8 +254,6 @@ def default_config() -> SynthConfig:
     shares at least one motif with another class), 4 users, 20 segments per
     class per user. Structurally mirrors the full-scale setup at desk scale:
     n_target 512 = 16 * 32, q = 6."""
-    rate = 30.0
-
     def motif(name, base, freq, amps, duration=(32, 96)):
         # base: per-channel offsets; amps: per-channel amplitudes
         waves = tuple(ChannelWave(a, f, p, o)
@@ -292,8 +287,7 @@ def default_config() -> SynthConfig:
         UserProfile("u4", 0.95, 0.45),
     )
     return SynthConfig(motifs=motifs, grammars=grammars, users=users,
-                       samples_per_class_per_user=20, seed=42,
-                       sample_rate_hz=rate)
+                       samples_per_class_per_user=20, seed=42)
 
 
 _PHASES = (0.0, 0.9, 1.7, 2.6, 3.4, 4.3)

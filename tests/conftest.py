@@ -52,3 +52,13 @@ def synth_named(classes=("a", "b"), motif="swing", users=("u1", "u2")):
     return {"motifs": {motif: {"channels": [[1.0, 2.0, 0.0, 0.1]], "duration": [4, 8]}},
             "grammars": {c: {"probs": {motif: 1.0}, "target_len": 64} for c in classes},
             "users": [{"id": u, "amp_scale": 1.0, "noise_sigma": 0.1} for u in users]}
+
+
+def channel_0_emptied(start, stop):
+    """An edit of a data file's bytes that empties field 0 of rows [start, stop)."""
+    def edit(text):
+        lines = text.split(b"\n")
+        for i in range(start, stop):
+            lines[i] = b"," + lines[i].split(b",", 1)[1]
+        return b"\n".join(lines)
+    return edit

@@ -4,6 +4,7 @@ import json
 import multiprocessing
 import os
 import re
+import shutil
 import signal
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
@@ -19,7 +20,7 @@ from charm.cli import _crops, main
 from charm.dataset import load_data_dir, map_files
 from charm.model import load_checkpoint, save_checkpoint
 from charm.synth import _write_segment
-from conftest import SMALL_CONFIG, field_on_line_3, synth_named
+from conftest import SMALL_CONFIG, channel_0_emptied, field_on_line_3, synth_named
 
 # Refusals, the runs that end with a non-zero exit code and one stderr line,
 # are cases of tests/test_refusals.py; the tests here check what a command
@@ -215,6 +216,16 @@ class TestRunFold:
             "(the longest has 400 samples)")
 
 
+def null_high_labels(text, start, stop):
+    """A data file's bytes with the high-level label of rows [start, stop) set to null."""
+    lines = text.split(b"\n")
+    for i in range(start, stop):
+        fields = lines[i].split(b",")
+        fields[6] = b"null"
+        lines[i] = b",".join(fields)
+    return b"\n".join(lines)
+
+
 class TestEvaluate:
     def test_report_formats_consistent(self, workspace, checkpoint, tmp_path, capsys):
         out = tmp_path / "metrics.txt"
@@ -233,6 +244,23 @@ class TestEvaluate:
         text = capsys.readouterr().out
         rows = [line.split()[0] for line in text.splitlines()[1:5]]
         assert rows == ["routine", "brew", "meal", "tidy"]
+
+    def test_segment_shorter_than_the_crop_is_padded_to_one(self, workspace, checkpoint,
+                                                             tmp_path):
+        def scored(data):
+            out = tmp_path / "metrics.txt"
+            assert main(["evaluate", "--checkpoint", checkpoint, "--data", str(data),
+                         "--held-out-user", "u4", "--out", str(out), "--quiet"]) == 0
+            kv = dict(line.split("=", 1) for line in out.read_text().splitlines())
+            return sum(int(v) for key, row in kv.items() if key.startswith("confusion.")
+                       for v in row.split(","))
+
+        data = tmp_path / "data"
+        shutil.copytree(workspace["data"], data)
+        path = data / "uu4_routine_000.csv"
+        path.write_bytes(null_high_labels(path.read_bytes(), 400, 768))
+        # 8 files of 768 rows, 2 crops of 512 each; rows [0, 400) are one padded crop
+        assert (scored(workspace["data"]), scored(data)) == (16, 15)
 
 
 class TestEmbed:
@@ -272,10 +300,10 @@ class TestEmbed:
         with open(out, newline="") as fh:
             rows = list(csv.reader(fh))[1:]
         monkeypatch.setattr(embed, "SILHOUETTE_SAMPLE", 3)
-        grouping = tmp_path / "groups.txt"
+        grouping = tmp_path / "groups.json"
         # the motifs of the 3 scored windows become one label; the others stay
-        grouping.write_text("".join(f"{rows[i][2]}=scored\n"
-                                    for i in np.linspace(0, n - 1, 3, dtype=int)))
+        grouping.write_text(json.dumps({rows[i][2]: "scored"
+                                        for i in np.linspace(0, n - 1, 3, dtype=int)}))
         assert main(["embed", "--checkpoint", checkpoint, "--data", workspace["data"],
                      "--grouping", str(grouping), "--out", str(out)]) == 0
         captured = capsys.readouterr()
@@ -285,11 +313,10 @@ class TestEmbed:
         assert len(out.read_text().splitlines()) == n + 1
 
     def test_grouping_file_merges_labels(self, workspace, checkpoint, tmp_path):
-        grouping = tmp_path / "groups.txt"
-        grouping.write_text(
-            "# motion-style grouping\n"
-            "swing=armwork\nreach=armwork\ntwist=armwork\ntap=armwork\n"
-            "lift=bodywork\nshake=bodywork\nglide=bodywork\npress=bodywork\n")
+        grouping = tmp_path / "groups.json"
+        grouping.write_text(json.dumps(
+            {**dict.fromkeys(("swing", "reach", "twist", "tap"), "armwork"),
+             **dict.fromkeys(("lift", "shake", "glide", "press"), "bodywork")}))
         out = tmp_path / "emb.csv"
         assert main(["embed", "--checkpoint", checkpoint,
                      "--data", workspace["data"], "--grouping", str(grouping),
@@ -357,6 +384,25 @@ class TestFeatures:
         assert all(len(row) == len(header) == 2 + 5 * 6 for row in rows)
         for i, name in renamed.items():  # one segment per file, in manifest order
             assert re.fullmatch(re.escape(name) + r"\[0:\d+\]", rows[i][0]), rows[i][0]
+
+
+class TestUnfillableGap:
+    @pytest.mark.parametrize("null_from, segment", [(768, "[0:759]"), (700, "[0:691]")])
+    def test_rows_dropped_with_their_labels(self, workspace, tmp_path, null_from, segment):
+        """A 9-row gap in channel 0 at rows [100, 109), one row longer than
+        MAX_INTERP_GAP: its rows go, and their labels with them, so the file's
+        segment is 9 rows shorter and a null run from row 700 starts at 691."""
+        gap = channel_0_emptied(100, 109)
+        data = tmp_path / "data"
+        data.mkdir()
+        first = copy_data_with(workspace, data, edit_file=lambda text: gap(
+            null_high_labels(text, null_from, 768)))
+        out = tmp_path / "features.csv"
+        assert main(["features", "--data", str(data), "--out", str(out), "--quiet"]) == 0
+        with open(out, newline="") as fh:
+            ids = [row[0] for row in list(csv.reader(fh))[1:]]
+        assert len(ids) == 4 * 4 * 2 and ids[0] == first + segment
+        assert all(id.endswith("[0:768]") for id in ids[1:])
 
 
 def copy_data_with(workspace, dst, edit_file=None, edit_manifest=None):

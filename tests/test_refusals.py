@@ -2,7 +2,7 @@
 through `charm.cli.main` in a directory that holds what README's example
 lines name: `data/` (the workspace's dataset, 4 classes x 4 users x 2
 files), `z.ckpt` (its CHARM checkpoint with u4 held out) and `run.json`
-(its config), plus the files a case writes, such as `groups.txt` or
+(its config), plus the files a case writes, such as `groups.json` or
 `README.md`. Each case asserts its exit code; one stderr line (argparse's
 last, after its usage line) and no output on stdout; no traceback; that
 line matched in full, where `…` matches any text; no child process left;
@@ -36,7 +36,7 @@ from charm.dataset import _load_entry
 from charm.model import MAGIC, CharmConfig, CharmModel, MlpConfig, MlpModel, save_checkpoint
 from charm.neurocore import Stack, make_rng
 from charm.preprocess import ChannelStats
-from conftest import SMALL_CONFIG, field_on_line_3, synth_named
+from conftest import SMALL_CONFIG, channel_0_emptied, field_on_line_3, synth_named
 
 
 @dataclass(frozen=True)
@@ -279,6 +279,11 @@ def _unknown_motif(section):
     section["grammars"]["stroll"]["probs"] = {"nope": 1.0}
 
 
+# a JSON object keeps one of each key, so the repeat is written out by hand
+REPEATED_GRAMMAR = ('{"synth": {"grammars": {' + ", ".join(
+    f'"{cls}": {{"probs": {{"swing": 1.0}}, "target_len": 64}}' for cls in "aba") + '}}}').encode()
+
+
 def _two_channel_motif(section):
     section["motifs"]["jolt"] = {"channels": [[0.3, 6.0, 1.0, -0.2]] * 2, "duration": [2, 5]}
     section["grammars"]["rest"]["probs"] = {"swing": 0.5, "jolt": 0.5}
@@ -297,6 +302,8 @@ NAMES = ("config error: bad synth config: class and motif names must hold no ','
          "break, no leading or trailing space, and not be 'null'; got ")
 SLASH = "config error: bad synth config: class names and user ids must hold no '/' or NUL, got "
 USERS = "config error: bad synth config: user ids must hold no '_' and be distinct, got "
+MOTIF_KEYS = "motifs entry 'swing' must be an object of channels, duration"
+USER_KEYS = "users entry 0 must be an object of id, amp_scale, noise_sigma"
 
 
 def _bad_name(id, line, **names):
@@ -338,15 +345,15 @@ def _unwritable(test, param, argv):
 def _out_on_input(cmd, target):
     """An --out that names one of the run's inputs, spelled another way."""
     args = {"evaluate": " --checkpoint ./z.ckpt --held-out-user u4",
-            "embed": " --checkpoint ./z.ckpt --grouping ./groups.txt", "features": "",
+            "embed": " --checkpoint ./z.ckpt --grouping ./groups.json", "features": "",
             "train": " --config ./run.json --held-out-user u4"}[cmd]
     out, name = {"checkpoint": ("z.ckpt", "--checkpoint"), "config": ("run.json", "--config"),
-                 "grouping": ("groups.txt", "--grouping"),
+                 "grouping": ("groups.json", "--grouping"),
                  "manifest": (MANIFEST, "--data manifest")}[target]
     return Case(f"TestErrorLines::test_out_on_an_input_refused_before_loading[{cmd}-{target}]",
                 f"{cmd} --data ./data{args} --out {out} --quiet", 2,
                 f"config error: --out {out} would overwrite the {name}",
-                {"groups.txt": b"swing=arm\n"}, NO_LOAD)
+                {"groups.json": b'{"swing": "arm"}'}, NO_LOAD)
 
 
 LOADER_REFUSALS = {  # TestLoaderRefusals' refused edits of the manifest's only file
@@ -384,8 +391,8 @@ FILES_RULE = ("data error: data/manifest.json: manifest 'files' must be a list o
 CLASSES_RULE = ("data error: data/manifest.json: manifest 'classes' must be a list of at least 2 "
                 "distinct names, got ")
 FIVE_CLASSES = _set("classes", ["routine", "brew", "meal", "tidy", "nap"])
-ONE_GROUP = b"".join(f"{m}=all\n".encode() for m in (
-    "swing", "reach", "twist", "tap", "lift", "shake", "glide", "press"))
+ONE_GROUP = json.dumps(dict.fromkeys(
+    ("swing", "reach", "twist", "tap", "lift", "shake", "glide", "press"), "all")).encode()
 
 ROWS = {
     "i/o error: [Errno 2] No such file or directory: 'data/uu1_routine_001.csv'": [
@@ -446,6 +453,10 @@ ROWS = {
                f"{argv} --out out", 2, "config error: run.json: unknown section 'sampling'",
                config({"sampling": {"stride": 3}}))
           for cmd, argv in (("gen-synth", "gen-synth --config run.json"), ("train", TRAIN))],
+        Case("TestErrorLines::test_removed_sample_rate_key_exit_2",
+             "gen-synth --config run.json --out d", 2,
+             "config error: run.json: unknown key synth.'sample_rate_hz'",
+             config({"synth": {"sample_rate_hz": 30.0}})),
         Case("TestErrorLines::test_bad_config_file_exit_2[list]",
              "gen-synth --config run.json --out d", 2,
              "config error: run.json: top level must be an object", {"run.json": b"[]"}),
@@ -479,7 +490,6 @@ ROWS = {
         _bad_value("synth-samples-float", "synth", "samples_per_class_per_user", 2.5,
                    "an int in [1, inf)"),
         _bad_value("synth-seed-bool", "synth", "seed", True, "an int in [0, inf)"),
-        _bad_value("synth-rate-zero", "synth", "sample_rate_hz", 0, "a finite float in (0, inf)"),
         Case("TestBadConfigValue::test_exit_2_one_line_no_output[synth-user-noise-negative]",
              "gen-synth --config run.json --out out", 2, "config error: bad synth config: "
              "noise_sigma must be a finite float in [0, inf), got -0.1",
@@ -520,6 +530,20 @@ ROWS = {
             ("one-grammar", _drop("grammars", "rest"), "need at least 2 classes"),
             ("one-user", _set("users", [{"id": "u1", "amp_scale": 1.0, "noise_sigma": 0.1}]),
              "need at least 2 users (LOSO requires a held-out user)"))],
+        *[Case(f"TestBadConfigValue::test_synth_entry_keys_exit_2[{id}]",
+               "gen-synth --config run.json --out out", 2,
+               f"config error: bad synth config: {line}", _synth_edited(edit))
+          for id, edit, line in (
+            ("motif-extra-key", _set("motifs", "swing", "durtion", [100, 200]), MOTIF_KEYS),
+            ("motif-missing-key", _drop("motifs", "swing", "duration"), MOTIF_KEYS),
+            ("motif-not-object", _set("motifs", "swing", [[1.0, 2.0, 0.0, 0.1]]), MOTIF_KEYS),
+            ("grammar-extra-key", _set("grammars", "stroll", "target_length", 900),
+             "grammars entry 'stroll' must be an object of probs, target_len"),
+            ("grammar-missing-key", _drop("grammars", "rest", "target_len"),
+             "grammars entry 'rest' must be an object of probs, target_len"),
+            ("user-extra-key", _set("users", 0, "noise", 5), USER_KEYS),
+            ("user-missing-key", _drop("users", 0, "amp_scale"), USER_KEYS),
+            ("user-list", _set("users", 0, ["u1", 1.0, 0.1]), USER_KEYS))],
         _inner_value("Adam-lr-zero", "train", "lr", 0.0, "a finite float in (0, inf)"),
         _inner_value("window-r-zero", "charm", "r", 0, "an int in [1, inf)"),
         _inner_value("Stack.init-low-hidden-zero", "charm", "low_hidden", 0, "an int in [1, inf)"),
@@ -548,26 +572,41 @@ ROWS = {
         Case("TestRefusalsAtTheirSource::test_synth_config_exit_2[motif-channel-counts-differ]",
              "gen-synth --config run.json --out out", 2, files=_synth_edited(_two_channel_motif)),
     ],
-    "config error: groups.txt: expected 'label=group' lines, got 'swing armwork'": [
-        Case("TestErrorLines::test_bad_grouping_exit_2[no-equals]",
-             f"{EMBED} --grouping groups.txt --out emb.csv", 2,
-             files={"groups.txt": b"swing armwork\n"}),
-        Case("TestErrorLines::test_bad_grouping_exit_2[comments-only]",
-             f"{EMBED} --grouping groups.txt --out emb.csv", 2,
-             "config error: groups.txt: empty grouping file",
-             {"groups.txt": b"# comments only\n\n"}),
+    "config error: groups.json: grouping must be a non-empty JSON object mapping labels to "
+    "group name strings": [
+        *[Case(f"TestErrorLines::test_bad_grouping_exit_2[{id}]",
+               f"{EMBED} --grouping groups.json --out emb.csv", 2, line,
+               {"groups.json": text}, NO_LOAD)
+          for id, text, line in (
+            ("not-json", b"swing=arm\n", "config error: groups.json: invalid JSON: Expecting "
+             "value: line 1 column 1 (char 0)"),
+            ("not-object", b'[["swing", "arm"]]', None),
+            ("empty", b"{}", None),
+            ("group-not-string", b'{"swing": "arm", "reach": 1}', None))],
         Case("TestNotUtf8::test_exit_code_one_line[config-2]",
              "gen-synth --config run.json --out out", 2, "config error: run.json: not UTF-8 "
              "text: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte",
              {"run.json": b"\xff{}"}),
         Case("TestNotUtf8::test_exit_code_one_line[grouping-2]",
-             f"{EMBED} --grouping groups.txt --out out", 2, "config error: groups.txt: not UTF-8 "
-             "text: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte",
-             {"groups.txt": b"\xff{}"}),
+             f"{EMBED} --grouping groups.json --out out", 2, "config error: groups.json: not "
+             "UTF-8 text: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte",
+             {"groups.json": b"\xff{}"}),
     ],
-    "config error: cannot read grouping: [Errno 2] No such file or directory: 'nope.txt'": [
+    "config error: run.json: invalid JSON: repeated key 'train'": [
+        Case("TestErrorLines::test_repeated_key_exit_2[config]",
+             "gen-synth --config run.json --out out", 2,
+             files={"run.json": b'{"train": {"epochs": 5}, "train": {"lr": 0.01}}'}),
+        Case("TestErrorLines::test_repeated_key_exit_2[config-grammar]",
+             f"{TRAIN} --out x.ckpt", 2, "config error: run.json: invalid JSON: repeated key 'a'",
+             {"run.json": REPEATED_GRAMMAR}, NO_LOAD),
+        Case("TestErrorLines::test_repeated_key_exit_2[grouping]",
+             f"{EMBED} --grouping groups.json --out emb.csv", 2,
+             "config error: groups.json: invalid JSON: repeated key 'swing'",
+             {"groups.json": b'{"swing": "arm", "reach": "arm", "swing": "leg"}'}, NO_LOAD),
+    ],
+    "config error: cannot read grouping: [Errno 2] No such file or directory: 'nope.json'": [
         Case("TestErrorLines::test_missing_grouping_exit_2",
-             f"{EMBED} --grouping nope.txt --out emb.csv", 2),
+             f"{EMBED} --grouping nope.json --out emb.csv", 2),
         Case("TestErrorLines::test_bad_config_file_exit_2[missing]",
              "gen-synth --config run.json --out d", 2,
              "config error: cannot read config: [Errno 2] No such file or directory: 'run.json'",
@@ -587,6 +626,11 @@ ROWS = {
     "'nowhere/manifest.json'": [
         Case("TestFeatures::test_missing_data_dir_exit_3", "features --data nowhere --out f.csv",
              3),
+        Case("TestFeatures::test_bad_manifest_exit_3[repeated-key]",
+             "features --data data/ --out f.csv", 3,
+             "data error: data/manifest.json: invalid JSON: repeated key 'user'",
+             {MANIFEST: lambda text: text.replace(b'"user": "u1"',
+                                                  b'"user": "u1", "user": "u4"', 1)}),
         Case("TestFeatures::test_bad_manifest_exit_3[not-json]",
              "features --data data/ --out f.csv", 3, "data error: data/manifest.json: invalid "
              "JSON: Expecting value: line 1 column 1 (char 0)", {MANIFEST: b"not json"}),
@@ -661,6 +705,10 @@ ROWS = {
         *_loader_refusals("empty", "whitespace-only"),
         Case("TestErrorLines::test_no_usable_data_exit_3[blank-lines-only]",
              "features --data data/ --out f.csv", 3, files={FIRST: lambda text: b"\n  \n\n"}),
+        Case("TestErrorLines::test_no_usable_data_exit_3[every-row-dropped]",
+             "features --data data/ --out f.csv", 3, "data error: data/uu1_routine_000.csv: "
+             "no usable rows after dropping 768 unrecoverable rows",
+             {FIRST: channel_0_emptied(0, 768)}),
     ],
     "data error: data/: no labeled segments found": [
         Case("TestErrorLines::test_no_usable_data_exit_3[all-runs-null]",
@@ -731,9 +779,9 @@ ROWS = {
         Case("TestErrorLines::test_embed_degenerate_embedding_exit_3", f"{EMBED} --out emb.csv", 3,
              files=_edited(_zero_weights)),
         Case("TestEmbed::test_grouping_into_one_label_exit_3",
-             f"{EMBED} --grouping groups.txt --out emb.csv", 3,
+             f"{EMBED} --grouping groups.json --out emb.csv", 3,
              "data error: embedding analysis needs at least 2 distinct labels, got ['all']",
-             {"groups.txt": ONE_GROUP}),
+             {"groups.json": ONE_GROUP}),
         Case("TestErrorLines::test_embed_too_few_windows_exit_3", f"{EMBED} --out emb.csv", 3,
              "data error: not enough label-pure windows for embedding analysis",
              {**manifest(_keep_first_file), FIRST: _first_lines(40)}),
@@ -812,6 +860,9 @@ ROWS = {
             ("header-not-json", {"z.ckpt": MAGIC + b"not json\n"},
              "corrupt header: Expecting value: line 1 column 1 (char 0)"),
             ("header-list", {"z.ckpt": MAGIC + b"[1]\n"}, "corrupt header: not a JSON object"),
+            ("repeated-key", {"z.ckpt": lambda blob: blob.replace(
+                b'"kind": "charm"', b'"kind": "mlp", "kind": "charm"', 1)},
+             "corrupt header: repeated key 'kind'"),
             ("version-2", _edited(_version_2), "unsupported checkpoint version 2"),
             ("unknown-kind", _edited(_unknown_kind), "unknown model kind 'lstm'"),
             ("shapes-not-the-config's", _edited(_wider_first_shape),

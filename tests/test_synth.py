@@ -13,14 +13,14 @@ from charm.synth import (ActivityGrammar, ChannelWave, MotifSpec, SynthConfig,
                          to_labeled_segments, write_dataset)
 
 USER = UserProfile("u", 1.0, 0.0)
-RATE = 30.0
+RATE = 30.0  # synth.SAMPLE_RATE_HZ, spelt out for the reference generator below
 FLAT = MotifSpec("flat", (ChannelWave(0.0, 1.0, 0.0, 2.5),
                           ChannelWave(0.0, 2.0, 0.0, -1.0)), (8, 64))
 
 
 def waves_for(motifs, user=USER):
     """Each motif's noiseless wave at its longest duration."""
-    return {name: motif_wave(spec, user, spec.duration_range[1], RATE)
+    return {name: motif_wave(spec, user, spec.duration_range[1])
             for name, spec in motifs.items()}
 
 
@@ -36,7 +36,7 @@ class TestGenMotif:
     adds in `gen_segment`."""
 
     def test_zero_amp_zero_noise_gives_offsets(self):
-        out = motif_wave(FLAT, USER, 10, RATE)
+        out = motif_wave(FLAT, USER, 10)
         np.testing.assert_array_equal(out, np.tile([2.5, -1.0], (10, 1)))
 
     def test_determinism(self):
@@ -57,8 +57,8 @@ class TestGenMotif:
 
     def test_amp_scale_applied(self):
         spec = MotifSpec("s", (ChannelWave(2.0, 1.0, 0.0, 0.0),), (30, 30))
-        big = motif_wave(spec, UserProfile("u", 2.0, 0.0), 30, RATE)
-        small = motif_wave(spec, UserProfile("u", 1.0, 0.0), 30, RATE)
+        big = motif_wave(spec, UserProfile("u", 2.0, 0.0), 30)
+        small = motif_wave(spec, UserProfile("u", 1.0, 0.0), 30)
         np.testing.assert_allclose(big, 2.0 * small, atol=1e-12)
 
     def test_duration_out_of_range(self):
@@ -140,21 +140,20 @@ class TestGenSegment:
         # generator passed on to the next segment is where the reference leaves it
         cfg = edge_config()
         user = cfg.users[1]
-        waves = {name: motif_wave(spec, user, 90, cfg.sample_rate_hz)
+        waves = {name: motif_wave(spec, user, 90)
                  for name, spec in cfg.motifs.items()}
         rng, ref_rng = make_rng(8), make_rng(8)
         for grammar in cfg.grammars * 4:
             data, track = gen_segment(grammar, cfg.motifs, waves, user.noise_sigma, rng)
-            want, want_track = reference_segment(grammar, cfg.motifs, user, ref_rng,
-                                                 cfg.sample_rate_hz)
+            want, want_track = reference_segment(grammar, cfg.motifs, user, ref_rng)
             assert data.tobytes() == want.tobytes() and track == want_track
 
 
-def reference_segment(grammar, motifs, user, rng, sample_rate_hz):
+def reference_segment(grammar, motifs, user, rng):
     """The per-draw generator `gen_segment` replaced, kept as its oracle: every
     draw builds its motif's sinusoids at its own duration and adds its noise."""
     def motif(spec, duration):
-        t = np.arange(duration) / sample_rate_hz
+        t = np.arange(duration) / RATE
         data = np.column_stack([w.offset + user.amp_scale * w.amplitude
                                 * np.sin(2 * np.pi * w.freq_hz * t + w.phase)
                                 for w in spec.channels])
@@ -181,8 +180,7 @@ def reference_dataset(config):
             for si in range(config.samples_per_class_per_user):
                 rng = np.random.Generator(np.random.PCG64(
                     np.random.SeedSequence((config.seed, ui, ci, si))))
-                data, track = reference_segment(grammar, config.motifs, user, rng,
-                                                config.sample_rate_hz)
+                data, track = reference_segment(grammar, config.motifs, user, rng)
                 segments.append(SynthSegment(user.user_id, grammar.class_name,
                                              data, track, si))
     return segments
@@ -244,7 +242,7 @@ class FixedDraws:
 @pytest.mark.parametrize("u", [0.0, 0.5, 0.7, 1.0 - 2.0 ** -53])
 def test_zero_probability_motif_never_drawn_at_the_extremes(u):
     cfg = zero_probability_config()
-    waves = {name: motif_wave(spec, USER, 9, RATE) for name, spec in cfg.motifs.items()}
+    waves = {name: motif_wave(spec, USER, 9) for name, spec in cfg.motifs.items()}
     for grammar in cfg.grammars:
         _, track = gen_segment(grammar, cfg.motifs, waves, 0.0, FixedDraws(u))
         assert all(grammar.motif_probs[m] > 0 for m in track)
@@ -382,13 +380,6 @@ class TestDefaultConfig:
                         users=base.users[:1])
         with pytest.raises(ValueError):
             ActivityGrammar("bad", {"x": 0.6, "y": 0.6}, 100)
-
-    def test_duplicate_class_names_rejected(self):
-        base = default_config()
-        twice = (base.grammars[0], base.grammars[1], base.grammars[0])
-        with pytest.raises(ValueError, match="^class names must be distinct, got "
-                                             r"\['routine', 'brew', 'routine'\]$"):
-            SynthConfig(motifs=base.motifs, grammars=twice, users=base.users)
 
     def test_manifest_contents(self, tmp_path):
         cfg = default_config()
