@@ -252,9 +252,18 @@ def cmd_embed(args):
         raise ConfigError(f"{args.grouping}: grouping must be a non-empty JSON object "
                           "mapping labels to group name strings")
     segments, classes, schema = _load_data_for(model, args.data)
-    n_windows, n_labels, score, n_scored = emb.embed_segments(
+    if groups:  # a key that no segment's track holds merges nothing
+        labels = set().union(*(seg.low_label_tracks.get(args.track, ())
+                               for seg in segments if seg.low_label_tracks))
+        unknown = [key for key in groups if key not in labels]
+        if labels and unknown:
+            raise ConfigError(f"{args.grouping}: grouping key {unknown[0]!r} names no label of "
+                              f"track {args.track!r}: {sorted(labels)}")
+    n_windows, n_labels, score, n_scored, share, largest = emb.embed_segments(
         model, stats, segments, args.track, schema.null_label_token, groups, args.out)
     print(f"{n_windows} label-pure windows, {n_labels} labels -> {args.out}")
+    print(f"2-D PCA: {share:.2%} of the embedding variance; "
+          f"largest |normalized value| {largest:.4g}")
     scored = f"{n_scored} of {n_windows} windows"
     print(f"silhouette: {score:.4f} ({scored})" if score is not None
           else f"silhouette: undefined ({scored}, all one label)")

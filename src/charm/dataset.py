@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import errno
 import functools
+import hashlib
 import json
 import math
 import numbers
@@ -13,7 +14,7 @@ import os
 import re
 import sys
 import tempfile
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import MISSING, asdict, dataclass, fields
 from itertools import compress, repeat
 from operator import ne
 from typing import Annotated, get_args, get_origin, get_type_hints
@@ -107,18 +108,15 @@ def output_dir(path):
 
 
 def atomic_write(path, data):
-    """Write bytes, or str or an iterable of str as UTF-8, to path through a
-    temporary file in the same directory, so the path holds the old content
-    or the new, never a partial write. The file gets the mode open() would
-    give it."""
+    """Write bytes or str, or an iterable of bytes-like and str chunks, each
+    str as UTF-8, to path through a temporary file in the same directory, so
+    the path holds the old content or the new, never a partial write. The
+    file gets the mode open() would give it."""
     fd, tmp = tempfile.mkstemp(dir=output_dir(path), prefix=".tmp-")
     try:
-        if isinstance(data, (bytes, str)):
-            with os.fdopen(fd, "wb") as fh:
-                fh.write(data.encode("utf-8") if isinstance(data, str) else data)
-        else:  # each str through the text layer's write buffer
-            with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-                fh.writelines(data)
+        with os.fdopen(fd, "wb") as fh:
+            fh.writelines(chunk.encode("utf-8") if isinstance(chunk, str) else chunk
+                          for chunk in ([data] if isinstance(data, (bytes, str)) else data))
         umask = os.umask(0)  # mkstemp made the file 0600; read the umask to undo that
         os.umask(umask)
         os.chmod(tmp, 0o666 & ~umask)
@@ -463,18 +461,113 @@ def _read_schema(block, path) -> SchemaConfig:
         raise DataError(f"{path}: bad manifest schema: {e}") from e
 
 
+# ---------------------------------------------------------------------------
+# The sample cache `gen-synth` writes beside its files: a magic line that ends
+# in the sha256 of the next line, one JSON header line, then one block per
+# data file in manifest order: its samples as little-endian float64 [rows, q],
+# then its label tracks (the high labels, then each low track in name order)
+# as little-endian uint16 codes into the header's label list. The header
+# gives each file the sha256 of its CSV bytes and of its block, and its row
+# span. The CSV stays the source of truth: a block is used only when both
+# digests match.
+
+CACHE_FILE = "samples.cache"
+CACHE_LABELS = 1 << 16  # the labels a uint16 code can name
+_CACHE_MAGIC = b"CHARM-SAMPLES "
+_CACHE_VERSION = 1
+
+
+def cache_block(samples, high_labels, low_labels: dict, codes: dict):
+    """The cache block of a data file's [rows, q] little-endian float64
+    samples: its label tracks (the high labels, then each low track in name
+    order) as little-endian uint16 `codes`, and the block's sha256."""
+    tracks = np.array([[codes[label] for label in track] for track in
+                       (high_labels, *(low_labels[name] for name in sorted(low_labels)))],
+                      dtype="<u2")
+    return tracks, _block_digest(samples, tracks)
+
+
+def _block_digest(samples, codes) -> str:
+    """The sha256 of a cache block: its samples' bytes, then its codes'."""
+    digest = hashlib.sha256(samples)
+    digest.update(codes)
+    return digest.hexdigest()
+
+
+def _magic_line(header: bytes) -> bytes:
+    return _CACHE_MAGIC + hashlib.sha256(header).hexdigest().encode("ascii") + b"\n"
+
+
+def write_cache(data_dir, schema: SchemaConfig, labels, blocks):
+    """samples.cache in data_dir, from (file name, CSV sha256, samples, then
+    the cache_block of the samples) per data file in manifest order, its
+    codes numbering `labels`."""
+    spans, start = {}, 0
+    for name, csv_digest, samples, _, digest in blocks:
+        spans[name] = [csv_digest, digest, start, start + len(samples)]
+        start += len(samples)
+    header = json.dumps({"version": _CACHE_VERSION, "schema": asdict(schema), "labels": labels,
+                         "files": spans}).encode("ascii") + b"\n"
+    atomic_write(os.path.join(data_dir, CACHE_FILE), [
+        _magic_line(header), header,
+        *(part for _, _, samples, codes, _ in blocks for part in (samples, codes))])
+
+
+def _read_cache(data_dir, files, schema: SchemaConfig):
+    """Yields (index, LoadedFile) for each entry of `files` whose CSV bytes
+    and cache block have the sha256 samples.cache gives them, with one
+    positioned read per file. Yields nothing, or nothing more, when the cache
+    is missing or unreadable, its magic line does not hold its header's
+    digest, its format version or schema is not this one, or a listed file
+    cannot be read."""
+    tracks = sorted(schema.low_label_columns or {})
+    q = len(schema.channel_columns)
+    row_bytes = 8 * q + 2 * (1 + len(tracks))
+    try:
+        with open(os.path.join(data_dir, CACHE_FILE), "rb") as fh:
+            magic, header = fh.readline(), fh.readline()
+            if magic != _magic_line(header):
+                return
+            header, base = json.loads(header), fh.tell()
+            if (header["version"] != _CACHE_VERSION
+                    or SchemaConfig(**header["schema"]) != schema):
+                return
+            labels = np.array([sys.intern(label) for label in header["labels"]], dtype=object)
+            for i, entry in enumerate(files):
+                if entry["file"] not in header["files"]:
+                    continue
+                csv_digest, digest, start, stop = header["files"][entry["file"]]
+                with open(os.path.join(data_dir, entry["file"]), "rb") as csv:
+                    if hashlib.sha256(csv.read()).hexdigest() != csv_digest:
+                        continue
+                samples = np.empty((stop - start, q), dtype="<f8")
+                codes = np.empty((1 + len(tracks), stop - start), dtype="<u2")
+                os.preadv(fh.fileno(), [samples, codes], base + start * row_bytes)
+                if _block_digest(samples, codes) != digest:  # a truncated or garbled block
+                    continue
+                highs, *lows = (labels[track].tolist() for track in codes)
+                yield i, LoadedFile(SensorStream(samples), highs, dict(zip(tracks, lows)))
+    except (AttributeError, KeyError, OSError, TypeError, ValueError):  # or no os.preadv
+        return
+
+
 def load_data_dir(data_dir, user=None):
     """Returns (segments, class names, SchemaConfig): the labeled runs of
     every file the manifest lists, after null/unknown-label run splitting.
     With `user`, only that user's files are read: a user the manifest does
     not name is a DataError listing the users it names, and one with no
-    labeled segment a DataError naming it."""
+    labeled segment a DataError naming it. A file samples.cache holds for
+    its exact bytes is read from there, every other file parsed."""
     files, classes, schema = read_manifest(data_dir)
     if user is not None:
         _check_user(user, {entry["user"] for entry in files})
         files = [entry for entry in files if entry["user"] == user]
-    jobs = [(data_dir, entry, classes, schema) for entry in files]
-    segments = [seg for segs in map_files(_load_entry, jobs) for seg in segs]
+    cached = {i: _segments(loaded, files[i], classes, schema)
+              for i, loaded in _read_cache(data_dir, files, schema)}
+    parsed = iter(map_files(_load_entry, [(data_dir, entry, classes, schema)
+                                          for i, entry in enumerate(files) if i not in cached]))
+    segments = [seg for i in range(len(files))
+                for seg in (cached[i] if i in cached else next(parsed))]
     if not segments:
         raise DataError(f"{data_dir}: no labeled segments found" if user is None
                         else f"held-out user {user!r} has no labeled segments")
@@ -482,11 +575,15 @@ def load_data_dir(data_dir, user=None):
 
 
 def _load_entry(job):
-    """The labeled runs of one manifest entry."""
+    """The labeled runs of one manifest entry, parsed."""
     data_dir, entry, classes, schema = job
-    loaded = load_stream(os.path.join(data_dir, entry["file"]), schema)
+    return _segments(load_stream(os.path.join(data_dir, entry["file"]), schema),
+                     entry, classes, schema)
+
+
+def _segments(loaded: LoadedFile, entry, classes, schema: SchemaConfig):
+    """The labeled runs of a manifest entry's loaded file."""
     segments, _ = segment_by_high_label(
         loaded.stream.samples, loaded.high_labels, classes, schema.null_label_token,
         user_id=entry["user"], low_labels=loaded.low_labels, source=entry["file"])
     return segments
-

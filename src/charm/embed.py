@@ -133,9 +133,11 @@ def embed_segments(model, stats, segments, track, null_token, groups, path):
     """Quick-start step 4: every segment's label-pure windows, normalized with
     `stats`, through the low-level encoder, their 2-D PCA written to `path`, then
     the silhouette of their labels mapped through the `groups` dict. Returns
-    (window count, label count, silhouette, count of the windows it scores),
-    the silhouette None when those hold a single label. A PCA coordinate that is not finite
-    (values too large for float64) is a DataError, raised before the CSV."""
+    (window count, label count, silhouette, count of the windows it scores,
+    share of the embeddings' variance the 2-D PCA holds, largest |normalized
+    value| of the windows), the silhouette None when those hold a single label.
+    A PCA coordinate that is not finite (values too large for float64) is a
+    DataError, raised before the CSV."""
     r = model.cfg.r
     # one buffer for the kept windows, sized by the windows seen, normalized once filled
     windows = np.empty((sum(len(seg.data) // r for seg in segments), r, model.cfg.q))
@@ -154,6 +156,7 @@ def embed_segments(model, stats, segments, track, null_token, groups, path):
                         f"got {sorted(set(labels))}")
     kept = windows[:len(labels)]
     feats = model.embed_windows(normalize(kept, stats, out=kept))
+    largest = float(max(kept.max(), -kept.min()))  # of the windows normalized in place
     del windows, kept  # freed before the PCA, the CSV and the silhouette
     try:
         pca = pca_fit(feats, 2)
@@ -169,4 +172,6 @@ def embed_segments(model, stats, segments, track, null_token, groups, path):
         score = silhouette_score(coords, labels)
     except ValueError:  # the evenly spaced points it scores hold one label
         score = None
-    return len(labels), len(set(labels)), score, min(len(labels), SILHOUETTE_SAMPLE)
+    share = float(coords.var(axis=0).sum() / feats.var(axis=0).sum())
+    return (len(labels), len(set(labels)), score, min(len(labels), SILHOUETTE_SAMPLE), share,
+            largest)

@@ -5,6 +5,7 @@ per-user amplitude/noise variation so leave-one-subject-out is nontrivial."""
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import json
 import os
 from dataclasses import asdict, dataclass
@@ -12,8 +13,8 @@ from typing import Annotated
 
 import numpy as np
 
-from .dataset import (LabeledSegment, SchemaConfig, atomic_write, check_fields, check_value,
-                      map_files)
+from .dataset import (CACHE_FILE, CACHE_LABELS, LabeledSegment, SchemaConfig, atomic_write,
+                      cache_block, check_fields, check_value, map_files, write_cache)
 
 MOTIF_TRACK = "motif"
 NULL_TOKEN = "null"  # the null label of the files write_dataset writes
@@ -214,17 +215,26 @@ def dataset_schema(config: SynthConfig) -> SchemaConfig:
 
 
 def write_dataset(segments, config: SynthConfig, out_dir):
-    """One file per segment plus manifest.json; reruns with the same config
-    are byte-identical. An old manifest.json is removed before the first
-    data file is written, so a failed or interrupted run leaves none."""
+    """One file per segment, then samples.cache when every value is finite
+    and the labels fit its codes, then manifest.json; reruns with the same
+    config are byte-identical. An old manifest.json and samples.cache are
+    removed before the first data file is written, so a failed or
+    interrupted run leaves neither."""
     os.makedirs(out_dir, exist_ok=True)
     manifest_path = os.path.join(out_dir, "manifest.json")
-    with contextlib.suppress(FileNotFoundError):
-        os.remove(manifest_path)
+    for path in (manifest_path, os.path.join(out_dir, CACHE_FILE)):
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(path)
     files = [{"file": segment_file(seg), "user": seg.user_id, "class": seg.class_name}
              for seg in segments]
-    map_files(_write_segment, [(os.path.join(out_dir, f["file"]), seg)
-                               for f, seg in zip(files, segments)])
+    labels = list(dict.fromkeys([*config.class_names, *config.motifs]))
+    codes = None if len(labels) > CACHE_LABELS else {name: i for i, name in enumerate(labels)}
+    written = map_files(_write_segment, [(os.path.join(out_dir, f["file"]), seg, codes)
+                                         for f, seg in zip(files, segments)])
+    if all(block for _, block in written):
+        write_cache(out_dir, dataset_schema(config), labels, [
+            (f["file"], csv_digest, seg.data, *block)
+            for f, seg, (csv_digest, block) in zip(files, segments, written)])
 
     manifest = {
         "seed": config.seed,
@@ -241,12 +251,18 @@ def write_dataset(segments, config: SynthConfig, out_dir):
 
 
 def _write_segment(job):
-    """One segment's file: a row per sample, each value as repr() spells it."""
-    path, seg = job
+    """One segment's file: a row per sample, each value as repr() spells it.
+    Returns the file's sha256 and its cache_block, with its labels numbered
+    by `codes`: None when `codes` is, or a value is not finite."""
+    path, seg, codes = job
     labels = f",{seg.class_name},"
-    atomic_write(path, "".join(
-        ",".join(map(repr, row)) + labels + motif + "\n"
-        for row, motif in zip(seg.data.tolist(), seg.motif_track)))
+    text = "".join(",".join(map(repr, row)) + labels + motif + "\n"
+                   for row, motif in zip(seg.data.tolist(), seg.motif_track)).encode("utf-8")
+    atomic_write(path, text)
+    if codes is None or not np.isfinite(seg.data).all():
+        return hashlib.sha256(text).hexdigest(), None
+    return hashlib.sha256(text).hexdigest(), cache_block(
+        seg.data, [seg.class_name] * len(seg.motif_track), {MOTIF_TRACK: seg.motif_track}, codes)
 
 
 def default_config() -> SynthConfig:

@@ -2,9 +2,11 @@
 helpers that more than one test module uses."""
 
 import json
+import os
 
 import pytest
 
+from charm import dataset as ds
 from charm.cli import main
 
 SMALL_CONFIG = {
@@ -62,3 +64,18 @@ def channel_0_emptied(start, stop):
             lines[i] = b"," + lines[i].split(b",", 1)[1]
         return b"\n".join(lines)
     return edit
+
+
+def assert_cache_parity(data_dir):
+    """Every file of data_dir loads from its cache block equal, field by field,
+    to its parse."""
+    files, _, schema = ds.read_manifest(data_dir)
+    cached = dict(ds._read_cache(data_dir, files, schema))
+    assert sorted(cached) == list(range(len(files)))
+    for i, got in cached.items():
+        parsed = ds.load_stream(os.path.join(data_dir, files[i]["file"]), schema)
+        assert got.stream.samples.tobytes() == parsed.stream.samples.tobytes()
+        assert got.stream.samples.dtype == parsed.stream.samples.dtype
+        assert got.stream.samples.flags.c_contiguous and got.stream.samples.flags.writeable
+        assert (got.high_labels, got.low_labels, got.dropped_rows, parsed.dropped_rows) == \
+            (parsed.high_labels, parsed.low_labels, 0, 0)

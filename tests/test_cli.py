@@ -20,7 +20,8 @@ from charm.cli import _crops, main
 from charm.dataset import load_data_dir, map_files
 from charm.model import load_checkpoint, save_checkpoint
 from charm.synth import _write_segment
-from conftest import SMALL_CONFIG, channel_0_emptied, field_on_line_3, synth_named
+from conftest import (SMALL_CONFIG, assert_cache_parity, channel_0_emptied, field_on_line_3,
+                      synth_named)
 
 # Refusals, the runs that end with a non-zero exit code and one stderr line,
 # are cases of tests/test_refusals.py; the tests here check what a command
@@ -278,11 +279,13 @@ class TestEmbed:
         assert main(["embed", "--checkpoint", checkpoint, "--data", workspace["data"],
                      "--out", str(out)]) == 0
         lines = capsys.readouterr().out.splitlines()
-        assert len(lines) == 2
+        assert len(lines) == 3
         n = int(lines[0].split()[0])
         assert lines[0] == f"{n} label-pure windows, 8 labels -> {out}"
+        assert re.fullmatch(r"2-D PCA: \d+\.\d\d% of the embedding variance; "
+                            r"largest \|normalized value\| \S+", lines[1])
         assert len(out.read_text().splitlines()) == n + 1
-        return n, lines[1]
+        return n, lines[2]
 
     def test_silhouette_line_names_the_sample(self, workspace, checkpoint, tmp_path, capsys,
                                               monkeypatch):
@@ -307,7 +310,7 @@ class TestEmbed:
         assert main(["embed", "--checkpoint", checkpoint, "--data", workspace["data"],
                      "--grouping", str(grouping), "--out", str(out)]) == 0
         captured = capsys.readouterr()
-        assert captured.out.splitlines()[1] == (f"silhouette: undefined (3 of {n} windows, "
+        assert captured.out.splitlines()[2] == (f"silhouette: undefined (3 of {n} windows, "
                                                 "all one label)")
         assert captured.err == ""
         assert len(out.read_text().splitlines()) == n + 1
@@ -419,6 +422,43 @@ def copy_data_with(workspace, dst, edit_file=None, edit_manifest=None):
         edit_manifest(manifest)
     (dst / "manifest.json").write_text(json.dumps(manifest))
     return first
+
+
+class TestEmbedSaysWhatItScored:
+    """`embed` prints the share of the embeddings' variance its 2-D PCA holds
+    and the largest |normalized value| it embedded: on the seed-42 quick
+    start, one 1e150 in channel 0 turns the PCA into that window's axis and
+    the silhouette into 0."""
+
+    @pytest.fixture(scope="class")
+    def quick_start(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("seed42")
+        data = root / "data"
+        assert main(["gen-synth", "--seed", "42", "--out", str(data), "--quiet"]) == 0
+        assert main(["train", "--data", str(data), "--held-out-user", "u4",
+                     "--out", str(root / "u4.ckpt"), "--quiet"]) == 0
+        return root
+
+    @staticmethod
+    def embed(root, data, capsys):
+        assert main(["embed", "--checkpoint", str(root / "u4.ckpt"), "--data", str(data),
+                     "--out", str(root / "emb.csv")]) == 0
+        return capsys.readouterr().out.splitlines()[1:]
+
+    def test_seed_42(self, quick_start, capsys):
+        assert self.embed(quick_start, quick_start / "data", capsys) == [
+            "2-D PCA: 47.81% of the embedding variance; largest |normalized value| 4.701",
+            "silhouette: 0.2289 (4096 of 13687 windows)"]
+
+    def test_one_1e150_in_channel_0(self, quick_start, capsys):
+        huge = shutil.copytree(quick_start / "data", quick_start / "huge")
+        path = huge / "uu1_brew_000.csv"
+        lines = path.read_bytes().split(b"\n")
+        lines[2] = b"1e150," + lines[2].split(b",", 1)[1]
+        path.write_bytes(b"\n".join(lines))
+        assert self.embed(quick_start, huge, capsys) == [
+            "2-D PCA: 100.00% of the embedding variance; largest |normalized value| 1.24e+150",
+            "silhouette: 0.0000 (4096 of 13687 windows)"]
 
 
 class TestHugeFiniteValues:
@@ -601,11 +641,12 @@ def _write_segment_or_die(job):
     return _write_segment(job)
 
 
-def dir_digest(path):
+def dir_digest(path, skip=()):
     h = hashlib.sha256()
     for p in sorted(Path(path).iterdir()):
-        h.update(p.name.encode())
-        h.update(p.read_bytes())
+        if p.name not in skip:
+            h.update(p.name.encode())
+            h.update(p.read_bytes())
     return h.hexdigest()
 
 
@@ -736,9 +777,10 @@ def test_failed_write_over_a_dataset_leaves_no_manifest(tmp_path, capsys):
     cfg = cli.build_synth_config({}, seed_override=7)
     segments = synth.gen_dataset(cfg)
     segments[200].user_id = "missing/u1"  # the 201st file's directory does not exist
+    assert (data / ds.CACHE_FILE).exists()
     with pytest.raises(FileNotFoundError):
         synth.write_dataset(segments, cfg, str(data))
-    assert not (data / "manifest.json").exists()
+    assert not (data / "manifest.json").exists() and not (data / ds.CACHE_FILE).exists()
     out = tmp_path / "features.csv"
     assert main(["features", "--data", str(data), "--out", str(out)]) == 3
     assert len(capsys.readouterr().err.splitlines()) == 1
@@ -746,19 +788,24 @@ def test_failed_write_over_a_dataset_leaves_no_manifest(tmp_path, capsys):
 
 
 SEED_42_DIGEST = "01f780f599473be345ac88e8e21ae396f1fce1b3723b023c39c01dc7f1f737c2"
+SEED_42_CACHE_DIGEST = "3934ffc942c2b368c7a5e1f6317840bb1b19d178675c962d6dbdcc3262670913"
 
 
 def test_seed_42_files_and_load_same_on_one_cpu_and_pool(tmp_path, monkeypatch):
     use_cpus(monkeypatch, 2)
-    data = str(tmp_path / "data")
-    assert main(["gen-synth", "--seed", "42", "--out", data, "--quiet"]) == 0
-    assert dir_digest(data) == SEED_42_DIGEST
-    pool, labels, schema = load_data_dir(data)
+    data = tmp_path / "data"
+    assert main(["gen-synth", "--seed", "42", "--out", str(data), "--quiet"]) == 0
+    assert dir_digest(data, skip={ds.CACHE_FILE}) == SEED_42_DIGEST
+    assert sha(data / ds.CACHE_FILE) == SEED_42_CACHE_DIGEST
+    assert_cache_parity(data)
+    cached = load_data_dir(data)
+    (data / ds.CACHE_FILE).unlink()
+    pool = load_data_dir(data)
     use_cpus(monkeypatch, 1)
-    one, labels_one, schema_one = load_data_dir(data)
-    assert (labels_one, schema_one) == (labels, schema)
-    assert len(one) == len(pool)
-    for a, b in zip(one, pool):
-        assert np.array_equal(a.data, b.data) and a.data.dtype == b.data.dtype
-        assert (a.high_label, a.user_id, a.source, a.low_label_tracks) == \
-            (b.high_label, b.user_id, b.source, b.low_label_tracks)
+    one = load_data_dir(data)
+    for other in (pool, one):
+        assert other[1:] == cached[1:] and len(other[0]) == len(cached[0])
+        for a, b in zip(other[0], cached[0]):
+            assert np.array_equal(a.data, b.data) and a.data.dtype == b.data.dtype
+            assert (a.high_label, a.user_id, a.source, a.low_label_tracks) == \
+                (b.high_label, b.user_id, b.source, b.low_label_tracks)

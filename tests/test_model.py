@@ -147,13 +147,6 @@ class TestBatchedLoss:
                                  make_rng(23).normal(size=(3, 64, 3)),
                                  target=np.array([2, 0, 1]))
 
-    @pytest.mark.parametrize("targets", [[1, 2]], ids=["too-few"])
-    def test_bad_targets(self, targets):
-        model = small_model()
-        with pytest.raises(ValueError):
-            model.loss_and_grads(np.zeros((3, 64, 3)), targets, np.ones(3), make_rng(0))
-
-
     def test_non_finite_logits_rejected(self):
         model = small_model()
         model.params[0] = np.nan

@@ -108,11 +108,6 @@ class TestWeightedCrossEntropy:
             np.testing.assert_array_equal(
                 grads[i], softmax_ce_grad(logits[one], targets[one], weights)[1][0])
 
-    @pytest.mark.parametrize("target", [[[0, 1]]], ids=["2-D"])
-    def test_invalid_row_targets(self, target):
-        with pytest.raises(ValueError):
-            weighted_cross_entropy(np.zeros((2, 2)), np.array(target), [1.0, 1.0])
-
 
 def reference_ce(logits, target, class_weights):
     """The losses and the gradient of their mean, one row at a time."""
@@ -199,11 +194,6 @@ class TestDense:
         stack = Stack([(np.array([[1.0, 1.0]]), np.array([0.5]))], dropout_p=0.0)
         out, _ = stack.forward([[2.0, 3.0], [0.0, 1.0]])
         np.testing.assert_allclose(out, [[5.5], [1.5]])
-
-    def test_shape_mismatch(self):
-        stack = Stack([(np.ones((2, 3)), np.zeros(2))])
-        with pytest.raises(ValueError):
-            stack.forward([[1.0, 2.0]])
 
 
 class TestInit:

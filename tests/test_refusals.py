@@ -413,7 +413,7 @@ ROWS = {
     ],
     "i/o error: a worker process died before its files were done (killed, or out of memory)": [
         Case("TestOneProcessPerCpu::test_dead_worker_exit_1_one_line[features]",
-             "features --data data/ --out out", 1,
+             "features --data data/ --out out", 1, files={"data/samples.cache": None},
              patches=TWO_CPUS + ((ds, "_load_entry", _load_entry_or_die),)),
     ],
     "out of memory: Unable to allocate 2.24 TiB for an array …": [
@@ -591,6 +591,15 @@ ROWS = {
              f"{EMBED} --grouping groups.json --out out", 2, "config error: groups.json: not "
              "UTF-8 text: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte",
              {"groups.json": b"\xff{}"}),
+    ],
+    "config error: groups.json: grouping key 'swnig' names no label of track 'motif': "
+    "['glide', 'lift', 'press', 'reach', 'shake', 'swing', 'tap', 'twist']": [
+        Case(f"grouping-key-names-no-label[{id}]", f"{EMBED} --grouping groups.json --out emb.csv",
+             2, line, {"groups.json": text})
+        for id, text, line in (
+            ("misspelt", b'{"swnig": "arm", "reach": "arm"}', None),
+            ("a-class", b'{"reach": "arm", "routine": "arm"}',
+             "config error: groups.json: grouping key 'routine' names no label of track …"))
     ],
     "config error: run.json: invalid JSON: repeated key 'train'": [
         Case("TestErrorLines::test_repeated_key_exit_2[config]",

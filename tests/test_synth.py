@@ -299,7 +299,8 @@ class TestGenDataset:
         names = sorted(os.listdir(d1))
         assert names == sorted(os.listdir(d2))
         # no temporary files left behind
-        assert names == sorted([f["file"] for f in manifest["files"]] + ["manifest.json"])
+        assert names == sorted([f["file"] for f in manifest["files"]]
+                               + ["manifest.json", "samples.cache"])
         match, mismatch, errors = filecmp.cmpfiles(d1, d2, names, shallow=False)
         assert mismatch == [] and errors == []
 

@@ -216,12 +216,6 @@ class TestPredict:
             trained = TrainedModel(model, fit_normalizer(list(x)))
             assert evaluate(trained, segs).accuracy == 1.0
 
-    @pytest.mark.parametrize("kind", ["charm", "mlp"])
-    @pytest.mark.parametrize("shape", [(32, 2), (2, 31, 2), (2, 32, 3)])
-    def test_wrong_batch_shape(self, kind, shape):
-        with pytest.raises(ValueError):
-            untrained(kind).predict(np.zeros(shape))
-
     def test_evaluation_does_not_mutate_params(self):
         segs = toy_dataset()
         trained, _ = train(segs, "charm", TrainConfig(epochs=1, seed=4), CFG)
